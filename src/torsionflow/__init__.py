@@ -3,7 +3,7 @@
 The package builds exact chart-level derivatives with truncated Taylor
 arithmetic (``jets``), derives Levi-Civita data and curvature from metric
 fields (``geometry``), splits the intrinsic torsion of a U(n)-structure into
-its Gray-Hervella components (``hermitian``), and evaluates harmonicity
+its Gray-Hervella components (``unstruct``), and evaluates harmonicity
 criteria and identity suites at sampled points (``diagnostics``).  A worked
 set of chart geometries lives in ``catalog``, a discrete total-bending
 gradient flow on flat tori in ``flow``, and a JSON-driven command line in

@@ -22,16 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import build_structure, sample_points, spec_from_config
-from .diagnostics import (
-    IDENTITY_NAMES,
-    classify_gh,
-    coderivative_xi,
-    hermitian_harmonicity,
-    point_scale,
-    run_diagnostics,
-    section_residuals,
-    star_ricci,
-)
+from .diagnostics import IDENTITY_NAMES, ROUTE_NAMES, classify_gh, gh_label, run_diagnostics
 from .exprlang import EvalError, ParseError
 from .flow import (
     GridError,
@@ -192,21 +183,16 @@ def _run_inspect(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
     pts = _resolve_points(cfg, spec, seed_override)
     report = run_diagnostics(structure, pts, tol=tol)
 
-    point_rows = []
-    components: set[str] = set()
-    for p, row in zip(pts, report.residuals):
-        label = classify_gh(structure, [p], tol)["label"]
-        if label != "Kahler":
-            components.update(label.split("+"))
-        point_rows.append(
-            {
-                "x": [float(v) for v in p],
-                "residuals": dict(row),
-                "class": label,
-            }
-        )
-    ordered = [w for w in ("W1", "W2", "W3", "W4") if w in components]
-    label = "+".join(ordered) if ordered else "Kahler"
+    normalized = [rec.component_norms / rec.scale for rec in report.records]
+    point_rows = [
+        {
+            "x": [float(v) for v in p],
+            "residuals": dict(rec.residuals),
+            "class": gh_label(norms, tol),
+        }
+        for p, rec, norms in zip(pts, report.records, normalized)
+    ]
+    label = gh_label(np.max(normalized, axis=0), tol)
 
     expected_zero = tuple(spec.metadata.get("expected_zero", ()))
     expected_class = spec.metadata.get("expected_class")
@@ -246,17 +232,12 @@ def _run_verify(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
     report = run_diagnostics(structure, pts, tol=tol)
 
     mixed = 0
-    route_gap = uperp = ricci_gap = 0.0
-    for p, row, scale in zip(pts, report.residuals, report.scales):
+    for row, scale in zip(report.residuals, report.scales):
         harmonic = row["harmonic"] < tol * scale
         for name in _COUPLED:
             if (row[name] < tol * scale) != harmonic:
                 mixed += 1
                 break
-        cod = coderivative_xi(structure, p)
-        route_gap = max(route_gap, cod.route_gap / scale)
-        uperp = max(uperp, cod.uperp_defect / scale)
-        ricci_gap = max(ricci_gap, star_ricci(structure, p).route_gap / scale)
 
     checks = []
     for name in IDENTITY_NAMES:
@@ -273,11 +254,8 @@ def _run_verify(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
             "pass": mixed == 0,
         }
     )
-    for name, value in (
-        ("coderivative_route_gap", route_gap),
-        ("coderivative_uperp_defect", uperp),
-        ("star_ricci_route_gap", ricci_gap),
-    ):
+    for name in ROUTE_NAMES:
+        value = max(rec.routes[name] / rec.scale for rec in report.records)
         checks.append({"name": name, "value": value, "pass": value < tol})
 
     ok = all(c["pass"] for c in checks)

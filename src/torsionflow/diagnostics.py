@@ -22,6 +22,7 @@ and tensor inner products contract every slot in an orthonormal frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,9 +43,11 @@ __all__ = [
     "IDENTITY_NAMES",
     "CLASS_LABELS",
     "GH_LABELS",
+    "ROUTE_NAMES",
     "CoderivativeXi",
     "StarRicci",
     "DiagnosticsReport",
+    "PointRecord",
     "coderivative_xi",
     "section_residuals",
     "star_ricci",
@@ -55,6 +58,7 @@ __all__ = [
     "nearly_kahler_suite",
     "conformal_example_check",
     "classify_gh",
+    "gh_label",
     "point_scale",
     "run_diagnostics",
 ]
@@ -84,6 +88,13 @@ CLASS_LABELS = ("W1+W2+W4", "W1+W2", "W2+W4", "W1+W4", "W3+W4", "W1+W2-map")
 
 GH_LABELS = ("W1", "W2", "W3", "W4")
 
+# independent-route disagreements kept per point (see PointRecord)
+ROUTE_NAMES = (
+    "coderivative_route_gap",
+    "coderivative_uperp_defect",
+    "star_ricci_route_gap",
+)
+
 # The reported 3-form norm |Psi|^2 is calibrated so a unit 6-sphere
 # gives 144; the plain all-slot contraction of the same components
 # gives 6 there, hence the factor 24.
@@ -105,7 +116,8 @@ class _PointData:
 
     Everything here is plain numpy in the orthonormal frame of the
     structure's FramePack, so residual norms are frame-rotation
-    invariant by construction.
+    invariant by construction.  Each derived quantity is built once, on
+    first use, like the jets of ``StructureJets``.
     """
 
     def __init__(self, sj: StructureJets):
@@ -122,35 +134,78 @@ class _PointData:
         self.F = self.fp.to_frame(sj.nabla_xi.value, "uddd")
         self.scale = 1.0 + _fro(self.xiF) + _fro(self.RF)
 
-    def minimal_xi_frame(self) -> np.ndarray:
+    @cached_property
+    def minimal_xi(self) -> np.ndarray:
         """G[k, s, a, c] = <(nabla^{U(n)}_{e_c} xi)_{e_s} e_a, e_k>."""
-        if not hasattr(self, "_G"):
-            jets = minimal_derivative_jets(self.sj.xi, "udd", self.sj)
-            self._G = self.fp.to_frame(jets.value, "uddd")
-        return self._G
+        jets = minimal_derivative_jets(self.sj.xi, "udd", self.sj)
+        return self.fp.to_frame(jets.value, "uddd")
+
+    @cached_property
+    def component_norms(self) -> np.ndarray:
+        return np.array([_fro(c) for c in self.sj.gh_frame])
+
+    @cached_property
+    def coderivative(self) -> CoderivativeXi:
+        """d*xi by definition, checked against the minimal-connection route."""
+        d1 = -np.einsum("kiyi->ky", self.F)
+        d2 = -np.einsum("kiyi->ky", self.minimal_xi) - self.lee_endo()
+        gap = float(np.abs(d1 - d2).max())
+        if gap > ROUTE_TOL * self.scale:
+            raise InternalConventionError(
+                f"d*xi routes disagree by {gap:.3e} (scale {self.scale:.3e})"
+            )
+        # membership in u(n)-perp: the J-commuting half must vanish
+        u_part = 0.5 * (d1 - self.jf @ d1 @ self.jf)
+        u_def = float(np.abs(u_part).max())
+        if u_def > ROUTE_TOL * self.scale:
+            raise InternalConventionError("d*xi has a u(n) component")
+        return CoderivativeXi(point=self.sj.point, value=d1, route_gap=gap, uperp_defect=u_def)
+
+    @cached_property
+    def harmonic_map_form(self) -> np.ndarray:
+        """Frame components of the one-form <xi_{e_i}, R(e_i, X)>."""
+        return np.einsum("ikm,ixmk->x", self.xiF, self.RF)
+
+    @cached_property
+    def rperp(self) -> np.ndarray:
+        """u(n)-perp part of the curvature endomorphisms R(e_x, e_y)."""
+        # endo matrix of R(e_x, e_y): entries [k, m] = <R e_m, e_k>
+        rend = np.transpose(self.RF, (0, 1, 3, 2))
+        return 0.5 * (rend + np.einsum("ka,xyab,bm->xykm", self.jf, rend, self.jf))
+
+    @cached_property
+    def star_ricci_frame(self) -> np.ndarray:
+        """Ric* by contracting the frame curvature."""
+        return np.einsum("xicd,cy,di->xy", self.RF, self.jf, self.jf)
+
+    @cached_property
+    def star_ricci_field(self) -> JetField:
+        """Ric* as a coordinate jet field (degree limited by curvature)."""
+        sj = self.sj
+        t1 = jet_einsum("xacd,cy->xayd", sj.curv.rflat, sj.J)
+        t2 = jet_einsum("xayd,db->xayb", t1, sj.J)
+        return jet_einsum("ab,xayb->xy", sj.ginv, t2)
 
     def lee_endo(self) -> np.ndarray:
         """Matrix of xi_{xi_{e_i} e_i} in the frame."""
         return np.einsum("a,akm->km", self.ell, self.xiF)
 
-    def omega_frame(self) -> np.ndarray:
-        # omega(e_x, e_y) = <e_x, J e_y> equals the frame matrix of J
-        return self.jf
+    @cached_property
+    def laplacian_j(self) -> np.ndarray:
+        sj = self.sj
+        return self.fp.to_frame(rough_laplacian_jets(sj.J, "ud", sj.gamma, sj.ginv).value, "ud")
 
-    def laplacian_omega_frame(self) -> np.ndarray:
-        if not hasattr(self, "_lap_om"):
-            sj = self.sj
-            lap_j = rough_laplacian_jets(sj.J, "ud", sj.gamma, sj.ginv)
-            lj = self.fp.to_frame(lap_j.value, "ud")
-            lap_om = rough_laplacian_jets(sj.omega, "dd", sj.gamma, sj.ginv)
-            lo = self.fp.to_frame(lap_om.value, "dd")
-            # (nabla*nabla omega)(X, Y) = <X, (nabla*nabla J) Y>
-            if np.abs(lo - lj).max() > ROUTE_TOL * self.scale:
-                raise InternalConventionError(
-                    "rough Laplacians of omega and J disagree"
-                )
-            self._lap_om = lo
-        return self._lap_om
+    @cached_property
+    def laplacian_omega(self) -> np.ndarray:
+        sj = self.sj
+        lap_om = rough_laplacian_jets(sj.omega, "dd", sj.gamma, sj.ginv)
+        lo = self.fp.to_frame(lap_om.value, "dd")
+        # (nabla*nabla omega)(X, Y) = <X, (nabla*nabla J) Y>
+        if np.abs(lo - self.laplacian_j).max() > ROUTE_TOL * self.scale:
+            raise InternalConventionError(
+                "rough Laplacians of omega and J disagree"
+            )
+        return lo
 
 
 def _point_data(structure: AlmostHermitianStructure, p, rotation=None) -> _PointData:
@@ -185,40 +240,22 @@ class CoderivativeXi:
         return _fro(self.value)
 
 
-def _coderivative(pd: _PointData) -> CoderivativeXi:
-    d1 = -np.einsum("kiyi->ky", pd.F)
-    g4 = pd.minimal_xi_frame()
-    d2 = -np.einsum("kiyi->ky", g4) - pd.lee_endo()
-    gap = float(np.abs(d1 - d2).max())
-    if gap > ROUTE_TOL * pd.scale:
-        raise InternalConventionError(
-            f"d*xi routes disagree by {gap:.3e} (scale {pd.scale:.3e})"
-        )
-    # membership in u(n)-perp: the J-commuting half must vanish
-    u_part = 0.5 * (d1 - pd.jf @ d1 @ pd.jf)
-    u_def = float(np.abs(u_part).max())
-    if u_def > ROUTE_TOL * pd.scale:
-        raise InternalConventionError("d*xi has a u(n) component")
-    return CoderivativeXi(point=pd.sj.point, value=d1, route_gap=gap, uperp_defect=u_def)
-
-
 def coderivative_xi(structure: AlmostHermitianStructure, p, rotation=None) -> CoderivativeXi:
     """d*xi computed two ways with a built-in agreement check."""
-    return _coderivative(_point_data(structure, p, rotation))
+    return _point_data(structure, p, rotation).coderivative
 
 
 # -- section residuals ------------------------------------------------------
 
 
 def _section_residuals(pd: _PointData) -> dict[str, float]:
-    xiF, RF, F, jf = pd.xiF, pd.RF, pd.F, pd.jf
+    xiF, RF, F = pd.xiF, pd.RF, pd.F
 
-    harmonic = _coderivative(pd).norm
+    harmonic = pd.coderivative.norm
 
     # Sup over unit X of |<xi_{e_i}, R(e_i, X)>|, the l2 norm in an
     # orthonormal frame.
-    hm = np.einsum("ikm,ixmk->x", xiF, RF)
-    harmonic_map = _fro(hm)
+    harmonic_map = _fro(pd.harmonic_map_form)
 
     # A[x, y, k, m] = <(nabla_{e_x} xi)_{e_y} e_m, e_k>
     a = np.transpose(F, (3, 1, 0, 2))
@@ -228,12 +265,9 @@ def _section_residuals(pd: _PointData) -> dict[str, float]:
     t3 = np.einsum("xkm,yzmk->xyz", xiF, RF)
     horiz = _fro(t3 + np.transpose(t3, (1, 0, 2)))
 
-    # endo matrix of R(e_x, e_y): entries [k, m] = <R e_m, e_k>
-    rend = np.transpose(RF, (0, 1, 3, 2))
-    rperp = 0.5 * (rend + np.einsum("ka,xyab,bm->xykm", jf, rend, jf))
-    flatness = _fro(rperp)
+    flatness = _fro(pd.rperp)
 
-    superflat = _fro(-0.5 * (sym + rperp))
+    superflat = _fro(-0.5 * (sym + pd.rperp))
 
     # Torsion criteria.  The exact trace identity (D - D^T) + A = -2 (d*xi)b
     # with D[u,z] = sum_i <(nabla_{e_i}T)(e_i,e_z), e_u> couples both
@@ -293,12 +327,8 @@ class StarRicci:
     route_gap: float
 
 
-def _star_ricci_frame(pd: _PointData) -> np.ndarray:
-    return np.einsum("xicd,cy,di->xy", pd.RF, pd.jf, pd.jf)
-
-
 def _star_ricci(pd: _PointData) -> StarRicci:
-    ric = _star_ricci_frame(pd)
+    ric = pd.star_ricci_frame
     jf, xiF = pd.jf, pd.xiF
     # Hermitian symmetry Ric*(JX, JY) = Ric*(Y, X) is a theorem; treat
     # violation as an internal layout bug.
@@ -311,8 +341,7 @@ def _star_ricci(pd: _PointData) -> StarRicci:
     jell = jf @ pd.ell
     m1 = np.einsum("a,akm->km", jell, xiF)
     term1 = -np.einsum("ym,mx->xy", m1, jf)
-    g4 = pd.minimal_xi_frame()
-    term2 = np.einsum("si,ax,ysai->xy", jf, jf, g4)
+    term2 = np.einsum("si,ax,ysai->xy", jf, jf, pd.minimal_xi)
     gap = float(np.abs(alt - (term1 + term2)).max())
     if gap > ROUTE_TOL * pd.scale:
         raise InternalConventionError(
@@ -340,11 +369,8 @@ def star_ricci(structure: AlmostHermitianStructure, p, rotation=None) -> StarRic
 
 
 def _hermitian_harmonicity(pd: _PointData) -> dict[str, float]:
-    sj, jf, xiF = pd.sj, pd.jf, pd.xiF
-    lo = pd.laplacian_omega_frame()
-
-    lap_j = rough_laplacian_jets(sj.J, "ud", sj.gamma, sj.ginv)
-    lj = pd.fp.to_frame(lap_j.value, "ud")
+    jf, xiF = pd.jf, pd.xiF
+    lo, lj = pd.laplacian_omega, pd.laplacian_j
     comm = jf @ lj - lj @ jf
 
     herm = np.einsum("ax,by,ab->xy", jf, jf, lo) - lo
@@ -379,13 +405,14 @@ def _act_on_form(endo: np.ndarray, form: np.ndarray) -> np.ndarray:
     return -(np.einsum("kx,ky->xy", endo, form) + np.einsum("ky,xk->xy", endo, form))
 
 
-def _lee_flat_dexterior(pd: _PointData) -> np.ndarray:
-    """Frame components of the exterior derivative of the Lee form."""
+def _lee_dexterior_anti(pd: _PointData) -> np.ndarray:
+    """dl(X, Y) - dl(JX, JY) in the frame, dl the exterior derivative of
+    the Lee form."""
     sj = pd.sj
     ell_flat = jet_einsum("ky,k->y", sj.g, sj.lee_field)
     dal = ell_flat.grad().value  # dal[c, x] = d_x (ell_flat)_c
-    d_ext = dal.T - dal
-    return pd.fp.to_frame(d_ext, "dd")
+    dl = pd.fp.to_frame(dal.T - dal, "dd")
+    return dl - np.einsum("ax,by,ab->xy", pd.jf, pd.jf, dl)
 
 
 def _gh_trace_terms(pd: _PointData) -> list[np.ndarray]:
@@ -398,7 +425,7 @@ def _gh_trace_terms(pd: _PointData) -> list[np.ndarray]:
 
 
 def _identity_suite(pd: _PointData) -> dict[str, float]:
-    n, jf, xiF, ell = pd.n, pd.jf, pd.xiF, pd.ell
+    n, xiF, ell = pd.n, pd.xiF, pd.ell
     if n == 1:
         # xi vanishes identically in complex dimension one
         return {name: 0.0 for name in IDENTITY_NAMES}
@@ -427,17 +454,15 @@ def _identity_suite(pd: _PointData) -> dict[str, float]:
 
     # (b) trace of the minimal derivative of the W4 part against the
     # exterior derivative of the Lee form
-    dl = _lee_flat_dexterior(pd)
-    dlj = np.einsum("ax,by,ab->xy", jf, jf, dl)
+    dl_anti = _lee_dexterior_anti(pd)
     c1f = np.einsum("a,ayx->xy", ell, xi1F)
     c2f = np.einsum("a,ayx->xy", ell, xi2F)
-    res_b = _fro(2.0 * (n - 1.0) * a4 - (dl - dlj - 4.0 * c1f + 2.0 * c2f))
+    res_b = _fro(2.0 * (n - 1.0) * a4 - (dl_anti - 4.0 * c1f + 2.0 * c2f))
 
     # (c) rough Laplacian of omega through the minimal connection
-    lo = pd.laplacian_omega_frame()
-    omf = pd.omega_frame()
-    g4 = pd.minimal_xi_frame()
-    d_endo = np.einsum("kimi->km", g4)
+    lo = pd.laplacian_omega
+    omf = pd.jf  # omega(e_x, e_y) = <e_x, J e_y> is the frame matrix of J
+    d_endo = np.einsum("kimi->km", pd.minimal_xi)
     rhs = _act_on_form(d_endo, omf) + _act_on_form(pd.lee_endo(), omf)
     for i in range(pd.dim):
         rhs -= _act_on_form(xiF[i], _act_on_form(xiF[i], omf))
@@ -454,34 +479,17 @@ def _identity_suite(pd: _PointData) -> dict[str, float]:
     }
 
 
-def _star_ricci_field(pd: _PointData) -> JetField:
-    """Ric* as a coordinate jet field (degree limited by curvature)."""
-    sj = pd.sj
-    t1 = jet_einsum("xacd,cy->xayd", sj.curv.rflat, sj.J)
-    t2 = jet_einsum("xayd,db->xayb", t1, sj.J)
-    return jet_einsum("ab,xayb->xy", sj.ginv, t2)
-
-
 def _star_ricci_divergence_defect(pd: _PointData) -> np.ndarray:
-    sj, jf, xiF, ell = pd.sj, pd.jf, pd.xiF, pd.ell
-    ric_field = _star_ricci_field(pd)
-    ric = pd.fp.to_frame(ric_field.value, "dd")
-    if np.abs(ric - _star_ricci_frame(pd)).max() > ROUTE_TOL * pd.scale:
+    jf, xiF = pd.jf, pd.xiF
+    ric = pd.fp.to_frame(pd.star_ricci_field.value, "dd")
+    if np.abs(ric - pd.star_ricci_frame).max() > ROUTE_TOL * pd.scale:
         raise InternalConventionError("Ric* jet field disagrees with frame route")
-
-    nt = pd.fp.to_frame(
-        cov_derivative_jets(ric_field.transpose((1, 0)), "dd", sj.gamma).value, "ddd"
-    )
-    dstar_rt = -np.einsum("ixi->x", nt)
-
-    s_field = jet_einsum("xy,xy->", sj.ginv, ric_field)
-    ds = pd.fp.to_frame(s_field.grad().value, "d")
 
     k = np.einsum("ai,akb,bm->ikm", jf, xiF, jf)
     t1 = 2.0 * np.einsum("ixmk,ikm->x", pd.RF, k)
-    t2 = -4.0 * ric @ ell
+    t2 = -4.0 * ric @ pd.ell
     t3 = 4.0 * np.einsum("ib,xbi->x", ric, xiF)
-    return 2.0 * dstar_rt + ds - (t1 + t2 + t3)
+    return _divergence_pair(pd) - (t1 + t2 + t3)
 
 
 def identity_suite(structure: AlmostHermitianStructure, p, rotation=None) -> dict[str, float]:
@@ -492,10 +500,6 @@ def identity_suite(structure: AlmostHermitianStructure, p, rotation=None) -> dic
 
 
 # -- classification-restricted criteria ---------------------------------------
-
-
-def _component_norms(pd: _PointData) -> np.ndarray:
-    return np.array([_fro(c) for c in pd.sj.gh_frame])
 
 
 def _class_requirements(label: str, n: int) -> tuple[tuple[int, ...], str | None]:
@@ -533,9 +537,9 @@ def class_criteria(
     inapplicable instead of passing silently.
     """
     pd = _point_data(structure, p, rotation)
-    n, jf, ell, xiF = pd.n, pd.jf, pd.ell, pd.xiF
+    n, ell, xiF = pd.n, pd.ell, pd.xiF
     must_vanish, reason = _class_requirements(label, n)
-    norms = _component_norms(pd)
+    norms = pd.component_norms
     if reason is None:
         bad = [GH_LABELS[i] for i in must_vanish if norms[i] > tol * pd.scale]
         if bad:
@@ -545,8 +549,8 @@ def class_criteria(
         "applicable": reason is None,
         "reason": reason,
         "criterion": None,
-        "harmonic": _coderivative(pd).norm,
-        "harmonic_map": _fro(np.einsum("ikm,ixmk->x", xiF, pd.RF)),
+        "harmonic": pd.coderivative.norm,
+        "harmonic_map": _fro(pd.harmonic_map_form),
     }
     if reason is not None:
         return record
@@ -559,9 +563,8 @@ def class_criteria(
     c2f = np.einsum("a,ayx->xy", ell, pd.sj.gh_frame[1])
 
     if label == "W1+W2+W4":
-        dl = _lee_flat_dexterior(pd)
-        dlj = np.einsum("ax,by,ab->xy", jf, jf, dl)
-        defect = (n - 1.0) * alt - (dl - dlj + 2.0 * (n - 3.0) * c1f + 2.0 * n * c2f)
+        dl_anti = _lee_dexterior_anti(pd)
+        defect = (n - 1.0) * alt - (dl_anti + 2.0 * (n - 3.0) * c1f + 2.0 * n * c2f)
     elif label == "W1+W2":
         defect = alt
     elif label == "W2+W4":
@@ -579,7 +582,7 @@ def class_criteria(
 
 def _divergence_pair(pd: _PointData) -> np.ndarray:
     """Frame components of 2 d*(Ric*^t) + ds*."""
-    ric_field = _star_ricci_field(pd)
+    ric_field = pd.star_ricci_field
     nt = pd.fp.to_frame(
         cov_derivative_jets(ric_field.transpose((1, 0)), "dd", pd.sj.gamma).value, "ddd"
     )
@@ -602,12 +605,12 @@ def w1w4_laplacian_residual(
     if pd.dim != 6:
         record["reason"] = "formula is specific to six dimensions"
         return record
-    norms = _component_norms(pd)
+    norms = pd.component_norms
     bad = [GH_LABELS[i] for i in (1, 2) if norms[i] > tol * pd.scale]
     if bad:
         record["reason"] = f"structure has {'+'.join(bad)} torsion above tolerance"
         return record
-    harmonic = _coderivative(pd).norm
+    harmonic = pd.coderivative.norm
     if harmonic > tol * pd.scale:
         record["reason"] = "structure is not harmonic at the point"
         return record
@@ -619,7 +622,7 @@ def w1w4_laplacian_residual(
     dstar_om = -np.einsum("ixi->x", nom)
     j_dstar = -jf.T @ dstar_om
     term2 = wedge2(dstar_om, j_dstar) / (4.0 * (n - 1.0) ** 2)
-    lo = pd.laplacian_omega_frame()
+    lo = pd.laplacian_omega
     record["applicable"] = True
     record["residual"] = _fro(lo - term1 - term2)
     return record
@@ -642,7 +645,7 @@ def nearly_kahler_suite(
     """
     pd = _point_data(structure, p, rotation)
     xiF, jf, RF = pd.xiF, pd.jf, pd.RF
-    norms = _component_norms(pd)
+    norms = pd.component_norms
     impurity = float(np.sqrt(max(np.sum(norms[1:] ** 2), 0.0)))
     record: dict = {"applicable": impurity < tol * pd.scale, "reason": None}
     if not record["applicable"]:
@@ -662,14 +665,12 @@ def nearly_kahler_suite(
     pair = np.einsum("xky,zkw->xyzw", xiF, xiF)
     record["ecxyzw"] = _fro(RF - rzw_j - 4.0 * pair)
 
-    record["minimal_parallel"] = _fro(pd.minimal_xi_frame())
+    record["minimal_parallel"] = _fro(pd.minimal_xi)
 
-    rend = np.transpose(RF, (0, 1, 3, 2))
-    rperp = 0.5 * (rend + np.einsum("ka,xyab,bm->xykm", jf, rend, jf))
-    skew_pair = rperp[idx[:, None], idx[None, :], idx[None, :], idx[:, None]]
+    skew_pair = pd.rperp[idx[:, None], idx[None, :], idx[None, :], idx[:, None]]
     record["curvature_skew"] = float(np.abs(skew_pair - 2.0 * xi_sq).max())
 
-    flatness = _fro(rperp)
+    flatness = _fro(pd.rperp)
     xi_norm = _fro(xiF)
     record["flatness"] = flatness
     record["xi_norm"] = xi_norm
@@ -683,7 +684,7 @@ def nearly_kahler_suite(
 
     alpha = float(pd.sj.curv.scalar.value) / (5.0 * pd.dim)
     record["einstein_alpha"] = alpha
-    lo = pd.laplacian_omega_frame()
+    lo = pd.laplacian_omega
     record["laplacian_collinear"] = _fro(lo - 4.0 * alpha * jf)
     return record
 
@@ -718,8 +719,7 @@ def conformal_example_check(
     dim = pd.dim
     p = np.asarray(p, dtype=float)
 
-    hm_frame = np.einsum("ikm,ixmk->x", pd.xiF, pd.RF)
-    numeric_raw = pd.fp.from_frame(hm_frame, "d")
+    numeric_raw = pd.fp.from_frame(pd.harmonic_map_form, "d")
     numeric = numeric_raw / HARMONIC_MAP_FORM_CALIBRATION
 
     fj = eval_expr(parse(f_src), p, dim, degree=3)
@@ -748,14 +748,21 @@ def conformal_example_check(
 # -- classification --------------------------------------------------------------
 
 
+def gh_label(normalized_norms, tol: float) -> str:
+    """Join the Gray-Hervella components whose scale-normalized norm
+    exceeds ``tol`` ("W1+W4", ...); all below yields "Kahler"."""
+    present = [GH_LABELS[i] for i in range(4) if normalized_norms[i] > tol]
+    return "+".join(present) if present else "Kahler"
+
+
 def classify_gh(
     structure: AlmostHermitianStructure, points, tol: float = 1e-6, rotation=None
 ) -> dict:
     """Gray-Hervella class label over a set of points.
 
-    The label joins the components whose scale-normalized norm exceeds
-    ``tol`` at any point ("W1+W4", ...); all below yields "Kahler".
-    The table reports the raw maximum norm of each component.
+    The label is ``gh_label`` of each component's largest
+    scale-normalized norm over the points.  The table reports the raw
+    maximum norm of each component.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 1:
@@ -764,13 +771,11 @@ def classify_gh(
     normalized = np.zeros(4)
     for p in points:
         pd = _point_data(structure, p, rotation)
-        norms = _component_norms(pd)
+        norms = pd.component_norms
         raw = np.maximum(raw, norms)
         normalized = np.maximum(normalized, norms / pd.scale)
-    present = [GH_LABELS[i] for i in range(4) if normalized[i] > tol]
-    label = "+".join(present) if present else "Kahler"
     return {
-        "label": label,
+        "label": gh_label(normalized, tol),
         "component_norms": dict(zip(GH_LABELS, (float(v) for v in raw))),
     }
 
@@ -779,8 +784,23 @@ def classify_gh(
 
 
 @dataclass(frozen=True)
+class PointRecord:
+    """Everything ``run_diagnostics`` measures at one point.
+
+    ``component_norms`` are the raw norms of xi1..xi4.  ``routes`` maps
+    each of ROUTE_NAMES to the d*xi route gap, the d*xi u(n) defect and
+    the Ric*_alt route gap, each already checked against ROUTE_TOL * scale.
+    """
+
+    residuals: dict
+    scale: float
+    component_norms: np.ndarray
+    routes: dict
+
+
+@dataclass(frozen=True)
 class DiagnosticsReport:
-    """All per-point residuals for one geometry, with global summaries.
+    """All per-point records for one geometry, with global summaries.
 
     ``passes[name]`` is true when the residual stays below
     ``tol * scale`` at every point.  Per-point evaluation is pure, so
@@ -789,13 +809,20 @@ class DiagnosticsReport:
 
     geometry: str
     points: np.ndarray
-    residuals: tuple[dict, ...]
-    scales: tuple[float, ...]
+    records: tuple[PointRecord, ...]
     tol: float
     max_residuals: dict
     mean_residuals: dict
     passes: dict
     metadata: dict
+
+    @property
+    def residuals(self) -> tuple[dict, ...]:
+        return tuple(r.residuals for r in self.records)
+
+    @property
+    def scales(self) -> tuple[float, ...]:
+        return tuple(r.scale for r in self.records)
 
     def to_dict(self) -> dict:
         return {
@@ -820,23 +847,26 @@ def run_diagnostics(
 ) -> DiagnosticsReport:
     """Evaluate sections, Laplacian criteria and identities pointwise."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    rows: list[dict] = []
-    scales: list[float] = []
+    records: list[PointRecord] = []
     for p in points:
         pd = _point_data(structure, p, rotation)
         row: dict = {}
         row.update(_section_residuals(pd))
         row.update(_hermitian_harmonicity(pd))
         row.update(_identity_suite(pd))
-        row["star_ricci_alt_norm"] = _fro(_star_ricci(pd).alt)
-        rows.append(row)
-        scales.append(pd.scale)
+        star = _star_ricci(pd)
+        row["star_ricci_alt_norm"] = _fro(star.alt)
+        gaps = (pd.coderivative.route_gap, pd.coderivative.uperp_defect, star.route_gap)
+        records.append(
+            PointRecord(row, pd.scale, pd.component_norms, dict(zip(ROUTE_NAMES, gaps)))
+        )
 
+    rows = [r.residuals for r in records]
     names = list(rows[0])
     max_res = {k: max(r[k] for r in rows) for k in names}
     mean_res = {k: float(np.mean([r[k] for r in rows])) for k in names}
     passes = {
-        k: all(r[k] < tol * s for r, s in zip(rows, scales)) for k in names
+        k: all(r.residuals[k] < tol * r.scale for r in records) for k in names
     }
     meta = {
         "jet_degree": structure.metric.degree,
@@ -848,8 +878,7 @@ def run_diagnostics(
     return DiagnosticsReport(
         geometry=structure.name,
         points=points,
-        residuals=tuple(rows),
-        scales=tuple(scales),
+        records=tuple(records),
         tol=tol,
         max_residuals=max_res,
         mean_residuals=mean_res,

@@ -91,39 +91,24 @@ def _mode_weights(resolution: int, dim: int, h: float) -> tuple[np.ndarray, np.n
     return mult, weight
 
 
-def _deriv_sq_modes(values: np.ndarray, resolution: int, dim: int, h: float) -> float:
-    """sum_nodes sum_axes |D_x values|^2 via Parseval for the same stencil."""
-    fhat = np.fft.rfftn(values, axes=tuple(range(dim)))
-    mult, weight = _mode_weights(resolution, dim, h)
-    power = np.sum(fhat.real**2 + fhat.imag**2, axis=(-2, -1)) * weight
-    return float(np.sum(mult * power) / resolution**dim)
+def _dirichlet_modes(
+    values: np.ndarray, resolution: int, dim: int, h: float, laplacian: bool = False
+) -> tuple[float, np.ndarray | None]:
+    """sum_nodes sum_axes |D_x values|^2 via Parseval for the same stencil.
 
-
-def _laplacian_modes(values: np.ndarray, resolution: int, dim: int, h: float) -> np.ndarray:
-    """sum_x D_x D_x values through the Fourier multiplier -sum d(k_x)^2."""
-    axes = tuple(range(dim))
-    fhat = np.fft.rfftn(values, axes=axes)
-    mult, _ = _mode_weights(resolution, dim, h)
-    return np.fft.irfftn(
-        fhat * -mult[..., None, None], s=(resolution,) * dim, axes=axes
-    )
-
-
-def _energy_values(values: np.ndarray, resolution: int, dim: int, h: float) -> float:
-    return float(0.125 * h**dim * _deriv_sq_modes(values, resolution, dim, h))
-
-
-def _energy_and_gradient(values: np.ndarray, resolution: int, dim: int, h: float):
-    """Energy and gradient from a single Fourier transform of J."""
+    With ``laplacian``, also returns sum_x D_x D_x values through the
+    Fourier multiplier -sum d(k_x)^2, from the same forward transform;
+    otherwise no inverse transform is paid and the second entry is None.
+    """
     axes = tuple(range(dim))
     fhat = np.fft.rfftn(values, axes=axes)
     mult, weight = _mode_weights(resolution, dim, h)
     power = np.sum(fhat.real**2 + fhat.imag**2, axis=(-2, -1)) * weight
-    e = float(0.125 * h**dim * np.sum(mult * power) / resolution**dim)
-    lap = np.fft.irfftn(
-        fhat * -mult[..., None, None], s=(resolution,) * dim, axes=axes
-    )
-    return e, 0.25 * (values @ lap - lap @ values)
+    deriv_sq = float(np.sum(mult * power) / resolution**dim)
+    if not laplacian:
+        return deriv_sq, None
+    lap = np.fft.irfftn(fhat * -mult[..., None, None], s=(resolution,) * dim, axes=axes)
+    return deriv_sq, lap
 
 
 def _structure_defect(values: np.ndarray) -> float:
@@ -277,7 +262,8 @@ def energy(grid: JGrid) -> float:
     Since J is orthogonal, |xi|^2 = ¼ sum_x |D_x J|^2 nodewise, and the
     grid sum is evaluated through Parseval for the identical stencil.
     """
-    return _energy_values(grid.values, grid.resolution, grid.dim, grid.spacing)
+    deriv_sq, _ = _dirichlet_modes(grid.values, grid.resolution, grid.dim, grid.spacing)
+    return 0.125 * grid.spacing**grid.dim * deriv_sq
 
 
 def gradient(grid: JGrid) -> np.ndarray:
@@ -290,7 +276,7 @@ def gradient(grid: JGrid) -> np.ndarray:
     J, so the field is u(n)-perp valued by construction.
     """
     j = grid.values
-    lap = _laplacian_modes(j, grid.resolution, grid.dim, grid.spacing)
+    _, lap = _dirichlet_modes(j, grid.resolution, grid.dim, grid.spacing, laplacian=True)
     return 0.25 * (j @ lap - lap @ j)
 
 
@@ -448,7 +434,9 @@ def descend(
     vals = grid.values
 
     for iteration in range(max_iter + 1):
-        e, g = _energy_and_gradient(vals, res, dim, h)
+        deriv_sq, lap = _dirichlet_modes(vals, res, dim, h, laplacian=True)
+        e = 0.125 * vol * deriv_sq
+        g = 0.25 * (vals @ lap - lap @ vals)
         gnorm = float(np.sqrt(vol * np.sum(g * g)))
         millis = 1e3 * (time.perf_counter() - t0)
         if gnorm < tol_grad:
@@ -465,7 +453,8 @@ def descend(
         while True:
             q = _cayley(step * g)
             trial = q @ vals @ np.swapaxes(q, -1, -2)
-            if _energy_values(trial, res, dim, h) <= e - decrease * step * slope:
+            trial_e = 0.125 * vol * _dirichlet_modes(trial, res, dim, h)[0]
+            if trial_e <= e - decrease * step * slope:
                 break
             step *= shrink
             if step < step_floor:
@@ -510,7 +499,7 @@ def hessian_form(grid: JGrid, phi: np.ndarray, tol_grad: float = 1e-5) -> dict:
             "value": None,
         }
     h = grid.spacing
-    grad_sq = _deriv_sq_modes(phi, grid.resolution, grid.dim, h)
+    grad_sq, _ = _dirichlet_modes(phi, grid.resolution, grid.dim, h)
     xi = torsion_field(grid)
     bracket = xi @ phi[..., None, :, :] - phi[..., None, :, :] @ xi
     value = h**grid.dim * (grad_sq - 2.0 * float(np.sum(bracket * bracket)))

@@ -103,8 +103,6 @@ class JetSpace:
         self.ncoeff = len(indices)
         self._order = np.array([sum(a) for a in indices], dtype=np.int64)
         # ncoeff of each truncation degree: prefix lengths
-        self.nc_level = np.searchsorted(self._order, np.arange(degree + 2), side="left")
-        # nc_level[d] = number of indices with |alpha| < d ... adjust: we want <= d
         self.nc_level = np.array(
             [int(np.searchsorted(self._order, d, side="right")) for d in range(degree + 1)]
         )

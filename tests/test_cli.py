@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from torsionflow.catalog import build_structure, sample_points, spec_from_config
 from torsionflow.cli import main, render_json
+from torsionflow.diagnostics import classify_gh, coderivative_xi, point_scale, star_ricci
 from torsionflow.flow import JGrid
 
 
@@ -115,6 +117,14 @@ def test_inspect_conformal_sin_verdicts(tmp_path, capsys):
     passes = report["summary"]["passes"]
     assert passes["harmonic"] is True
     assert passes["harmonic_map"] is False
+    # labels read from the diagnostics records match a direct classification
+    spec = spec_from_config(geo)
+    structure = build_structure(spec)
+    pts = sample_points(spec, 3, 11)
+    tol = report["summary"]["tol"]
+    for p, row in zip(pts, report["points"]):
+        assert row["class"] == classify_gh(structure, [p], tol)["label"]
+    assert report["summary"]["label"] == classify_gh(structure, pts, tol)["label"]
 
 
 def test_verify_hopf_checks_pass(tmp_path, capsys):
@@ -130,6 +140,22 @@ def test_verify_hopf_checks_pass(tmp_path, capsys):
     assert "identity:rough_laplacian_omega" in names
     assert all(c["pass"] for c in report["checks"])
     assert report["pass"] is True
+    # route values read from the diagnostics records match a direct re-query
+    spec = spec_from_config(geo)
+    structure = build_structure(spec)
+    pts = sample_points(spec, 2, 1)
+    scales = [point_scale(structure, p) for p in pts]
+    cods = [coderivative_xi(structure, p) for p in pts]
+    expected = {
+        "coderivative_route_gap": max(c.route_gap / s for c, s in zip(cods, scales)),
+        "coderivative_uperp_defect": max(c.uperp_defect / s for c, s in zip(cods, scales)),
+        "star_ricci_route_gap": max(
+            star_ricci(structure, p).route_gap / s for p, s in zip(pts, scales)
+        ),
+    }
+    values = {c["name"]: c["value"] for c in report["checks"]}
+    for name, value in expected.items():
+        assert values[name] == value
 
 
 def test_classify_labels(tmp_path, capsys):
