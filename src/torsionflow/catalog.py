@@ -27,8 +27,8 @@ from typing import Mapping
 import numpy as np
 
 from .exprlang import EvalError, Expr, eval_expr, parse
-from .geometry import GeometryError, MetricField
-from .jets import JetField, jet_einsum, jet_matrix_inverse, jet_space
+from .geometry import MIN_JET_DEGREE, GeometryError, MetricField
+from .jets import MAX_DEGREE, JetField, jet_einsum, jet_matrix_inverse, jet_space
 from .jets import exp as jet_exp
 from .unstruct import AlmostHermitianStructure, standard_j
 
@@ -116,7 +116,7 @@ class GeometrySpec:
     conformal_factor: Expr | None = None
     domain: tuple[tuple[float, float], ...] = ()
     periodic: bool = False
-    degree: int = 4
+    degree: int = MIN_JET_DEGREE
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -133,8 +133,8 @@ class GeometrySpec:
         for lo, hi in self.domain:
             if not lo < hi:
                 raise GeometryError("domain bounds must satisfy lo < hi")
-        if self.degree < 2:
-            raise GeometryError("jet degree must be at least 2")
+        if self.degree < MIN_JET_DEGREE:
+            raise GeometryError(f"jet degree must be at least {MIN_JET_DEGREE}")
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
     @property
@@ -206,7 +206,7 @@ _ALL_SECTION_RESIDUALS = (
 )
 
 
-def flat_kahler(n: int, degree: int = 4) -> GeometrySpec:
+def flat_kahler(n: int, degree: int = MIN_JET_DEGREE) -> GeometrySpec:
     """Flat metric with the standard block J on R^{2n}."""
     if n < 1:
         raise GeometryError("flat_kahler needs n >= 1")
@@ -241,7 +241,7 @@ def conformal(
     n: int,
     f,
     periodic: bool = False,
-    degree: int = 4,
+    degree: int = MIN_JET_DEGREE,
     name: str = "conformal",
     domain: tuple[tuple[float, float], ...] | None = None,
 ) -> GeometrySpec:
@@ -297,7 +297,7 @@ def conformal(
     )
 
 
-def hopf_chart(n: int, degree: int = 4) -> GeometrySpec:
+def hopf_chart(n: int, degree: int = MIN_JET_DEGREE) -> GeometrySpec:
     """Cylinder metric |z|^{-2} delta on an annulus chart of C^n minus 0.
 
     Conformal with factor f = -log(|z|^2).  The box keeps 0.5 < |z| < 2,
@@ -329,7 +329,7 @@ def hopf_chart(n: int, degree: int = 4) -> GeometrySpec:
     )
 
 
-def s6_nearly_kahler(degree: int = 4) -> GeometrySpec:
+def s6_nearly_kahler(degree: int = MIN_JET_DEGREE) -> GeometrySpec:
     """Round six-sphere with J from the octonion cross product."""
     box = ((-0.35, 0.35),) * 6
     meta = {
@@ -450,7 +450,10 @@ def spec_from_config(cfg: Mapping) -> GeometrySpec:
     if not isinstance(cfg, Mapping) or "type" not in cfg:
         raise GeometryError("geometry config must be a mapping with a 'type' field")
     kind = cfg["type"]
-    degree = int(cfg.get("jet_degree", 4))
+    degree = cfg.get("jet_degree", MIN_JET_DEGREE)
+    # type(), not isinstance(), so that true/false are rejected too
+    if type(degree) is not int or not MIN_JET_DEGREE <= degree <= MAX_DEGREE:
+        raise GeometryError(f"jet_degree must be an integer in {MIN_JET_DEGREE}..{MAX_DEGREE}")
     if kind == "flat":
         allowed = {"type", "n", "jet_degree"}
         spec = flat_kahler(int(cfg.get("n", 2)), degree=degree)

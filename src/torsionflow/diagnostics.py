@@ -137,7 +137,8 @@ class _PointData:
     @cached_property
     def minimal_xi(self) -> np.ndarray:
         """G[k, s, a, c] = <(nabla^{U(n)}_{e_c} xi)_{e_s} e_a, e_k>."""
-        jets = minimal_derivative_jets(self.sj.xi, "udd", self.sj)
+        # only the value is read, so xi to first order suffices
+        jets = minimal_derivative_jets(self.sj.xi.truncate(1), "udd", self.sj)
         return self.fp.to_frame(jets.value, "uddd")
 
     @cached_property
@@ -273,7 +274,8 @@ def _section_residuals(pd: _PointData) -> dict[str, float]:
     # with D[u,z] = sum_i <(nabla_{e_i}T)(e_i,e_z), e_u> couples both
     # residuals to harmonicity; the d*T endomorphism contributes through
     # its skew part only, so that is the reported defect.
-    tors = pd.sj.xi - pd.sj.xi.transpose((0, 2, 1))
+    xi = pd.sj.xi.truncate(1)  # only the value of nabla T is read
+    tors = xi - xi.transpose((0, 2, 1))
     ft = pd.fp.to_frame(cov_derivative_jets(tors, "udd", pd.sj.gamma).value, "uddd")
     # Sup over unit X, Y: the spectral norm of the bilinear trace form.
     iv_a = float(np.linalg.norm(np.einsum("ixyi->xy", ft), 2))
@@ -409,17 +411,20 @@ def _lee_dexterior_anti(pd: _PointData) -> np.ndarray:
     """dl(X, Y) - dl(JX, JY) in the frame, dl the exterior derivative of
     the Lee form."""
     sj = pd.sj
-    ell_flat = jet_einsum("ky,k->y", sj.g, sj.lee_field)
+    ell_flat = jet_einsum("ky,k->y", sj.g, sj.lee_field.truncate(1))
     dal = ell_flat.grad().value  # dal[c, x] = d_x (ell_flat)_c
     dl = pd.fp.to_frame(dal.T - dal, "dd")
     return dl - np.einsum("ax,by,ab->xy", pd.jf, pd.jf, dl)
 
 
 def _gh_trace_terms(pd: _PointData) -> list[np.ndarray]:
-    """A_k[x, y] = <(nabla^{U(n)}_{e_i} xi_{(k)})_{e_i} e_x, e_y>."""
+    """A_k[x, y] = <(nabla^{U(n)}_{e_i} xi_{(k)})_{e_i} e_x, e_y> for
+    k = 1, 3, 4, the components the identities read."""
+    xi1, _, xi3, xi4 = pd.sj.gh_fields
     out = []
-    for comp in pd.sj.gh_fields:
-        gk = pd.fp.to_frame(minimal_derivative_jets(comp, "udd", pd.sj).value, "uddd")
+    for comp in (xi1, xi3, xi4):
+        # only the value is read, so the component to first order suffices
+        gk = pd.fp.to_frame(minimal_derivative_jets(comp.truncate(1), "udd", pd.sj).value, "uddd")
         out.append(np.einsum("yixi->xy", gk))
     return out
 
@@ -431,7 +436,7 @@ def _identity_suite(pd: _PointData) -> dict[str, float]:
         return {name: 0.0 for name in IDENTITY_NAMES}
 
     xi1F, xi2F, xi3F, xi4F = pd.sj.gh_frame
-    a1, a2, a3, a4 = _gh_trace_terms(pd)
+    a1, a3, a4 = _gh_trace_terms(pd)
 
     # (a) the ten-term combination forced by d^2 omega = 0
     b1 = np.einsum("xci,icy->xy", xi3F, xi1F)
@@ -582,7 +587,7 @@ def class_criteria(
 
 def _divergence_pair(pd: _PointData) -> np.ndarray:
     """Frame components of 2 d*(Ric*^t) + ds*."""
-    ric_field = pd.star_ricci_field
+    ric_field = pd.star_ricci_field.truncate(1)  # only first derivatives are read
     nt = pd.fp.to_frame(
         cov_derivative_jets(ric_field.transpose((1, 0)), "dd", pd.sj.gamma).value, "ddd"
     )

@@ -30,6 +30,7 @@ from .jets import JetError, JetField, jet_einsum, jet_matrix_inverse, jet_space
 from .tensor import FramePack
 
 __all__ = [
+    "MIN_JET_DEGREE",
     "GeometryError",
     "MetricField",
     "CurvaturePack",
@@ -54,6 +55,12 @@ SIGN_AUDIT = {
 }
 
 
+# Default and least jet degree of a metric.  The Ric* divergence identity
+# differentiates curvature, which already holds second derivatives of g,
+# so it needs g to third order; nothing the diagnostics read goes deeper.
+MIN_JET_DEGREE = 3
+
+
 class GeometryError(ValueError):
     """Geometric precondition failure: bad metric, degree too low, etc."""
 
@@ -67,7 +74,7 @@ class MetricField:
     symbols are cached per point.
     """
 
-    def __init__(self, dim: int, evaluator: Callable[[np.ndarray], JetField], degree: int = 4):
+    def __init__(self, dim: int, evaluator: Callable[[np.ndarray], JetField], degree: int = MIN_JET_DEGREE):
         self.dim = dim
         self.degree = degree
         self.evaluator = evaluator
@@ -142,6 +149,8 @@ def cov_derivative_jets(t: JetField, variance: str, gamma: JetField) -> JetField
         raise GeometryError("tensor jets must have degree >= 1 to differentiate")
     letters = "abcdefgh"[: len(variance)]
     out = t.grad()
+    # the sum is valid only to t.deg - 1, so no product goes higher
+    gamma = gamma.truncate(min(gamma.deg, out.deg))
     for k, c in enumerate(variance):
         lab = letters[k]
         inner = letters[:k] + "m" + letters[k + 1 :]
@@ -172,8 +181,9 @@ def curvature_jets(g: JetField, gamma: JetField, ginv: JetField | None = None) -
     dgamma = gamma.grad()  # [l, a, b, c] = d_c Gamma^l_{ab}
     t1 = dgamma.transpose((0, 3, 1, 2))  # d_i Gamma^l_{jk}
     t2 = dgamma.transpose((0, 1, 3, 2))  # d_j Gamma^l_{ik}
-    q1 = jet_einsum("lim,mjk->lijk", gamma, gamma)
-    q2 = jet_einsum("ljm,mik->lijk", gamma, gamma)
+    low = gamma.truncate(dgamma.deg)  # riem is valid only to dgamma.deg
+    q1 = jet_einsum("lim,mjk->lijk", low, low)
+    q2 = jet_einsum("ljm,mik->lijk", low, low)
     riem = (t2 - t1) + (q2 - q1)
     rflat = jet_einsum("lm,mijk->ijkl", g, riem)
     ricci = jet_einsum("ab,axyb->xy", ginv, rflat) * (-1.0)

@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
+    MIN_JET_DEGREE,
     CurvatureJets,
     GeometryError,
     MetricField,
@@ -428,7 +429,10 @@ def lee_vector(structure: AlmostHermitianStructure, p) -> np.ndarray:
 
 def minimal_derivative_jets(t: JetField, variance: str, sj: StructureJets) -> JetField:
     sj.minimal_connection_validated
-    return cov_derivative_jets(t, variance, sj.gamma) + connection_action_jets(t, variance, sj.xi)
+    levi_civita = cov_derivative_jets(t, variance, sj.gamma)
+    # the sum is valid only to t.deg - 1, so no product goes higher
+    xi = sj.xi.truncate(min(sj.xi.deg, levi_civita.deg))
+    return levi_civita + connection_action_jets(t, variance, xi)
 
 
 def minimal_derivative(field, variance: str, structure: AlmostHermitianStructure, p) -> np.ndarray:
@@ -491,7 +495,9 @@ def _rotation_params(rng, m, count):
     return pairs, params
 
 
-def random_structure(seed: int, n: int, amplitude: float = 0.3, degree: int = 4) -> AlmostHermitianStructure:
+def random_structure(
+    seed: int, n: int, amplitude: float = 0.3, degree: int = MIN_JET_DEGREE
+) -> AlmostHermitianStructure:
     """Flat metric with J = Q J_0 Q^T for a rotation field Q.
 
     Q is a product of Givens rotations with 2 pi periodic trigonometric
@@ -554,7 +560,7 @@ def random_curved_structure(
     n: int,
     amplitude: float = 0.3,
     metric_amplitude: float = 0.25,
-    degree: int = 4,
+    degree: int = MIN_JET_DEGREE,
 ) -> AlmostHermitianStructure:
     """Curved compatible pair from a single invertible matrix field A.
 

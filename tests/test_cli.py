@@ -66,6 +66,11 @@ def test_geometry_errors_exit_3(tmp_path, capsys):
         {"type": "conformal", "n": 2, "f": "sin(x1"},
         {"type": "conformal", "n": 2, "f": "x1", "periodic": True},
         {"type": "conformal", "n": 2, "f": "1/x1"},
+        {"type": "flat", "n": 2, "jet_degree": 9},
+        {"type": "flat", "n": 2, "jet_degree": 2},
+        {"type": "flat", "n": 2, "jet_degree": "abc"},
+        {"type": "flat", "n": 2, "jet_degree": 4.5},
+        {"type": "flat", "n": 2, "jet_degree": True},
     ]
     for idx, geo in enumerate(bad):
         path = write_config(tmp_path, f"geo{idx}.json", geometry_config(geo))

@@ -30,7 +30,7 @@ from torsionflow.diagnostics import (
     star_ricci,
     w1w4_laplacian_residual,
 )
-from torsionflow.geometry import rough_laplacian_jets
+from torsionflow.geometry import MIN_JET_DEGREE, rough_laplacian_jets
 from torsionflow.tensor import random_rotation
 from torsionflow.unstruct import random_curved_structure, random_structure
 
@@ -380,7 +380,46 @@ def test_run_diagnostics_report_shape():
     for name in names:
         assert report.max_residuals[name] >= report.mean_residuals[name] - 1e-15
     assert report.metadata["sign_audit"] == "paper-convention"
-    assert report.metadata["jet_degree"] == 4
+    assert report.metadata["jet_degree"] == 3
     assert not report.metadata["rotated_frame"]
     blob = json.dumps(report.to_dict())
     assert json.loads(blob)["geometry"] == "conformal"
+
+
+def test_default_jet_degree_matches_degree_four():
+    """The default jet degree carries every order the diagnostics read:
+    each record equals a degree-4 build of the same geometry, bit for bit
+    on the catalog and to 1e-14 * scale on random structures."""
+    rng = np.random.default_rng(7)
+    catalog = [
+        (s6_nearly_kahler(), s6_nearly_kahler(degree=4)),
+        (
+            conformal(3, "sin(x1)*cos(x2)", periodic=True),
+            conformal(3, "sin(x1)*cos(x2)", periodic=True, degree=4),
+        ),
+        (hopf_chart(2), hopf_chart(2, degree=4)),
+    ]
+    cases = [
+        (build_structure(low), build_structure(high), sample_points(low, 2, seed=3), True)
+        for low, high in catalog
+    ]
+    for factory, seed, n in [(random_structure, 13, 3), (random_curved_structure, 21, 2)]:
+        pts = rng.uniform(-np.pi, np.pi, (2, 2 * n))
+        cases.append((factory(seed, n), factory(seed, n, degree=4), pts, False))
+    for low, high, pts, exact in cases:
+        got = run_diagnostics(low, pts)
+        ref = run_diagnostics(high, pts)
+        assert got.metadata["jet_degree"] == MIN_JET_DEGREE
+        assert ref.metadata["jet_degree"] == 4
+        for a, b in zip(got.records, ref.records):
+            assert set(a.residuals) == set(b.residuals)
+            assert set(a.routes) == set(b.routes)
+            pairs = [(a.scale, b.scale)]
+            pairs += [(a.residuals[k], b.residuals[k]) for k in a.residuals]
+            pairs += [(a.routes[k], b.routes[k]) for k in a.routes]
+            pairs += list(zip(a.component_norms, b.component_norms))
+            for x, y in pairs:
+                if exact:
+                    assert x == y, low.name
+                else:
+                    assert abs(x - y) <= 1e-14 * b.scale, low.name
