@@ -28,7 +28,7 @@ import numpy as np
 
 from .exprlang import EvalError, Expr, eval_expr, parse
 from .geometry import MIN_JET_DEGREE, GeometryError, MetricField
-from .jets import MAX_DEGREE, JetField, jet_einsum, jet_matrix_inverse, jet_space
+from .jets import MAX_DEGREE, MAX_DIM, JetField, jet_einsum, jet_matrix_inverse, jet_space
 from .jets import exp as jet_exp
 from .unstruct import AlmostHermitianStructure, standard_j
 
@@ -232,7 +232,7 @@ def _eval_factor(expr: Expr, p, dim: int, degree: int = 1):
         jet = eval_expr(expr, p, dim, degree)
     except EvalError as exc:
         raise GeometryError(f"conformal factor fails on the domain: {exc}") from exc
-    if not np.all(np.isfinite(jet.coeffs)):
+    if not np.all(np.isfinite(jet.data)):
         raise GeometryError("conformal factor is not finite on the domain")
     return jet
 
@@ -262,7 +262,7 @@ def conformal(
     grad_mag = 0.0
     for p in probes:
         jet = _eval_factor(expr, p, dim)
-        grad_mag = max(grad_mag, float(np.abs(jet.coeffs[1 : 1 + dim]).max()))
+        grad_mag = max(grad_mag, float(np.abs(jet.data[1 : 1 + dim]).max()))
     if periodic:
         for p in probes[:4]:
             base = _eval_factor(expr, p, dim).value
@@ -418,8 +418,7 @@ def build_structure(spec: GeometrySpec) -> AlmostHermitianStructure:
         def g_eval(p):
             space = jet_space(dim, degree)
             fj = _eval_factor(expr, p, dim, degree)
-            factor = JetField.from_jet(jet_exp(fj))
-            return jet_einsum("ij,->ij", JetField.constants(space, np.eye(dim)), factor)
+            return jet_einsum("ij,->ij", JetField.constants(space, np.eye(dim)), jet_exp(fj))
 
     else:
 
@@ -454,22 +453,23 @@ def spec_from_config(cfg: Mapping) -> GeometrySpec:
     # type(), not isinstance(), so that true/false are rejected too
     if type(degree) is not int or not MIN_JET_DEGREE <= degree <= MAX_DEGREE:
         raise GeometryError(f"jet_degree must be an integer in {MIN_JET_DEGREE}..{MAX_DEGREE}")
+    n = cfg.get("n", 2)
+    if type(n) is not int or not 1 <= n <= MAX_DIM // 2:
+        raise GeometryError(f"n must be an integer in 1..{MAX_DIM // 2}")
+    periodic = cfg.get("periodic", False)
+    if type(periodic) is not bool:
+        raise GeometryError("periodic must be true or false")
     if kind == "flat":
         allowed = {"type", "n", "jet_degree"}
-        spec = flat_kahler(int(cfg.get("n", 2)), degree=degree)
+        spec = flat_kahler(n, degree=degree)
     elif kind == "conformal":
         allowed = {"type", "n", "f", "periodic", "jet_degree"}
         if "f" not in cfg:
             raise GeometryError("conformal geometry needs an 'f' expression")
-        spec = conformal(
-            int(cfg.get("n", 2)),
-            str(cfg["f"]),
-            periodic=bool(cfg.get("periodic", False)),
-            degree=degree,
-        )
+        spec = conformal(n, str(cfg["f"]), periodic=periodic, degree=degree)
     elif kind == "hopf":
         allowed = {"type", "n", "jet_degree"}
-        spec = hopf_chart(int(cfg.get("n", 2)), degree=degree)
+        spec = hopf_chart(n, degree=degree)
     elif kind == "s6":
         allowed = {"type", "jet_degree"}
         spec = s6_nearly_kahler(degree=degree)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import unicodedata
 from pathlib import Path
@@ -103,10 +104,21 @@ def _check_schema(cfg: dict, command: str) -> None:
         raise ConfigError(f"{command} command needs a \"geometry\" section")
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number other than a bool that is finite as a float (json
+    reads Infinity and NaN, and integers beyond the float range)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _resolve_tol(cfg: dict, override) -> float:
     tol = override if override is not None else cfg.get("tol", 1e-6)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not tol > 0:
-        raise ConfigError("tol must be a positive number")
+    if not _is_finite_number(tol) or not tol > 0:
+        raise ConfigError("tol must be a positive finite number")
     return float(tol)
 
 
@@ -123,8 +135,8 @@ def _int_field(section: dict, key: str, default=None, minimum=None):
 
 def _float_field(section: dict, key: str, default):
     value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {key!r} must be a number")
+    if not _is_finite_number(value):
+        raise ConfigError(f"field {key!r} must be a finite number")
     return float(value)
 
 

@@ -423,8 +423,7 @@ def _gh_trace_terms(pd: _PointData) -> list[np.ndarray]:
     xi1, _, xi3, xi4 = pd.sj.gh_fields
     out = []
     for comp in (xi1, xi3, xi4):
-        # only the value is read, so the component to first order suffices
-        gk = pd.fp.to_frame(minimal_derivative_jets(comp.truncate(1), "udd", pd.sj).value, "uddd")
+        gk = pd.fp.to_frame(minimal_derivative_jets(comp, "udd", pd.sj).value, "uddd")
         out.append(np.einsum("yixi->xy", gk))
     return out
 
@@ -727,8 +726,7 @@ def conformal_example_check(
     numeric_raw = pd.fp.from_frame(pd.harmonic_map_form, "d")
     numeric = numeric_raw / HARMONIC_MAP_FORM_CALIBRATION
 
-    fj = eval_expr(parse(f_src), p, dim, degree=3)
-    ff = JetField.from_jet(fj)
+    ff = eval_expr(parse(f_src), p, dim, degree=3)
     grad = ff.grad()
     hess = grad.grad().value
     gvals = grad.value

@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .jets import Jet, jet_arith, jet_constant, jet_variable
+from .jets import JetField, jet_arith, jet_constant, jet_variable
 
 __all__ = [
     "ParseError",
@@ -249,8 +249,8 @@ def pretty(expr: Expr) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def eval_expr(expr: Expr, point, dim: int, degree: int) -> Jet:
-    """Evaluate an expression to a jet of the given dimension and degree.
+def eval_expr(expr: Expr, point, dim: int, degree: int) -> JetField:
+    """Evaluate an expression to a scalar jet of the given dimension and degree.
 
     ``point`` supplies the coordinate values; variables beyond ``dim`` are
     an evaluation error, as are domain faults (reported with the offset of
@@ -262,7 +262,7 @@ def eval_expr(expr: Expr, point, dim: int, degree: int) -> Jet:
     if point.shape != (dim,):
         raise EvalError(f"point must have {dim} coordinates", 0)
 
-    def rec(e: Expr) -> Jet:
+    def rec(e: Expr) -> JetField:
         if isinstance(e, Num):
             return jet_constant(e.value, dim, degree)
         if isinstance(e, Var):

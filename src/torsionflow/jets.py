@@ -10,13 +10,12 @@ functions act exactly on these coefficients, so a jet of a composite
 expression carries the exact partial derivatives of the composition up to
 order K (no finite-difference error; the only noise is roundoff).
 
-Two layers live here:
-
-* ``Jet`` -- one scalar jet with operator overloads, the user-facing type.
-* ``JetField`` -- a dense tensor whose entries are jets, stored as a single
-  ndarray with a trailing coefficient axis.  Chart geometry (metrics,
-  Christoffel symbols, curvature) is built on this layer; ``jet_einsum``
-  contracts tensor axes while convolving coefficient axes.
+One type lives here: ``JetField``, a dense tensor whose entries are jets,
+stored as a single ndarray with a trailing coefficient axis.  A shape-()
+field is a scalar jet (``Jet`` names the same class), which is what the
+expression evaluator and ``jet_constant``/``jet_variable`` produce.  Chart
+geometry (metrics, Christoffel symbols, curvature) is built on fields;
+``jet_einsum`` contracts tensor axes while convolving coefficient axes.
 
 Multi-indices are ordered by total degree, then lexicographically, so a
 truncation to lower degree is a prefix slice.  A ``JetField`` tracks the
@@ -262,220 +261,10 @@ def _apply_series(space: JetSpace, data: np.ndarray, deg: int, name: str) -> np.
 
 
 # ---------------------------------------------------------------------------
-# scalar jets
-# ---------------------------------------------------------------------------
-
-
-class Jet:
-    """A scalar jet: dense Taylor coefficients of one function value.
-
-    Arithmetic requires both operands to live in the same ``JetSpace``;
-    mixing dimensions or degrees raises :class:`JetError`.  Plain numbers
-    broadcast as constants.
-    """
-
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space: JetSpace, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (space.ncoeff,):
-            raise JetError(
-                f"coefficient array must have shape ({space.ncoeff},), got {coeffs.shape}"
-            )
-        self.space = space
-        self.coeffs = coeffs
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def constant(value: float, dim: int, degree: int) -> "Jet":
-        sp = jet_space(dim, degree)
-        c = np.zeros(sp.ncoeff)
-        c[0] = value
-        return Jet(sp, c)
-
-    @staticmethod
-    def variable(i: int, value: float, dim: int, degree: int) -> "Jet":
-        sp = jet_space(dim, degree)
-        if not 0 <= i < dim:
-            raise JetError(f"variable index {i} out of range for dimension {dim}")
-        c = np.zeros(sp.ncoeff)
-        c[0] = value
-        if degree >= 1:
-            unit = tuple(1 if k == i else 0 for k in range(dim))
-            c[sp.index[unit]] = 1.0
-        return Jet(sp, c)
-
-    # -- accessors ----------------------------------------------------
-
-    @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    @property
-    def degree(self) -> int:
-        return self.space.degree
-
-    def coeff(self, alpha: tuple[int, ...]) -> float:
-        try:
-            return float(self.coeffs[self.space.index[tuple(alpha)]])
-        except KeyError:
-            raise JetError(f"multi-index {alpha} not stored at degree {self.degree}")
-
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        return {a: float(v) for a, v in zip(self.space.multi_indices, self.coeffs)}
-
-    def partial(self, alpha: tuple[int, ...]) -> float:
-        """The partial derivative d^alpha f, i.e. coeff * alpha!."""
-        fac = 1.0
-        for k in alpha:
-            fac *= math.factorial(k)
-        return self.coeff(alpha) * fac
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise JetError(
-                    "jets from different spaces: "
-                    f"dim/degree ({other.dim},{other.degree}) vs ({self.dim},{self.degree})"
-                )
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet.constant(float(other), self.dim, self.degree)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet(self.space, self.coeffs + o.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet(self.space, self.coeffs - o.coeffs)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet(self.space, o.coeffs - self.coeffs)
-
-    def __neg__(self):
-        return Jet(self.space, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.space, self.coeffs * float(other))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet(self.space, _mul_data(self.space, self.coeffs, o.coeffs, self.degree))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            if other == 0:
-                raise ZeroDivisionError("jet divided by zero scalar")
-            return Jet(self.space, self.coeffs / float(other))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        recip = _apply_series(self.space, o.coeffs, self.degree, "reciprocal")
-        return Jet(self.space, _mul_data(self.space, self.coeffs, recip, self.degree))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, np.integer)):
-            raise JetError("jet exponent must be an integer")
-        return _int_pow(self, int(exponent))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Jet(dim={self.dim}, degree={self.degree}, value={self.value:g})"
-
-
-def _int_pow(base: Jet, n: int) -> Jet:
-    if n < 0:
-        return 1.0 / _int_pow(base, -n)
-    result = Jet.constant(1.0, base.dim, base.degree)
-    acc = base
-    while n:
-        if n & 1:
-            result = result * acc
-        acc = acc * acc
-        n >>= 1
-    return result
-
-
-def jet_constant(value: float, dim: int, degree: int) -> Jet:
-    return Jet.constant(value, dim, degree)
-
-
-def jet_variable(i: int, value: float, dim: int, degree: int) -> Jet:
-    return Jet.variable(i, value, dim, degree)
-
-
-def extract_partial(jet: Jet, alpha: tuple[int, ...]) -> float:
-    return jet.partial(alpha)
-
-
-def _unary(name: str):
-    def fn(jet: Jet) -> Jet:
-        return Jet(jet.space, _apply_series(jet.space, jet.coeffs, jet.degree, name))
-
-    fn.__name__ = name
-    fn.__doc__ = f"Elementwise {name} of a jet."
-    return fn
-
-
-sin = _unary("sin")
-cos = _unary("cos")
-exp = _unary("exp")
-log = _unary("log")
-sqrt = _unary("sqrt")
-
-_ARITH_OPS: dict[str, Callable] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "neg": lambda a: -a,
-    "sin": sin,
-    "cos": cos,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "pow": lambda a, n: a**n,
-}
-
-
-def jet_arith(op: str, *args):
-    """Named-operation dispatcher over jets (same table the evaluator uses)."""
-    try:
-        fn = _ARITH_OPS[op]
-    except KeyError:
-        raise JetError(f"unknown jet operation {op!r}")
-    return fn(*args)
-
-
-# ---------------------------------------------------------------------------
 # jet-valued tensors
 # ---------------------------------------------------------------------------
+
+_NUMBERS = (int, float, np.floating, np.integer)
 
 
 class JetField:
@@ -483,16 +272,19 @@ class JetField:
 
     ``deg`` is the degree up to which coefficients are valid; entries beyond
     ``nc_at(deg)`` are kept at exactly zero.  Differentiation lowers ``deg``
-    by one; binary operations are valid to the smaller operand degree.
+    by one; binary operations are valid to the smaller operand degree and
+    require both operands to live in the same ``JetSpace``.  Plain numbers
+    act as constant fields of this field's degree.  A shape-() field is a
+    scalar jet.
     """
 
     __slots__ = ("space", "data", "deg")
 
     def __init__(self, space: JetSpace, data: np.ndarray, deg: int | None = None):
         data = np.asarray(data, dtype=float)
-        if data.shape[-1] != space.ncoeff:
+        if data.shape[-1:] != (space.ncoeff,):
             raise JetError(
-                f"trailing axis must have length {space.ncoeff}, got {data.shape[-1]}"
+                f"trailing axis must have length {space.ncoeff}, got shape {data.shape}"
             )
         self.space = space
         self.data = data
@@ -527,10 +319,6 @@ class JetField:
                 data[i, space.index[unit]] = 1.0
         return JetField(space, data)
 
-    @staticmethod
-    def from_jet(jet: Jet) -> "JetField":
-        return JetField(jet.space, jet.coeffs.copy())
-
     # -- accessors ----------------------------------------------------
 
     @property
@@ -542,12 +330,22 @@ class JetField:
         """Constant terms (the point values)."""
         return self.data[..., 0].copy()
 
-    def entry(self, *idx) -> Jet:
-        if self.deg != self.space.degree:
-            # re-home in a smaller space so the scalar jet is fully valid
-            sub = jet_space(self.space.dim, self.deg)
-            return Jet(sub, self.data[idx][: sub.ncoeff].copy())
-        return Jet(self.space, self.data[idx].copy())
+    def entry(self, *idx) -> "JetField":
+        return JetField(self.space, self.data[idx].copy(), self.deg)
+
+    def coeff(self, alpha: tuple[int, ...]) -> np.ndarray:
+        """The Taylor coefficient of multi-index ``alpha`` of every entry."""
+        try:
+            return self.data[..., self.space.index[tuple(alpha)]].copy()
+        except KeyError:
+            raise JetError(f"multi-index {alpha} not stored at degree {self.space.degree}")
+
+    def partial(self, alpha: tuple[int, ...]) -> np.ndarray:
+        """The partial derivative d^alpha of every entry, i.e. coeff * alpha!."""
+        fac = 1.0
+        for k in alpha:
+            fac *= math.factorial(k)
+        return self.coeff(alpha) * fac
 
     # -- algebra ------------------------------------------------------
 
@@ -556,23 +354,40 @@ class JetField:
             raise JetError("jet fields from different spaces")
         return min(self.deg, other.deg)
 
-    def __add__(self, other):
+    def _operand(self, other) -> "JetField | None":
         if isinstance(other, JetField):
-            d = self._binary_deg(other)
-            return JetField(self.space, _trunc_tail(self.space, self.data + other.data, d), d)
-        return NotImplemented
+            return other
+        if isinstance(other, _NUMBERS):
+            return JetField.constants(self.space, float(other), self.deg)
+        return None
+
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        d = self._binary_deg(o)
+        return JetField(self.space, _trunc_tail(self.space, self.data + o.data, d), d)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, JetField):
-            d = self._binary_deg(other)
-            return JetField(self.space, _trunc_tail(self.space, self.data - other.data, d), d)
-        return NotImplemented
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        d = self._binary_deg(o)
+        return JetField(self.space, _trunc_tail(self.space, self.data - o.data, d), d)
+
+    def __rsub__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __neg__(self):
         return JetField(self.space, -self.data, self.deg)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _NUMBERS):
             return JetField(self.space, self.data * float(other), self.deg)
         if isinstance(other, JetField):
             d = self._binary_deg(other)
@@ -580,6 +395,37 @@ class JetField:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _NUMBERS):
+            if other == 0:
+                raise ZeroDivisionError("jet divided by zero scalar")
+            return JetField(self.space, self.data / float(other), self.deg)
+        if isinstance(other, JetField):
+            return self * other.fn("reciprocal")
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __pow__(self, exponent):
+        """Integer power by square-and-multiply; negative powers divide."""
+        if not isinstance(exponent, (int, np.integer)):
+            raise JetError("jet exponent must be an integer")
+        n = int(exponent)
+        if n < 0:
+            return 1.0 / self**-n
+        result = JetField.constants(self.space, np.ones(self.shape), self.deg)
+        acc = self
+        while n:
+            if n & 1:
+                result = result * acc
+            acc = acc * acc
+            n >>= 1
+        return result
 
     def truncate(self, d: int) -> "JetField":
         if d > self.deg:
@@ -604,6 +450,74 @@ class JetField:
     def fn(self, name: str) -> "JetField":
         """Apply an elementary analytic function entrywise."""
         return JetField(self.space, _apply_series(self.space, self.data, self.deg, name), self.deg)
+
+
+# the scalar jet is the shape-() field
+Jet = JetField
+
+
+# ---------------------------------------------------------------------------
+# scalar jets
+# ---------------------------------------------------------------------------
+
+
+def jet_constant(value: float, dim: int, degree: int) -> JetField:
+    return JetField.constants(jet_space(dim, degree), value)
+
+
+def jet_variable(i: int, value: float, dim: int, degree: int) -> JetField:
+    """The coordinate jet x_i expanded at x_i = ``value``."""
+    space = jet_space(dim, degree)
+    if not 0 <= i < dim:
+        raise JetError(f"variable index {i} out of range for dimension {dim}")
+    data = np.zeros(space.ncoeff)
+    data[0] = value
+    if degree >= 1:
+        data[space.index[tuple(1 if k == i else 0 for k in range(dim))]] = 1.0
+    return JetField(space, data)
+
+
+def extract_partial(jet: JetField, alpha: tuple[int, ...]) -> np.ndarray:
+    return jet.partial(alpha)
+
+
+def _unary(name: str):
+    def fn(jet: JetField) -> JetField:
+        return jet.fn(name)
+
+    fn.__name__ = name
+    fn.__doc__ = f"Elementwise {name} of a jet."
+    return fn
+
+
+sin = _unary("sin")
+cos = _unary("cos")
+exp = _unary("exp")
+log = _unary("log")
+sqrt = _unary("sqrt")
+
+_ARITH_OPS: dict[str, Callable] = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "neg": lambda a: -a,
+    "sin": sin,
+    "cos": cos,
+    "exp": exp,
+    "log": log,
+    "sqrt": sqrt,
+    "pow": lambda a, n: a**n,
+}
+
+
+def jet_arith(op: str, *args):
+    """Named-operation dispatcher over jets (same table the evaluator uses)."""
+    try:
+        fn = _ARITH_OPS[op]
+    except KeyError:
+        raise JetError(f"unknown jet operation {op!r}")
+    return fn(*args)
 
 
 def jet_einsum(subscripts: str, a: JetField, b: JetField) -> JetField:

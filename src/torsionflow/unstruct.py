@@ -299,7 +299,8 @@ class StructureJets:
 
     @cached_property
     def nabla_xi(self) -> JetField:
-        return cov_derivative_jets(self.xi, "udd", self.gamma)
+        """nabla xi to degree 0: its reader keeps only the value."""
+        return cov_derivative_jets(self.xi.truncate(1), "udd", self.gamma)
 
     @cached_property
     def lee_field(self) -> JetField:
@@ -308,9 +309,10 @@ class StructureJets:
 
     @cached_property
     def gh_fields(self) -> tuple[JetField, JetField, JetField, JetField]:
-        """Gray-Hervella components as coordinate jet fields."""
+        """Gray-Hervella components as coordinate jet fields, to first order:
+        their reader differentiates them once and keeps the value."""
         space = self.g.space
-        xi = self.xi
+        xi = self.xi.truncate(1)
         if self.n == 1:
             z = JetField.zeros(space, xi.shape, deg=xi.deg)
             return z, z, z, z
@@ -323,7 +325,7 @@ class StructureJets:
         xi1 = jet_einsum("kz,xyz->kxy", self.ginv, psi)
         xi2 = a_part - xi1
 
-        ell = self.lee_field
+        ell = self.lee_field.truncate(1)
         jell = jet_einsum("km,m->k", self.J, ell)
         ell_flat = jet_einsum("ky,k->y", self.g, ell)
         jell_flat = jet_einsum("ky,k->y", self.g, jell)
@@ -451,7 +453,7 @@ def _pack_jets(space, entries) -> JetField:
     entries = np.asarray(entries, dtype=object)
     data = np.zeros(entries.shape + (space.ncoeff,))
     for idx in np.ndindex(entries.shape):
-        data[idx] = entries[idx].coeffs
+        data[idx] = entries[idx].data
     return JetField(space, data)
 
 

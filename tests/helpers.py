@@ -28,7 +28,7 @@ def pack_scalar_matrix(space, entries):
     entries = np.asarray(entries, dtype=object)
     data = np.zeros(entries.shape + (space.ncoeff,))
     for idx in np.ndindex(entries.shape):
-        data[idx] = entries[idx].coeffs
+        data[idx] = entries[idx].data
     return JetField(space, data)
 
 
@@ -104,7 +104,7 @@ def random_tensor_evaluator(seed, n, shape, degree=4, amp=1.0):
             entries[idx] = trig_scalar(space, p, freqs[idx], phases[idx], coefs[idx])
         data = np.zeros(shape + (space.ncoeff,))
         for idx in np.ndindex(shape):
-            data[idx] = entries[idx].coeffs
+            data[idx] = entries[idx].data
         return JetField(space, data)
 
     return evaluator

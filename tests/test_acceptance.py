@@ -45,7 +45,6 @@ from torsionflow.flow import (
 )
 from torsionflow.exprlang import eval_expr, parse
 from torsionflow.geometry import rough_laplacian_jets
-from torsionflow.jets import JetField
 from torsionflow.unstruct import intrinsic_torsion, random_curved_structure, random_structure
 
 
@@ -86,7 +85,7 @@ def test_conformal_curvature_closed_form(conformal_cases):
         eye = np.eye(dim)
         for p in points:
             sj = structure.structure_jets(p)
-            ff = JetField.from_jet(eval_expr(parse(f_src), p, dim, degree=3))
+            ff = eval_expr(parse(f_src), p, dim, degree=3)
             df = ff.grad().value
             hess = ff.grad().grad().value
             ell = hess - 0.5 * np.outer(df, df)

@@ -43,11 +43,24 @@ def test_config_errors_exit_2(tmp_path, capsys):
         {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"n": 2}},
         {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"count": 0}},
         {"schema": 1},
+        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "tol": float("inf")},
     ]
     for idx, cfg in enumerate(bad):
         path = write_config(tmp_path, f"bad{idx}.json", cfg)
         code, out, err = run(["inspect", "--config", path], capsys)
         assert code == 2, cfg
+        assert out == ""
+        assert "error" in json.loads(err)
+
+    # json reads Infinity; non-finite numbers stop at the config edge
+    flow_cfg = {"schema": 1, "flow": {"n": 1, "m": 4, "amplitude": float("inf")}}
+    flat_cfg = geometry_config({"type": "flat", "n": 2})
+    for args in (
+        ["flow", "--config", write_config(tmp_path, "inf_flow.json", flow_cfg)],
+        ["inspect", "--config", write_config(tmp_path, "flat.json", flat_cfg), "--tol", "inf"],
+    ):
+        code, out, err = run(args, capsys)
+        assert code == 2, args
         assert out == ""
         assert "error" in json.loads(err)
 
@@ -71,6 +84,11 @@ def test_geometry_errors_exit_3(tmp_path, capsys):
         {"type": "flat", "n": 2, "jet_degree": "abc"},
         {"type": "flat", "n": 2, "jet_degree": 4.5},
         {"type": "flat", "n": 2, "jet_degree": True},
+        {"type": "flat", "n": "abc"},
+        {"type": "flat", "n": 5},
+        {"type": "flat", "n": True},
+        {"type": "flat", "n": 2.7},
+        {"type": "conformal", "n": 2, "f": "sin(x1)", "periodic": "false"},
     ]
     for idx, geo in enumerate(bad):
         path = write_config(tmp_path, f"geo{idx}.json", geometry_config(geo))

@@ -61,7 +61,7 @@ def test_conformal_christoffel_closed_form():
         p = rng.uniform(-0.5, 0.5, size=n)
         gam = christoffel(m, p)
         space = jet_space(n, 4)
-        fj = JetField(space, f_of_x(space, p).coeffs.reshape(space.ncoeff))
+        fj = JetField(space, f_of_x(space, p).data.reshape(space.ncoeff))
         df = fj.grad().value
         eye = np.eye(n)
         expect = 0.5 * (
@@ -87,10 +87,10 @@ def test_leibniz_rule():
     f = trig_scalar(space, p, [1.0, -1.0, 2.0], 0.1, 0.8)
     x_eval = random_tensor_evaluator(4, n, (n,))
     x = x_eval(p)
-    fx = x * JetField(space, f.coeffs.reshape(space.ncoeff))
+    fx = x * JetField(space, f.data.reshape(space.ncoeff))
     gamma = m.christoffel_jets(p)
     lhs = cov_derivative_jets(fx, "u", gamma).value
-    fj = JetField(space, f.coeffs.reshape(space.ncoeff))
+    fj = JetField(space, f.data.reshape(space.ncoeff))
     rhs = (
         np.einsum("c,a->ac", fj.grad().value, x.value)
         + f.value * cov_derivative_jets(x, "u", gamma).value
@@ -141,7 +141,7 @@ def test_conformal_curvature_closed_form():
         p = rng.uniform(-0.5, 0.5, size=n)
         pack = curvature(m, p)
         space = jet_space(n, 4)
-        fj = JetField(space, f_of_x(space, p).coeffs.reshape(space.ncoeff))
+        fj = JetField(space, f_of_x(space, p).data.reshape(space.ncoeff))
         fval = float(fj.value)
         df = fj.grad().value
         hess = fj.grad().grad().value
@@ -180,7 +180,7 @@ def test_flat_laplacian_is_sum_of_second_partials():
         x = JetField.variables(space, q)
         x1, x2 = x.entry(0), x.entry(1)
         val = x1 * x1 * x2 + x2 * x2
-        return JetField(space, val.coeffs.reshape(space.ncoeff))
+        return JetField(space, val.data.reshape(space.ncoeff))
 
     lap = connection_laplacian(psi, "", m, p)
     # psi = x1^2 x2 + x2^2: sum of pure second partials is 2 x2 + 2

@@ -161,7 +161,7 @@ def test_conformal_lee_vector_closed_form():
         sj = s.structure_jets(p)
         ell = lee_vector(s, p)
         space = jet_space(2 * n, 4)
-        fj = JetField(space, f_example(space, p).coeffs.reshape(space.ncoeff))
+        fj = JetField(space, f_example(space, p).data.reshape(space.ncoeff))
         df = fj.grad().value
         grad_conf = np.exp(-float(fj.value)) * df
         expect = sj.framepack.to_frame((n - 1) / 2.0 * grad_conf, "u")
@@ -210,7 +210,7 @@ def test_minimal_connection_equals_levi_civita_when_kahler():
         x = JetField.variables(space, q)
         entries = np.zeros((4, space.ncoeff))
         for i in range(4):
-            entries[i] = (x.entry(i) * x.entry((i + 1) % 4)).coeffs
+            entries[i] = (x.entry(i) * x.entry((i + 1) % 4)).data
         return JetField(space, entries)
 
     nabla_u = minimal_derivative(field, "u", s, p)
@@ -289,6 +289,6 @@ def test_connection_action_on_scalar_is_zero():
     sj = s.structure_jets(p)
     space = sj.g.space
     x = JetField.variables(space, p)
-    scalar = JetField(space, (x.entry(0) * x.entry(1)).coeffs.reshape(space.ncoeff))
+    scalar = JetField(space, (x.entry(0) * x.entry(1)).data.reshape(space.ncoeff))
     act = connection_action_jets(scalar, "", sj.xi)
     assert np.abs(act.data).max() == 0.0
