@@ -353,28 +353,13 @@ def s6_nearly_kahler(degree: int = MIN_JET_DEGREE) -> GeometrySpec:
 
 # -- structure assembly ------------------------------------------------------
 
-_s6_cache: dict[tuple, tuple[JetField, JetField]] = {}
+def _s6_graph(p, degree: int) -> tuple[JetField, JetField, JetField, JetField]:
+    """Jets of the graph chart x -> (x, sqrt(1 - |x|^2)): x, the height w,
+    the embedding differential D and the pullback metric g = D^T D.
 
-
-def _s6_chart(p, degree: int) -> tuple[JetField, JetField]:
-    p = np.asarray(p, dtype=float)
-    key = (tuple(p.tolist()), degree)
-    hit = _s6_cache.get(key)
-    if hit is None:
-        if len(_s6_cache) > 128:
-            _s6_cache.clear()
-        hit = _s6_chart_build(p, degree)
-        _s6_cache[key] = hit
-    return hit
-
-
-def _s6_chart_build(p: np.ndarray, degree: int) -> tuple[JetField, JetField]:
-    """Metric and J jets of the graph chart x -> (x, sqrt(1 - |x|^2)).
-
-    The embedding differential D has identity rows over -x_i/w; the
-    pullback metric is D^T D and the almost complex structure is the
-    pullback of cross multiplication by the sphere point.
+    D has identity rows over -x_i/w.
     """
+    p = np.asarray(p, dtype=float)
     if p.shape != (6,):
         raise GeometryError("six-sphere chart points live in R^6")
     if float(p @ p) >= 0.9**2:
@@ -389,17 +374,22 @@ def _s6_chart_build(p: np.ndarray, degree: int) -> tuple[JetField, JetField]:
     for i in range(6):
         d.data[i, i, 0] = 1.0
     d.data[6] = (jet_einsum("i,->i", x, winv) * (-1.0)).data
+    g = jet_einsum("ai,aj->ij", d, d)
+    return x, w, d, g
 
-    embed = JetField.zeros(space, (7,))
+
+def _s6_j(p, degree: int) -> JetField:
+    """J jets in the graph chart: the pullback of cross multiplication by
+    the sphere point."""
+    x, w, d, g = _s6_graph(p, degree)
+    embed = JetField.zeros(x.space, (7,))
     embed.data[:6] = x.data
     embed.data[6] = w.data
 
-    cross_op = jet_einsum("abc,a->cb", JetField.constants(space, _OCT), embed)
-    g = jet_einsum("ai,aj->ij", d, d)
+    cross_op = jet_einsum("abc,a->cb", JetField.constants(x.space, _OCT), embed)
     md = jet_einsum("cb,bj->cj", cross_op, d)
     dtmd = jet_einsum("ai,aj->ij", d, md)
-    jmat = jet_einsum("ik,kj->ij", jet_matrix_inverse(g), dtmd)
-    return g, jmat
+    return jet_einsum("ik,kj->ij", jet_matrix_inverse(g), dtmd)
 
 
 def build_structure(spec: GeometrySpec) -> AlmostHermitianStructure:
@@ -423,7 +413,7 @@ def build_structure(spec: GeometrySpec) -> AlmostHermitianStructure:
     else:
 
         def g_eval(p):
-            return _s6_chart(p, degree)[0]
+            return _s6_graph(p, degree)[3]
 
     if spec.j_kind == "standard":
         j0 = standard_j(spec.n)
@@ -434,7 +424,7 @@ def build_structure(spec: GeometrySpec) -> AlmostHermitianStructure:
     else:
 
         def j_eval(p):
-            return _s6_chart(p, degree)[1]
+            return _s6_j(p, degree)
 
     metric = MetricField(dim, g_eval, degree=degree)
     return AlmostHermitianStructure(metric, j_eval, name=spec.name)

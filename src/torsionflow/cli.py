@@ -7,7 +7,8 @@ the Gray-Hervella label, and ``flow`` descends the discrete energy and
 writes its trace.  Reports are deterministic for a fixed config and
 seed; every float is serialized with 17 significant digits.
 
-Exit codes: 0 pass, 1 residual failure, 2 config error, 3 geometry
+Exit codes: 0 pass, 1 residual failure, 2 config error (including a
+negative seed and a flow grid above MAX_GRID_ENTRIES), 3 geometry
 error, 4 flow stall.
 """
 
@@ -45,6 +46,10 @@ EXIT_RESIDUAL = 1
 EXIT_CONFIG = 2
 EXIT_GEOMETRY = 3
 EXIT_STALL = 4
+
+# float64 entries in one (m^(2n), 2n, 2n) flow array: 128 MiB.  The
+# descent holds about ten such arrays at once.
+MAX_GRID_ENTRIES = 2**24
 
 _TOP_KEYS = {
     "inspect": ("schema", "command", "geometry", "points", "tol"),
@@ -133,6 +138,14 @@ def _int_field(section: dict, key: str, default=None, minimum=None):
     return value
 
 
+def _resolve_seed(section: dict, override) -> int:
+    """The config seed, or the --seed override under the same check."""
+    seed = _int_field(section, "seed", default=0, minimum=0)
+    if override is None:
+        return seed
+    return _int_field({"seed": override}, "seed", minimum=0)
+
+
 def _float_field(section: dict, key: str, default):
     value = section.get(key, default)
     if not _is_finite_number(value):
@@ -148,10 +161,7 @@ def _resolve_points(cfg: dict, spec, seed_override) -> np.ndarray:
     if unknown:
         raise ConfigError(f"unknown points fields: {', '.join(sorted(unknown))}")
     count = _int_field(section, "count", default=20, minimum=1)
-    seed = _int_field(section, "seed", default=0, minimum=0)
-    if seed_override is not None:
-        seed = seed_override
-    return sample_points(spec, count, seed)
+    return sample_points(spec, count, _resolve_seed(section, seed_override))
 
 
 # -- serialization ----------------------------------------------------------
@@ -322,9 +332,7 @@ def _run_flow(cfg: dict, tol: float, seed_override, out) -> tuple[dict, int]:
     unknown = [k for k in section if k not in _FLOW_KEYS]
     if unknown:
         raise ConfigError(f"unknown flow fields: {', '.join(sorted(unknown))}")
-    seed = _int_field(section, "seed", default=0, minimum=0)
-    if seed_override is not None:
-        seed = seed_override
+    seed = _resolve_seed(section, seed_override)
     n = _int_field(section, "n", default=2, minimum=1)
     m = _int_field(section, "m", default=None)
     amplitude = _float_field(section, "amplitude", 0.3)
@@ -332,6 +340,12 @@ def _run_flow(cfg: dict, tol: float, seed_override, out) -> tuple[dict, int]:
     tol_grad = _float_field(section, "tol_grad", 1e-5)
     if not tol_grad > 0:
         raise ConfigError("field 'tol_grad' must be positive")
+    # random_grid rejects m < 4; for m >= 2, 2n > 24 alone exceeds the cap
+    dim = 2 * n
+    if m >= 2 and (dim > 24 or m**dim * dim**2 > MAX_GRID_ENTRIES):
+        raise ConfigError(
+            f"flow grid of m^(2n) * (2n)^2 entries exceeds {MAX_GRID_ENTRIES}"
+        )
 
     grid = random_grid(seed, n, m, amplitude)
     initial_energy = energy(grid)

@@ -70,36 +70,21 @@ class MetricField:
 
     The evaluator maps a point (shape ``(dim,)``) to a ``(dim, dim)``
     :class:`JetField`.  Symmetry is required as jets; positive
-    definiteness is required of the constant term.  Jets and Christoffel
-    symbols are cached per point.
+    definiteness is required of the constant term.  Nothing is kept
+    between calls: a caller that reads g more than once at a point holds
+    the jets (``StructureJets`` does).
     """
 
     def __init__(self, dim: int, evaluator: Callable[[np.ndarray], JetField], degree: int = MIN_JET_DEGREE):
         self.dim = dim
         self.degree = degree
         self.evaluator = evaluator
-        self._cache: dict[tuple, tuple[JetField, JetField, JetField]] = {}
 
     def space(self):
         return jet_space(self.dim, self.degree)
 
-    def _key(self, p) -> tuple:
-        return tuple(np.asarray(p, dtype=float).tolist())
-
     def jets(self, p) -> JetField:
-        return self._entry(p)[0]
-
-    def inverse_jets(self, p) -> JetField:
-        return self._entry(p)[1]
-
-    def christoffel_jets(self, p) -> JetField:
-        return self._entry(p)[2]
-
-    def _entry(self, p):
-        key = self._key(p)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        """Validated jets of g at the point."""
         p = np.asarray(p, dtype=float)
         if p.shape != (self.dim,):
             raise GeometryError(f"point must have shape ({self.dim},)")
@@ -113,13 +98,13 @@ class MetricField:
             np.linalg.cholesky(g.value)
         except np.linalg.LinAlgError as err:
             raise GeometryError("metric is not positive definite at the point") from err
-        ginv = jet_matrix_inverse(g)
-        gamma = christoffel_jets(g, ginv)
-        entry = (g, ginv, gamma)
-        if len(self._cache) > 256:
-            self._cache.clear()
-        self._cache[key] = entry
-        return entry
+        return g
+
+    def inverse_jets(self, p) -> JetField:
+        return jet_matrix_inverse(self.jets(p))
+
+    def christoffel_jets(self, p) -> JetField:
+        return christoffel_jets(self.jets(p))
 
     def frame(self, p, rotation: np.ndarray | None = None) -> FramePack:
         return FramePack(self.jets(p).value, rotation=rotation)
@@ -248,8 +233,8 @@ def covariant_derivative(field, variance: str, metric: MetricField, p) -> np.nda
 
 def curvature(metric: MetricField, p, with_nabla_r: bool = False) -> CurvaturePack:
     g = metric.jets(p)
-    ginv = metric.inverse_jets(p)
-    gamma = metric.christoffel_jets(p)
+    ginv = jet_matrix_inverse(g)
+    gamma = christoffel_jets(g, ginv)
     cj = curvature_jets(g, gamma, ginv)
     nabla_riem = None
     if with_nabla_r:
@@ -276,9 +261,9 @@ def connection_laplacian(field, variance: str, metric: MetricField, p) -> np.nda
     """nabla*nabla T = -(nabla^2 T)_{e_i, e_i} at the point."""
     t = _field_jets(field, metric, p)
     try:
-        lap = rough_laplacian_jets(
-            t, variance, metric.christoffel_jets(p), metric.inverse_jets(p)
-        )
+        g = metric.jets(p)
+        ginv = jet_matrix_inverse(g)
+        lap = rough_laplacian_jets(t, variance, christoffel_jets(g, ginv), ginv)
     except JetError as err:
         raise GeometryError(f"insufficient jet degree: {err}") from err
     return lap.value

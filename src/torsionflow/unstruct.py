@@ -81,7 +81,7 @@ class AlmostHermitianStructure:
 
     ``j_evaluator`` maps a point to the (2n, 2n) jet field of J^i_j.
     Compatibility (J^2 = -Id and <JX, JY> = <X, Y>) is validated every
-    time jets are assembled at a new point.
+    time J is read into a new :class:`StructureJets`.
     """
 
     def __init__(self, metric: MetricField, j_evaluator: Callable[[np.ndarray], JetField], name: str = ""):
@@ -92,17 +92,11 @@ class AlmostHermitianStructure:
         self.name = name
         self.dim = metric.dim
         self.n = metric.dim // 2
-        self._cache: dict[tuple, "StructureJets"] = {}
 
     def structure_jets(self, p, rotation: np.ndarray | None = None) -> "StructureJets":
-        key = (tuple(np.asarray(p, dtype=float).tolist()), None if rotation is None else rotation.tobytes())
-        hit = self._cache.get(key)
-        if hit is None:
-            if len(self._cache) > 64:
-                self._cache.clear()
-            hit = StructureJets(self, np.asarray(p, dtype=float), rotation)
-            self._cache[key] = hit
-        return hit
+        """A new :class:`StructureJets` at the point on every call; a caller
+        holds that object to reuse the point's jets."""
+        return StructureJets(self, np.asarray(p, dtype=float), rotation)
 
 
 @dataclass
@@ -216,6 +210,7 @@ class StructureJets:
 
     Everything downstream (torsion, curvature couplings, diagnostics)
     reads from this object, so each quantity is computed once per point.
+    It is the only per-point memo; two instances never share jets.
     """
 
     def __init__(self, structure: AlmostHermitianStructure, point: np.ndarray, rotation: np.ndarray | None = None):
@@ -233,11 +228,11 @@ class StructureJets:
 
     @cached_property
     def ginv(self) -> JetField:
-        return self.structure.metric.inverse_jets(self.point)
+        return jet_matrix_inverse(self.g)
 
     @cached_property
     def gamma(self) -> JetField:
-        return self.structure.metric.christoffel_jets(self.point)
+        return christoffel_jets(self.g, self.ginv)
 
     @cached_property
     def curv(self) -> CurvatureJets:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,10 +56,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # json reads Infinity; non-finite numbers stop at the config edge
     flow_cfg = {"schema": 1, "flow": {"n": 1, "m": 4, "amplitude": float("inf")}}
     flat_cfg = geometry_config({"type": "flat", "n": 2})
-    for args in (
+    flat_path = write_config(tmp_path, "flat.json", flat_cfg)
+    small_flow = write_config(tmp_path, "small_flow.json", {"schema": 1, "flow": {"n": 1, "m": 4}})
+    cases = [
         ["flow", "--config", write_config(tmp_path, "inf_flow.json", flow_cfg)],
-        ["inspect", "--config", write_config(tmp_path, "flat.json", flat_cfg), "--tol", "inf"],
-    ):
+        ["inspect", "--config", flat_path, "--tol", "inf"],
+        # --seed gets the same non-negative check as the config seed
+        ["inspect", "--config", flat_path, "--seed", "-1"],
+        ["flow", "--config", small_flow, "--seed", "-1"],
+    ]
+    # grids above 2**24 float64 entries are refused before allocating
+    for idx, flow in enumerate([{"n": 4, "m": 32}, {"n": 6, "m": 4}]):
+        huge = write_config(tmp_path, f"huge{idx}.json", {"schema": 1, "flow": flow})
+        cases.append(["flow", "--config", huge])
+    for args in cases:
         code, out, err = run(args, capsys)
         assert code == 2, args
         assert out == ""
@@ -293,3 +304,50 @@ def test_seed_override_moves_sample_points(tmp_path, capsys):
     xs = json.loads(base)["points"][0]["x"]
     ys = json.loads(moved)["points"][0]["x"]
     assert np.abs(np.asarray(xs) - np.asarray(ys)).max() > 1e-3
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# (golden file, command, geometry, count, seed, exit code)
+GOLDEN_RUNS = [
+    ("inspect_s6.json", "inspect", {"type": "s6"}, 3, 1, 0),
+    ("verify_hopf.json", "verify", {"type": "hopf", "n": 2}, 6, 1, 0),
+    (
+        "classify_conf.json",
+        "classify",
+        {"type": "conformal", "n": 2, "f": "sin(x1)", "periodic": True},
+        3,
+        1,
+        0,
+    ),
+]
+
+
+def assert_report_matches(got, want, where="report"):
+    """Keys, strings, booleans and integers exactly; floats within
+    1e-12 (1 + |golden|), so another LAPACK build still passes."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            assert_report_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for idx, (a, b) in enumerate(zip(got, want)):
+            assert_report_matches(a, b, f"{where}[{idx}]")
+    elif isinstance(want, (bool, str)) or want is None:
+        assert type(got) is type(want) and got == want, where
+    elif isinstance(want, int) and isinstance(got, int) and not isinstance(got, bool):
+        assert got == want, where
+    else:
+        # a float that renders as an integer (0.0 -> "0") parses as int
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (where, got, want)
+
+
+@pytest.mark.parametrize("name,command,geometry,count,seed,code", GOLDEN_RUNS)
+def test_reports_match_golden_files(tmp_path, capsys, name, command, geometry, count, seed, code):
+    cfg = geometry_config(geometry, count=count, seed=seed, command=command)
+    got_code, out, err = run([command, "--config", write_config(tmp_path, "cfg.json", cfg)], capsys)
+    assert got_code == code, err
+    want = json.loads((GOLDEN_DIR / name).read_text())
+    assert_report_matches(json.loads(out), want)

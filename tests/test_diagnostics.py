@@ -361,6 +361,35 @@ def test_classify_gh_labels():
     assert set(rec["component_norms"]) == set(GH_LABELS)
 
 
+def test_one_evaluation_per_point_and_no_hidden_memo():
+    """Each point evaluates g and J once; only the StructureJets a caller
+    holds remembers a point's jets."""
+    for spec in (hopf_chart(2), s6_nearly_kahler()):
+        structure = build_structure(spec)
+        calls = {"g": 0, "J": 0}
+
+        def counted(name, evaluator):
+            def wrapped(p):
+                calls[name] += 1
+                return evaluator(p)
+
+            return wrapped
+
+        structure.metric.evaluator = counted("g", structure.metric.evaluator)
+        structure.j_evaluator = counted("J", structure.j_evaluator)
+        pts = sample_points(spec, 3, seed=5)
+        run_diagnostics(structure, pts, tol=1e-6)
+        assert calls == {"g": 3, "J": 3}, spec.name
+        classify_gh(structure, pts)
+        assert calls == {"g": 6, "J": 6}, spec.name
+
+        first = structure.structure_jets(pts[0])
+        second = structure.structure_jets(pts[0])
+        assert first is not second
+        assert first.g is not second.g
+        assert calls["g"] == 8
+
+
 def test_run_diagnostics_report_shape():
     spec = conformal(2, "sin(x1)", periodic=True)
     structure = build_structure(spec)
