@@ -7,9 +7,10 @@ the Gray-Hervella label, and ``flow`` descends the discrete energy and
 writes its trace.  Reports are deterministic for a fixed config and
 seed; every float is serialized with 17 significant digits.
 
-Exit codes: 0 pass, 1 residual failure, 2 config error (including a
-negative seed and a flow grid above MAX_GRID_ENTRIES), 3 geometry
-error, 4 flow stall.
+Exit codes: 0 pass, 1 residual failure, 2 config error (including
+undecodable JSON, a negative seed and a flow grid above
+MAX_GRID_ENTRIES), 3 geometry error (including an expression nested
+deeper than exprlang.MAX_DEPTH), 4 flow stall.
 """
 
 from __future__ import annotations
@@ -84,8 +85,11 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and integers beyond Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config nests arrays or objects too deeply") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg
@@ -184,6 +188,17 @@ def render_json(value) -> str:
         items = (f"{json.dumps(str(k))}: {render_json(v)}" for k, v in value.items())
         return "{" + ", ".join(items) + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
+        if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.size:
+            # one pass over the floats, then bracket the last axis outwards
+            if not np.isfinite(value).all():
+                raise ValueError("non-finite number in report")
+            items = [format(v, ".17g") for v in value.ravel().tolist()]
+            for size in reversed(value.shape):
+                items = [
+                    "[" + ", ".join(items[i : i + size]) + "]"
+                    for i in range(0, len(items), size)
+                ]
+            return items[0]
         return "[" + ", ".join(render_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 

@@ -14,6 +14,12 @@ literals; they are lowered to repeated multiplication at evaluation time,
 so no fractional powers sneak in.  ``pi`` and ``e`` fold to numeric
 literals at parse time.
 
+Nesting is bounded by MAX_DEPTH: parentheses, calls and unary minus may
+nest at most that deep, and so may the parsed tree (a chain of binary
+operators is as deep as it is long).  Parsing, evaluation and
+``pretty`` recurse once per level, so the bound turns input that would
+overflow the interpreter stack into a parse error.
+
 Parse errors carry the byte offset of the offending token and a short
 description of what was expected.
 """
@@ -39,10 +45,14 @@ __all__ = [
     "parse",
     "pretty",
     "eval_expr",
+    "MAX_DEPTH",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 CONSTANTS = {"pi": math.pi, "e": math.e}
+# parsing recurses about five frames per parenthesis level, so 100 levels
+# stay well inside Python's default recursion limit of 1000
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -126,6 +136,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -141,11 +152,18 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
+    def nest(self, pos: int):
+        """Count one nesting level; callers undo it after the nested parse."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+
     def parse(self) -> Expr:
         e = self.sum()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", pos)
+        _check_tree_depth(e)
         return e
 
     def sum(self) -> Expr:
@@ -174,7 +192,10 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(pos=pos, arg=self.factor())
+            self.nest(pos)
+            arg = self.factor()
+            self.depth -= 1
+            return Neg(pos=pos, arg=arg)
         return self.power()
 
     def power(self) -> Expr:
@@ -205,7 +226,9 @@ class _Parser:
                 return Num(pos=pos, value=CONSTANTS[text])
             if text in FUNCTIONS:
                 self.expect_op("(")
+                self.nest(pos)
                 arg = self.sum()
+                self.depth -= 1
                 self.expect_op(")")
                 return Call(pos=pos, fn=text, arg=arg)
             m = re.fullmatch(r"x([1-9]\d*)", text)
@@ -213,12 +236,29 @@ class _Parser:
                 return Var(pos=pos, index=int(m.group(1)))
             raise ParseError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
+            self.nest(pos)
             e = self.sum()
+            self.depth -= 1
             self.expect_op(")")
             return e
         raise ParseError(
             "expected a number, variable, function call or parenthesis", pos
         )
+
+
+def _check_tree_depth(expr: Expr) -> None:
+    """Reject trees deeper than MAX_DEPTH, walked without recursion."""
+    stack = [(expr, 1)]
+    while stack:
+        e, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", e.pos)
+        if isinstance(e, BinOp):
+            stack += [(e.lhs, depth + 1), (e.rhs, depth + 1)]
+        elif isinstance(e, (Neg, Call)):
+            stack.append((e.arg, depth + 1))
+        elif isinstance(e, Pow):
+            stack.append((e.base, depth + 1))
 
 
 def parse(src: str) -> Expr:

@@ -8,6 +8,13 @@ flat chart d*xi = [J, lap J] / 4 identically; using the discrete
 Laplacian in that algebraic form makes the gradient exact for the
 discrete energy, because central differences are exactly skew-adjoint
 on a periodic grid.
+
+Every field differentiated here is skew, so one spectral path,
+``_dirichlet_modes``, transforms only the strict upper triangle of the
+skew part (6 of 16 entries at n = 2) and ``_skew_laplacian`` rebuilds
+the skew Laplacian from its inverse transform.  ``descend`` projects
+each trial before its Armijo test and reuses the accepted trial's
+transform as the next state's.
 """
 
 from __future__ import annotations
@@ -92,23 +99,40 @@ def _mode_weights(resolution: int, dim: int, h: float) -> tuple[np.ndarray, np.n
 
 
 def _dirichlet_modes(
-    values: np.ndarray, resolution: int, dim: int, h: float, laplacian: bool = False
-) -> tuple[float, np.ndarray | None]:
-    """sum_nodes sum_axes |D_x values|^2 via Parseval for the same stencil.
+    values: np.ndarray, modes: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, np.ndarray]:
+    """sum_nodes sum_axes |D_x A|^2 via Parseval, A the skew part of ``values``.
 
-    With ``laplacian``, also returns sum_x D_x D_x values through the
-    Fourier multiplier -sum d(k_x)^2, from the same forward transform;
-    otherwise no inverse transform is paid and the second entry is None.
+    Only the strict-upper entries ½(v_ij - v_ji) are transformed, with
+    the component axis first; the lower triangle mirrors them, so the
+    sum over all entries is twice theirs.  Every field differentiated
+    here (J, u(n)-perp variations) is skew up to roundoff.  ``modes``
+    is ``_mode_weights`` of the grid.  Also returns the packed transform
+    for ``_skew_laplacian``.
     """
-    axes = tuple(range(dim))
-    fhat = np.fft.rfftn(values, axes=axes)
-    mult, weight = _mode_weights(resolution, dim, h)
-    power = np.sum(fhat.real**2 + fhat.imag**2, axis=(-2, -1)) * weight
-    deriv_sq = float(np.sum(mult * power) / resolution**dim)
-    if not laplacian:
-        return deriv_sq, None
-    lap = np.fft.irfftn(fhat * -mult[..., None, None], s=(resolution,) * dim, axes=axes)
-    return deriv_sq, lap
+    mult, weight = modes
+    rows, cols = np.triu_indices(values.shape[-1], 1)
+    entries = np.moveaxis(values, (-2, -1), (0, 1))
+    packed = 0.5 * (entries[rows, cols] - entries[cols, rows])
+    fhat = np.fft.rfftn(packed, axes=tuple(range(1, mult.ndim + 1)))
+    power = np.sum(fhat.real**2 + fhat.imag**2, axis=0) * weight
+    deriv_sq = 2.0 * float(np.sum(mult * power)) / packed[0].size
+    return deriv_sq, fhat
+
+
+def _skew_laplacian(fhat: np.ndarray, modes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """sum_x D_x D_x A through the multiplier -sum d(k_x)^2, rebuilt skew
+    from the packed transform of ``_dirichlet_modes``."""
+    mult = modes[0]
+    dim = mult.ndim
+    grid = (mult.shape[0],) * dim
+    packed = np.fft.irfftn(fhat * -mult, s=grid, axes=tuple(range(1, dim + 1)))
+    rows, cols = np.triu_indices(dim, 1)
+    lap = np.zeros(grid + (dim, dim))
+    upper = np.moveaxis(packed, 0, -1)
+    lap[..., rows, cols] = upper
+    lap[..., cols, rows] = -upper
+    return lap
 
 
 def _structure_defect(values: np.ndarray) -> float:
@@ -262,7 +286,8 @@ def energy(grid: JGrid) -> float:
     Since J is orthogonal, |xi|^2 = ¼ sum_x |D_x J|^2 nodewise, and the
     grid sum is evaluated through Parseval for the identical stencil.
     """
-    deriv_sq, _ = _dirichlet_modes(grid.values, grid.resolution, grid.dim, grid.spacing)
+    modes = _mode_weights(grid.resolution, grid.dim, grid.spacing)
+    deriv_sq, _ = _dirichlet_modes(grid.values, modes)
     return 0.125 * grid.spacing**grid.dim * deriv_sq
 
 
@@ -276,7 +301,8 @@ def gradient(grid: JGrid) -> np.ndarray:
     J, so the field is u(n)-perp valued by construction.
     """
     j = grid.values
-    _, lap = _dirichlet_modes(j, grid.resolution, grid.dim, grid.spacing, laplacian=True)
+    modes = _mode_weights(grid.resolution, grid.dim, grid.spacing)
+    lap = _skew_laplacian(_dirichlet_modes(j, modes)[1], modes)
     return 0.25 * (j @ lap - lap @ j)
 
 
@@ -418,11 +444,14 @@ def descend(
     """Armijo-backtracked gradient descent of the total bending.
 
     Each iteration recomputes d*xi, steps along it through the Cayley
-    retraction (exactly structure preserving), and re-projects; the
-    drift removed by re-projection must stay below DRIFT_TOL.  A step
-    shrinking past ``step_floor`` reports a stall instead of failing:
-    whether non-Kahler stationary points can trap the flow is left as
-    an empirical finding.
+    retraction (exactly structure preserving), and re-projects every
+    trial before its Armijo test; the drift removed by re-projection
+    must stay below DRIFT_TOL.  The accepted trial is therefore exactly
+    the next state, and its skew-packed transform and energy carry over:
+    an accepted step costs one forward and one inverse transform.  A
+    step shrinking past ``step_floor`` reports a stall instead of
+    failing: whether non-Kahler stationary points can trap the flow is
+    left as an empirical finding.
     """
     t0 = time.perf_counter()
     trace: list[FlowTrace] = []
@@ -431,13 +460,16 @@ def descend(
     max_drift = 0.0
     res, dim, h = grid.resolution, grid.dim, grid.spacing
     vol = h**dim
+    modes = _mode_weights(res, dim, h)
     vals = grid.values
+    deriv_sq, fhat = _dirichlet_modes(vals, modes)
+    e = 0.125 * vol * deriv_sq
 
     for iteration in range(max_iter + 1):
-        deriv_sq, lap = _dirichlet_modes(vals, res, dim, h, laplacian=True)
-        e = 0.125 * vol * deriv_sq
+        lap = _skew_laplacian(fhat, modes)
         g = 0.25 * (vals @ lap - lap @ vals)
-        gnorm = float(np.sqrt(vol * np.sum(g * g)))
+        g_sq = float(np.sum(g * g))
+        gnorm = float(np.sqrt(vol * g_sq))
         millis = 1e3 * (time.perf_counter() - t0)
         if gnorm < tol_grad:
             trace.append(FlowTrace(iteration, e, gnorm, 0.0, millis))
@@ -448,12 +480,15 @@ def descend(
             message = "iteration budget exhausted"
             break
 
-        slope = vol * float(np.sum(g * g))
+        slope = vol * g_sq
         step = step0
         while True:
             q = _cayley(step * g)
-            trial = q @ vals @ np.swapaxes(q, -1, -2)
-            trial_e = 0.125 * vol * _dirichlet_modes(trial, res, dim, h)[0]
+            trial, drift = _nearest_structure(q @ vals @ np.swapaxes(q, -1, -2))
+            if drift > DRIFT_TOL:
+                raise GridError(f"per-step drift {drift:.3e} exceeds {DRIFT_TOL}")
+            trial_sq, trial_hat = _dirichlet_modes(trial, modes)
+            trial_e = 0.125 * vol * trial_sq
             if trial_e <= e - decrease * step * slope:
                 break
             step *= shrink
@@ -464,11 +499,9 @@ def descend(
         if stalled:
             trace.append(FlowTrace(iteration, e, gnorm, 0.0, millis))
             break
-        vals, drift = _nearest_structure(trial)
-        if drift > DRIFT_TOL:
-            raise GridError(f"per-step drift {drift:.3e} exceeds {DRIFT_TOL}")
         max_drift = max(max_drift, drift)
         trace.append(FlowTrace(iteration, e, gnorm, step, millis))
+        vals, fhat, e = trial, trial_hat, trial_e
 
     grid = JGrid(grid.n, res, vals)
     terminal = gradient(grid)
@@ -499,7 +532,7 @@ def hessian_form(grid: JGrid, phi: np.ndarray, tol_grad: float = 1e-5) -> dict:
             "value": None,
         }
     h = grid.spacing
-    grad_sq, _ = _dirichlet_modes(phi, grid.resolution, grid.dim, h)
+    grad_sq, _ = _dirichlet_modes(phi, _mode_weights(grid.resolution, grid.dim, h))
     xi = torsion_field(grid)
     bracket = xi @ phi[..., None, :, :] - phi[..., None, :, :] @ xi
     value = h**grid.dim * (grad_sq - 2.0 * float(np.sum(bracket * bracket)))
@@ -527,10 +560,10 @@ def write_trace_csv(trace: list[FlowTrace], path) -> None:
 
 
 def grid_payload(grid: JGrid) -> dict:
-    """The final grid as a binary-free JSON-ready array of node matrices."""
-    flat = grid.values.reshape(grid.node_count(), grid.dim, grid.dim)
+    """The final grid for a binary-free JSON writer: ``nodes`` is the
+    float array of node matrices, shape (node_count, dim, dim)."""
     return {
         "n": grid.n,
         "resolution": grid.resolution,
-        "nodes": [[list(map(float, row)) for row in node] for node in flat],
+        "nodes": grid.values.reshape(grid.node_count(), grid.dim, grid.dim),
     }

@@ -8,7 +8,7 @@ import pytest
 from torsionflow.catalog import build_structure, sample_points, spec_from_config
 from torsionflow.cli import main, render_json
 from torsionflow.diagnostics import classify_gh, coderivative_xi, point_scale, star_ricci
-from torsionflow.flow import JGrid
+from torsionflow.flow import JGrid, grid_payload, random_grid
 
 
 def write_config(tmp_path, name, payload):
@@ -83,6 +83,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # beyond Python's 4,300-digit limit for integer strings
+        '{"schema": 1, "flow": {"n": 1, "m": 4, "seed": ' + "9" * 5000 + "}}",
+        # deeper than the JSON decoder's recursion
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["long_number", "deep_array"],
+)
+def test_undecodable_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, out, err = run(["flow", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
 def test_geometry_errors_exit_3(tmp_path, capsys):
     bad = [
         {"type": "torus", "n": 2},
@@ -100,6 +119,9 @@ def test_geometry_errors_exit_3(tmp_path, capsys):
         {"type": "flat", "n": True},
         {"type": "flat", "n": 2.7},
         {"type": "conformal", "n": 2, "f": "sin(x1)", "periodic": "false"},
+        # nesting beyond exprlang.MAX_DEPTH is a parse error, not a stack overflow
+        {"type": "conformal", "n": 2, "f": "(" * 3000 + "x1" + ")" * 3000},
+        {"type": "conformal", "n": 2, "f": "+".join(["x1"] * 5000)},
     ]
     for idx, geo in enumerate(bad):
         path = write_config(tmp_path, f"geo{idx}.json", geometry_config(geo))
@@ -283,6 +305,17 @@ def test_flow_descends_and_writes_artifacts(tmp_path, capsys):
     values = np.asarray(payload["nodes"]).reshape((8, 8, 8, 8, 4, 4))
     grid = JGrid(payload["n"], payload["resolution"], values)
     assert grid.structure_defect() < 1e-10
+
+
+def test_grid_artifact_renders_like_nested_lists():
+    grid = random_grid(3, 2, 4)
+    payload = grid_payload(grid)
+    nested = dict(payload, nodes=payload["nodes"].tolist())
+    assert render_json(payload) == render_json(nested)
+    odd = np.array([[-0.0, 5e-324, 1e300], [0.1, -2.5, 1.0]])
+    assert render_json(odd) == render_json(odd.tolist())
+    with pytest.raises(ValueError, match="non-finite"):
+        render_json(np.array([[1.0, np.nan]]))
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from torsionflow.exprlang import (
+    MAX_DEPTH,
     BinOp,
     Call,
     EvalError,
@@ -165,3 +166,26 @@ def test_round_trip_preserves_value():
         v1 = eval_expr(e, p, 2, 2).value
         v2 = eval_expr(parse(pretty(e)), p, 2, 2).value
         assert v1 == pytest.approx(v2, rel=1e-14, abs=1e-14)
+
+
+def test_nesting_depth_is_bounded():
+    # deep input is a parse error raised before the interpreter stack overflows
+    for src in (
+        "(" * 3000 + "x1" + ")" * 3000,
+        "sin(" * 3000 + "x1" + ")" * 3000,
+        "-" * 3000 + "x1",
+        "+".join(["x1"] * 5000),
+    ):
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse(src)
+    # 50 levels still parse and evaluate
+    nested = "1 + (" * 50 + "x1" + ")" * 50
+    value = eval_expr(parse(nested), [0.25], 1, 0)
+    assert value.value == pytest.approx(50.25)
+    sines = eval_expr(parse("sin(" * 50 + "x1" + ")" * 50), [0.5], 1, 0)
+    expected = 0.5
+    for _ in range(50):
+        expected = math.sin(expected)
+    assert sines.value == pytest.approx(expected, rel=1e-14)
+    chain = parse("+".join(["x1"] * MAX_DEPTH))
+    assert eval_expr(chain, [0.5], 1, 0).value == pytest.approx(0.5 * MAX_DEPTH)

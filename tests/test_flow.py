@@ -23,6 +23,8 @@ from torsionflow.flow import (
     write_trace_csv,
     _dirichlet_modes,
     _diff,
+    _mode_weights,
+    _skew_laplacian,
 )
 from torsionflow.unstruct import intrinsic_torsion, random_structure
 
@@ -79,6 +81,39 @@ def test_energy_matches_roll_stencil():
     lap = sum(_diff(d, ax, h) for ax, d in enumerate(dj))
     g_roll = 0.25 * (g.values @ lap - lap @ g.values)
     assert np.abs(gradient(g) - g_roll).max() < 1e-12
+
+
+def _full_fft_reference(values, h):
+    """Derivative sum and Laplacian from a plain complex FFT of every entry."""
+    res, dim = values.shape[0], values.ndim - 2
+    k = np.fft.fftfreq(res, d=1.0 / res)
+    d2 = ((8.0 * np.sin(k * h) - np.sin(2.0 * k * h)) / (6.0 * h)) ** 2
+    mult = sum(np.meshgrid(*([d2] * dim), indexing="ij"))[..., None, None]
+    fhat = np.fft.fftn(values, axes=tuple(range(dim)))
+    deriv_sq = float(np.sum(mult * np.abs(fhat) ** 2)) / res**dim
+    lap = np.fft.ifftn(-mult * fhat, axes=tuple(range(dim))).real
+    return deriv_sq, lap
+
+
+def test_packed_modes_match_full_transform():
+    # random skew fields at n = 1, 2, 3 (J itself is constant at n = 1)
+    # and random structure grids, which are skew to roundoff
+    rng = np.random.default_rng(0)
+    fields = []
+    for n, res in ((1, 5), (1, 8), (2, 6), (3, 4)):
+        raw = rng.standard_normal((res,) * (2 * n) + (2 * n, 2 * n))
+        fields.append(0.5 * (raw - np.swapaxes(raw, -1, -2)))
+    fields += [random_grid(6, 2, 6).values, random_grid(7, 3, 4).values]
+    for values in fields:
+        res, dim = values.shape[0], values.shape[-1]
+        h = 2.0 * np.pi / res
+        modes = _mode_weights(res, dim, h)
+        deriv_sq, fhat = _dirichlet_modes(values, modes)
+        lap = _skew_laplacian(fhat, modes)
+        ref_sq, ref_lap = _full_fft_reference(values, h)
+        assert abs(deriv_sq - ref_sq) <= 1e-13 * ref_sq, values.shape
+        assert np.abs(lap - ref_lap).max() <= 1e-13 * np.abs(ref_lap).max(), values.shape
+        assert np.array_equal(lap, -np.swapaxes(lap, -1, -2))
 
 
 def test_energy_converges_to_jet_quadrature():
@@ -202,6 +237,23 @@ def test_descend_converges_monotonically():
     assert final < result.terminal_grad_norm
 
 
+def test_descend_carries_the_accepted_trial_energy():
+    # the accepted trial is projected before its Armijo test, so its
+    # energy is the next state's, computed once and reported as is
+    result = descend(random_grid(7, 2, 8), max_iter=5)
+    assert len(result.trace) == 6
+    assert result.trace[-1].energy == energy(result.grid)
+
+
+def test_descend_rejects_drift_above_tolerance(monkeypatch):
+    from torsionflow import flow
+
+    cayley = flow._cayley
+    monkeypatch.setattr(flow, "_cayley", lambda a: (1.0 + 1e-6) * cayley(a))
+    with pytest.raises(GridError, match="drift"):
+        descend(random_grid(7, 2, 6), max_iter=2)
+
+
 def test_descend_reports_budget_exhaustion():
     result = descend(random_grid(7, 2, 8), max_iter=3)
     assert not result.converged and not result.stalled
@@ -233,7 +285,8 @@ def test_hessian_at_kahler_matches_second_difference():
     rec = hessian_form(k, phi)
     assert rec["applicable"] is True
     # xi = 0 there, so the form reduces to the Dirichlet term
-    dirichlet = k.spacing**k.dim * _dirichlet_modes(phi, 8, 4, k.spacing)[0]
+    modes = _mode_weights(8, 4, k.spacing)
+    dirichlet = k.spacing**k.dim * _dirichlet_modes(phi, modes)[0]
     assert abs(rec["value"] - dirichlet) < 1e-12 * dirichlet
     eps = 1e-3
     second = (
