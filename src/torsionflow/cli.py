@@ -8,9 +8,11 @@ writes its trace.  Reports are deterministic for a fixed config and
 seed; every float is serialized with 17 significant digits.
 
 Exit codes: 0 pass, 1 residual failure, 2 config error (including
-undecodable JSON, a negative seed and a flow grid above
-MAX_GRID_ENTRIES), 3 geometry error (including an expression nested
-deeper than exprlang.MAX_DEPTH), 4 flow stall.
+undecodable JSON, a negative seed, a points count above MAX_POINTS and
+a flow grid above MAX_GRID_ENTRIES), 3 geometry error (including an
+expression nested deeper than exprlang.MAX_DEPTH), 4 flow stall, 5
+internal check failure (a cross-route or convention check disagreed:
+a bug in the package, not a verdict on the geometry).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .flow import (
     write_trace_csv,
 )
 from .geometry import GeometryError
+from .unstruct import InternalConventionError
 
 __all__ = ["ConfigError", "load_config", "render_json", "run_command", "main"]
 
@@ -47,6 +50,10 @@ EXIT_RESIDUAL = 1
 EXIT_CONFIG = 2
 EXIT_GEOMETRY = 3
 EXIT_STALL = 4
+EXIT_INTERNAL = 5
+
+# sample points per diagnostics run; each point's record is kept
+MAX_POINTS = 4096
 
 # float64 entries in one (m^(2n), 2n, 2n) flow array: 128 MiB.  The
 # descent holds about ten such arrays at once.
@@ -157,7 +164,8 @@ def _float_field(section: dict, key: str, default):
     return float(value)
 
 
-def _resolve_points(cfg: dict, spec, seed_override) -> np.ndarray:
+def _resolve_points(cfg: dict, seed_override) -> tuple[int, int]:
+    """The points count and seed, checked before any work is done."""
     section = cfg.get("points", {})
     if not isinstance(section, dict):
         raise ConfigError("\"points\" must be an object")
@@ -165,7 +173,16 @@ def _resolve_points(cfg: dict, spec, seed_override) -> np.ndarray:
     if unknown:
         raise ConfigError(f"unknown points fields: {', '.join(sorted(unknown))}")
     count = _int_field(section, "count", default=20, minimum=1)
-    return sample_points(spec, count, _resolve_seed(section, seed_override))
+    if count > MAX_POINTS:
+        raise ConfigError(f"field 'count' must be at most {MAX_POINTS}")
+    return count, _resolve_seed(section, seed_override)
+
+
+def _prepare(cfg: dict, seed_override):
+    """Geometry spec, structure and sample points of a diagnostics command."""
+    count, seed = _resolve_points(cfg, seed_override)
+    spec = spec_from_config(cfg["geometry"])
+    return spec, build_structure(spec), sample_points(spec, count, seed)
 
 
 # -- serialization ----------------------------------------------------------
@@ -215,9 +232,7 @@ def _geometry_echo(cfg: dict) -> dict:
 
 
 def _run_inspect(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
-    spec = spec_from_config(cfg["geometry"])
-    structure = build_structure(spec)
-    pts = _resolve_points(cfg, spec, seed_override)
+    spec, structure, pts = _prepare(cfg, seed_override)
     report = run_diagnostics(structure, pts, tol=tol)
 
     normalized = [rec.component_norms / rec.scale for rec in report.records]
@@ -263,9 +278,7 @@ def _run_inspect(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
 
 
 def _run_verify(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
-    spec = spec_from_config(cfg["geometry"])
-    structure = build_structure(spec)
-    pts = _resolve_points(cfg, spec, seed_override)
+    _, structure, pts = _prepare(cfg, seed_override)
     report = run_diagnostics(structure, pts, tol=tol)
 
     mixed = 0
@@ -313,9 +326,7 @@ def _run_verify(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
 
 
 def _run_classify(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
-    spec = spec_from_config(cfg["geometry"])
-    structure = build_structure(spec)
-    pts = _resolve_points(cfg, spec, seed_override)
+    spec, structure, pts = _prepare(cfg, seed_override)
     verdict = classify_gh(structure, pts, tol)
     expected = spec.metadata.get("expected_class")
     match = None
@@ -452,6 +463,10 @@ def main(argv=None) -> int:
     except (GeometryError, ParseError, EvalError) as exc:
         print(render_json({"schema": 1, "error": str(exc)}), file=sys.stderr)
         return EXIT_GEOMETRY
+    except InternalConventionError as exc:
+        error = f"internal check failed: {exc}"
+        print(render_json({"schema": 1, "error": error}), file=sys.stderr)
+        return EXIT_INTERNAL
 
     text = render_json(payload)
     print(text)

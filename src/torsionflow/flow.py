@@ -77,8 +77,9 @@ def _symbol(resolution: int, h: float) -> np.ndarray:
     return (8.0 * np.sin(k * h) - np.sin(2.0 * k * h)) / (6.0 * h)
 
 
-def _mode_weights(resolution: int, dim: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Multiplier sum_x d(k_x)^2 on the rfft grid, plus Parseval weights.
+def _mode_weights(resolution: int, dim: int, h: float) -> tuple[np.ndarray, ...]:
+    """Multiplier sum_x d(k_x)^2 on the rfft grid, Parseval weights, and
+    the strict-upper index pair of the dim x dim skew fields transformed.
 
     The real transform keeps only half of the last axis; weight 2 counts
     the dropped conjugate modes, except at k = 0 and Nyquist.
@@ -95,12 +96,11 @@ def _mode_weights(resolution: int, dim: int, h: float) -> tuple[np.ndarray, np.n
     weight[0] = 1.0
     if resolution % 2 == 0:
         weight[-1] = 1.0
-    return mult, weight
+    rows, cols = np.triu_indices(dim, 1)
+    return mult, weight, rows, cols
 
 
-def _dirichlet_modes(
-    values: np.ndarray, modes: tuple[np.ndarray, np.ndarray]
-) -> tuple[float, np.ndarray]:
+def _dirichlet_modes(values: np.ndarray, modes: tuple[np.ndarray, ...]) -> tuple[float, np.ndarray]:
     """sum_nodes sum_axes |D_x A|^2 via Parseval, A the skew part of ``values``.
 
     Only the strict-upper entries ½(v_ij - v_ji) are transformed, with
@@ -110,8 +110,7 @@ def _dirichlet_modes(
     is ``_mode_weights`` of the grid.  Also returns the packed transform
     for ``_skew_laplacian``.
     """
-    mult, weight = modes
-    rows, cols = np.triu_indices(values.shape[-1], 1)
+    mult, weight, rows, cols = modes
     entries = np.moveaxis(values, (-2, -1), (0, 1))
     packed = 0.5 * (entries[rows, cols] - entries[cols, rows])
     fhat = np.fft.rfftn(packed, axes=tuple(range(1, mult.ndim + 1)))
@@ -120,14 +119,13 @@ def _dirichlet_modes(
     return deriv_sq, fhat
 
 
-def _skew_laplacian(fhat: np.ndarray, modes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _skew_laplacian(fhat: np.ndarray, modes: tuple[np.ndarray, ...]) -> np.ndarray:
     """sum_x D_x D_x A through the multiplier -sum d(k_x)^2, rebuilt skew
     from the packed transform of ``_dirichlet_modes``."""
-    mult = modes[0]
+    mult, _, rows, cols = modes
     dim = mult.ndim
     grid = (mult.shape[0],) * dim
     packed = np.fft.irfftn(fhat * -mult, s=grid, axes=tuple(range(1, dim + 1)))
-    rows, cols = np.triu_indices(dim, 1)
     lap = np.zeros(grid + (dim, dim))
     upper = np.moveaxis(packed, 0, -1)
     lap[..., rows, cols] = upper

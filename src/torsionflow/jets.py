@@ -18,11 +18,10 @@ geometry (metrics, Christoffel symbols, curvature) is built on fields;
 ``jet_einsum`` contracts tensor axes while convolving coefficient axes.
 
 Multi-indices are ordered by total degree, then lexicographically, so a
-truncation to lower degree is a prefix slice.  A ``JetField`` tracks the
-degree up to which its coefficients are valid: differentiation lowers that
-degree by one, and mixed-degree products are valid only up to the smaller
-operand degree.  Coefficients beyond the valid degree are kept at exactly
-zero.
+truncation to lower degree is a prefix slice.  A ``JetField`` stores its
+coefficients only up to the degree at which they are valid, and the length
+of its coefficient axis is the record of that degree: differentiation drops
+the top degree, and sums and products keep the smaller operand degree.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "Jet",
     "jet_constant",
     "jet_variable",
-    "extract_partial",
     "jet_arith",
     "sin",
     "cos",
@@ -105,6 +103,8 @@ class JetSpace:
         self.nc_level = np.array(
             [int(np.searchsorted(self._order, d, side="right")) for d in range(degree + 1)]
         )
+        # a field's degree, read from the length of its coefficient axis
+        self.deg_of_nc = {int(nc): d for d, nc in enumerate(self.nc_level)}
 
         self._tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._build_tables()
@@ -123,7 +123,6 @@ class JetSpace:
 
     def _build_tables(self) -> None:
         order = self._order
-        nc = self.ncoeff
         ia_all: list[int] = []
         ib_all: list[int] = []
         out_all: list[int] = []
@@ -164,30 +163,18 @@ def jet_space(dim: int, degree: int) -> JetSpace:
 
 
 # ---------------------------------------------------------------------------
-# raw-coefficient kernels; data has shape tensor_shape + (ncoeff,)
+# raw-coefficient kernels; data has shape tensor_shape + (nc_at(deg),)
 # ---------------------------------------------------------------------------
 
 
 def _mul_data(space: JetSpace, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     ia, ib, starts = space.table(d)
-    prod = a[..., ia] * b[..., ib]
-    out_trunc = np.add.reduceat(prod, starts, axis=-1)
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (space.ncoeff,))
-    out[..., : space.nc_at(d)] = out_trunc
-    return out
+    return np.add.reduceat(a[..., ia] * b[..., ib], starts, axis=-1)
 
 
 def _diff_data(space: JetSpace, a: np.ndarray, c: int, new_deg: int) -> np.ndarray:
-    out = np.zeros_like(a)
-    idx = space._diff_idx[c]
-    out[..., : idx.size] = a[..., idx] * space._diff_coef[c]
-    out[..., space.nc_at(new_deg) :] = 0.0
-    return out
-
-
-def _trunc_tail(space: JetSpace, data: np.ndarray, d: int) -> np.ndarray:
-    data[..., space.nc_at(d) :] = 0.0
-    return data
+    nc = space.nc_at(new_deg)
+    return a[..., space._diff_idx[c, :nc]] * space._diff_coef[c, :nc]
 
 
 _SERIES_FNS: dict[str, Callable[[np.ndarray, int], list[np.ndarray]]] = {}
@@ -268,42 +255,46 @@ _NUMBERS = (int, float, np.floating, np.integer)
 
 
 class JetField:
-    """A tensor with jet entries: ndarray of shape ``shape + (ncoeff,)``.
+    """A tensor with jet entries: ndarray of shape ``shape + (nc_at(deg),)``.
 
-    ``deg`` is the degree up to which coefficients are valid; entries beyond
-    ``nc_at(deg)`` are kept at exactly zero.  Differentiation lowers ``deg``
-    by one; binary operations are valid to the smaller operand degree and
-    require both operands to live in the same ``JetSpace``.  Plain numbers
-    act as constant fields of this field's degree.  A shape-() field is a
-    scalar jet.
+    ``deg`` is the degree up to which coefficients are valid, and only those
+    coefficients are stored: ``deg`` is read from the length of the trailing
+    axis, which must be one of the space's prefix lengths ``nc_level``.
+    Differentiation lowers ``deg`` by one; binary operations are valid to
+    the smaller operand degree and require both operands to live in the
+    same ``JetSpace``.  Plain numbers act as constant fields of this field's
+    degree.  A shape-() field is a scalar jet.
     """
 
     __slots__ = ("space", "data", "deg")
 
-    def __init__(self, space: JetSpace, data: np.ndarray, deg: int | None = None):
+    def __init__(self, space: JetSpace, data: np.ndarray):
         data = np.asarray(data, dtype=float)
-        if data.shape[-1:] != (space.ncoeff,):
+        deg = space.deg_of_nc.get(data.shape[-1]) if data.ndim else None
+        if deg is None:
             raise JetError(
-                f"trailing axis must have length {space.ncoeff}, got shape {data.shape}"
+                f"trailing axis must have a length in {space.nc_level.tolist()}, "
+                f"got shape {data.shape}"
             )
         self.space = space
         self.data = data
-        self.deg = space.degree if deg is None else deg
-        if not 0 <= self.deg <= space.degree:
-            raise JetError(f"invalid field degree {self.deg}")
+        self.deg = deg
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def constants(space: JetSpace, values: np.ndarray, deg: int | None = None) -> "JetField":
         values = np.asarray(values, dtype=float)
-        data = np.zeros(values.shape + (space.ncoeff,))
-        data[..., 0] = values
-        return JetField(space, data, deg)
+        field = JetField.zeros(space, values.shape, deg)
+        field.data[..., 0] = values
+        return field
 
     @staticmethod
     def zeros(space: JetSpace, shape: tuple[int, ...], deg: int | None = None) -> "JetField":
-        return JetField(space, np.zeros(shape + (space.ncoeff,)), deg)
+        deg = space.degree if deg is None else deg
+        if not 0 <= deg <= space.degree:
+            raise JetError(f"invalid field degree {deg}")
+        return JetField(space, np.zeros(shape + (space.nc_at(deg),)))
 
     @staticmethod
     def variables(space: JetSpace, point: np.ndarray) -> "JetField":
@@ -331,14 +322,14 @@ class JetField:
         return self.data[..., 0].copy()
 
     def entry(self, *idx) -> "JetField":
-        return JetField(self.space, self.data[idx].copy(), self.deg)
+        return JetField(self.space, self.data[idx].copy())
 
     def coeff(self, alpha: tuple[int, ...]) -> np.ndarray:
         """The Taylor coefficient of multi-index ``alpha`` of every entry."""
-        try:
-            return self.data[..., self.space.index[tuple(alpha)]].copy()
-        except KeyError:
-            raise JetError(f"multi-index {alpha} not stored at degree {self.space.degree}")
+        i = self.space.index.get(tuple(alpha))
+        if i is None or i >= self.data.shape[-1]:
+            raise JetError(f"multi-index {alpha} not stored at degree {self.deg}")
+        return self.data[..., i].copy()
 
     def partial(self, alpha: tuple[int, ...]) -> np.ndarray:
         """The partial derivative d^alpha of every entry, i.e. coeff * alpha!."""
@@ -365,8 +356,8 @@ class JetField:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        d = self._binary_deg(o)
-        return JetField(self.space, _trunc_tail(self.space, self.data + o.data, d), d)
+        nc = self.space.nc_at(self._binary_deg(o))
+        return JetField(self.space, self.data[..., :nc] + o.data[..., :nc])
 
     __radd__ = __add__
 
@@ -374,8 +365,8 @@ class JetField:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        d = self._binary_deg(o)
-        return JetField(self.space, _trunc_tail(self.space, self.data - o.data, d), d)
+        nc = self.space.nc_at(self._binary_deg(o))
+        return JetField(self.space, self.data[..., :nc] - o.data[..., :nc])
 
     def __rsub__(self, other):
         o = self._operand(other)
@@ -384,14 +375,14 @@ class JetField:
         return o - self
 
     def __neg__(self):
-        return JetField(self.space, -self.data, self.deg)
+        return JetField(self.space, -self.data)
 
     def __mul__(self, other):
         if isinstance(other, _NUMBERS):
-            return JetField(self.space, self.data * float(other), self.deg)
+            return JetField(self.space, self.data * float(other))
         if isinstance(other, JetField):
             d = self._binary_deg(other)
-            return JetField(self.space, _mul_data(self.space, self.data, other.data, d), d)
+            return JetField(self.space, _mul_data(self.space, self.data, other.data, d))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -400,7 +391,7 @@ class JetField:
         if isinstance(other, _NUMBERS):
             if other == 0:
                 raise ZeroDivisionError("jet divided by zero scalar")
-            return JetField(self.space, self.data / float(other), self.deg)
+            return JetField(self.space, self.data / float(other))
         if isinstance(other, JetField):
             return self * other.fn("reciprocal")
         return NotImplemented
@@ -428,28 +419,28 @@ class JetField:
         return result
 
     def truncate(self, d: int) -> "JetField":
-        if d > self.deg:
-            raise JetError(f"cannot extend validity from degree {self.deg} to {d}")
-        return JetField(self.space, _trunc_tail(self.space, self.data.copy(), d), d)
+        if not 0 <= d <= self.deg:
+            raise JetError(f"cannot truncate a degree-{self.deg} field to degree {d}")
+        return JetField(self.space, self.data[..., : self.space.nc_at(d)].copy())
 
     def diff(self, c: int) -> "JetField":
         """Partial derivative with respect to coordinate ``c``."""
         if self.deg < 1:
             raise JetError("cannot differentiate a degree-0 jet field")
-        return JetField(self.space, _diff_data(self.space, self.data, c, self.deg - 1), self.deg - 1)
+        return JetField(self.space, _diff_data(self.space, self.data, c, self.deg - 1))
 
     def grad(self) -> "JetField":
         """Stack of all coordinate derivatives along a new last tensor axis."""
         parts = [self.diff(c).data for c in range(self.space.dim)]
-        return JetField(self.space, np.stack(parts, axis=-2), self.deg - 1)
+        return JetField(self.space, np.stack(parts, axis=-2))
 
     def transpose(self, axes: tuple[int, ...]) -> "JetField":
         full = tuple(axes) + (self.data.ndim - 1,)
-        return JetField(self.space, np.transpose(self.data, full), self.deg)
+        return JetField(self.space, np.transpose(self.data, full))
 
     def fn(self, name: str) -> "JetField":
         """Apply an elementary analytic function entrywise."""
-        return JetField(self.space, _apply_series(self.space, self.data, self.deg, name), self.deg)
+        return JetField(self.space, _apply_series(self.space, self.data, self.deg, name))
 
 
 # the scalar jet is the shape-() field
@@ -475,10 +466,6 @@ def jet_variable(i: int, value: float, dim: int, degree: int) -> JetField:
     if degree >= 1:
         data[space.index[tuple(1 if k == i else 0 for k in range(dim))]] = 1.0
     return JetField(space, data)
-
-
-def extract_partial(jet: JetField, alpha: tuple[int, ...]) -> np.ndarray:
-    return jet.partial(alpha)
 
 
 def _unary(name: str):
@@ -535,10 +522,7 @@ def jet_einsum(subscripts: str, a: JetField, b: JetField) -> JetField:
     s1, s2 = lhs.split(",")
     pair = next(c for c in "zwvutsrqpon" if c not in subscripts)
     prod = np.einsum(f"{s1}{pair},{s2}{pair}->{out}{pair}", a.data[..., ia], b.data[..., ib])
-    res = np.add.reduceat(prod, starts, axis=-1)
-    full = np.zeros(res.shape[:-1] + (space.ncoeff,))
-    full[..., : space.nc_at(d)] = res
-    return JetField(space, full, d)
+    return JetField(space, np.add.reduceat(prod, starts, axis=-1))
 
 
 def jet_matrix_inverse(a: JetField) -> JetField:

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from torsionflow import diagnostics
 from torsionflow.catalog import build_structure, sample_points, spec_from_config
-from torsionflow.cli import main, render_json
+from torsionflow.cli import MAX_POINTS, main, render_json
 from torsionflow.diagnostics import classify_gh, coderivative_xi, point_scale, star_ricci
 from torsionflow.flow import JGrid, grid_payload, random_grid
 
@@ -45,6 +46,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
         {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"count": 0}},
         {"schema": 1},
         {"schema": 1, "geometry": {"type": "flat", "n": 2}, "tol": float("inf")},
+        # refused before the structure is built or any point sampled
+        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"count": MAX_POINTS + 1}},
+        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"count": 10**12}},
     ]
     for idx, cfg in enumerate(bad):
         path = write_config(tmp_path, f"bad{idx}.json", cfg)
@@ -129,6 +133,17 @@ def test_geometry_errors_exit_3(tmp_path, capsys):
         assert code == 3, geo
         assert out == ""
         assert "error" in json.loads(err)
+
+
+def test_internal_check_failure_exits_5(tmp_path, capsys, monkeypatch):
+    # a negative route tolerance makes every cross-route check fail, as a
+    # sign or layout bug would; that must not read as a failed residual
+    monkeypatch.setattr(diagnostics, "ROUTE_TOL", -1.0)
+    path = write_config(tmp_path, "flat.json", geometry_config({"type": "flat", "n": 2}))
+    code, out, err = run(["inspect", "--config", path], capsys)
+    assert code == 5
+    assert out == ""
+    assert "internal check failed" in json.loads(err)["error"]
 
 
 def test_inspect_flat_is_all_zero(tmp_path, capsys):

@@ -202,7 +202,7 @@ def test_division_roundtrip():
 
 
 def entry(field, i):
-    return JetField(field.space, field.data[i].copy(), field.deg)
+    return JetField(field.space, field.data[i].copy())
 
 
 def test_field_matches_scalar_jets():
@@ -228,7 +228,7 @@ def test_field_diff_and_degree_tracking():
     assert g.deg == 4
     h = g.diff(0) * g
     assert h.deg == 3
-    assert np.all(h.data[..., sp.nc_at(3):] == 0.0)
+    assert h.data.shape[-1] == sp.nc_at(3)
     with pytest.raises(JetError):
         f.truncate(0).diff(0)
 
@@ -301,9 +301,67 @@ def test_field_number_arithmetic_matches_entries():
     for op in NUMBER_OPS:
         r = op(e)
         assert r.deg == 2
-        assert np.all(r.data[sp.nc_at(2) :] == 0.0)
+        assert r.data.shape[-1] == sp.nc_at(2)
 
     other = JetField.constants(jet_space(2, 3), 1.0)
     for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b):
         with pytest.raises(JetError):
             op(f, other)
+
+
+# each op maps (a, b) to a field and (deg a, deg b) to the degree it is valid to
+STORAGE_OPS = {
+    "add": (lambda a, b: a + b, min),
+    "sub": (lambda a, b: a - b, min),
+    "mul": (lambda a, b: a * b, min),
+    "div": (lambda a, b: a / b, min),
+    "pow3": (lambda a, b: a**3, lambda da, db: da),
+    "einsum": (lambda a, b: jet_einsum("ij,jk->ik", a, b), min),
+    "diff": (lambda a, b: a.diff(1), lambda da, db: da - 1),
+    "grad": (lambda a, b: a.grad(), lambda da, db: da - 1),
+    "truncate": (lambda a, b: a.truncate(a.deg // 2), lambda da, db: da // 2),
+    "entry": (lambda a, b: a.entry(0, 1), lambda da, db: da),
+    "transpose": (lambda a, b: a.transpose((1, 0)), lambda da, db: da),
+    "fn": (lambda a, b: a.fn("sqrt"), lambda da, db: da),
+}
+
+
+@pytest.mark.parametrize("name", list(STORAGE_OPS))
+def test_fields_store_only_their_valid_degree(name):
+    """A result holds exactly nc_at(deg) coefficients, bit-equal to the
+    same operation on full-degree operands truncated afterwards: the short
+    storage drops only coefficients that were never valid."""
+    op, result_deg = STORAGE_OPS[name]
+    sp = jet_space(3, 4)
+    rng = np.random.default_rng(17)
+    full_a = JetField(sp, rng.normal(size=(3, 3, sp.ncoeff)))
+    full_b = JetField(sp, rng.normal(size=(3, 3, sp.ncoeff)))
+    full_a.data[..., 0] = rng.uniform(2.0, 3.0, size=(3, 3))  # sqrt needs > 0
+    full_b.data[..., 0] = rng.uniform(2.0, 3.0, size=(3, 3))  # division needs != 0
+    for da in range(sp.degree + 1):
+        for db in range(sp.degree + 1):
+            deg = result_deg(da, db)
+            if deg < 0:
+                continue  # a degree-0 field has no derivative
+            got = op(full_a.truncate(da), full_b.truncate(db))
+            assert got.deg == deg
+            assert got.data.shape[-1] == sp.nc_at(deg)
+            want = op(full_a, full_b).truncate(deg)
+            assert _same_bits(got.data, want.data), (name, da, db)
+
+
+def test_storage_length_is_the_degree():
+    sp = jet_space(3, 4)  # prefix lengths 1, 4, 10, 20, 35
+    for d in range(sp.degree + 1):
+        assert JetField(sp, np.zeros((2, sp.nc_at(d)))).deg == d
+    for bad in (np.zeros(5), np.zeros((2, 36)), np.zeros((3, 0)), np.array(1.0)):
+        with pytest.raises(JetError):
+            JetField(sp, bad)
+    f = JetField(sp, np.arange(sp.nc_at(3), dtype=float))
+    assert f.coeff((1, 1, 1)) == float(sp.index[(1, 1, 1)])
+    with pytest.raises(JetError):
+        f.coeff((2, 2, 0))
+    with pytest.raises(JetError):
+        f.partial((0, 0, 4))
+    with pytest.raises(JetError):
+        f.truncate(4)
