@@ -11,8 +11,10 @@ Exit codes: 0 pass, 1 residual failure, 2 config error (including
 undecodable JSON, a negative seed, a points count above MAX_POINTS and
 a flow grid above MAX_GRID_ENTRIES), 3 geometry error (including an
 expression nested deeper than exprlang.MAX_DEPTH), 4 flow stall, 5
-internal check failure (a cross-route or convention check disagreed:
-a bug in the package, not a verdict on the geometry).
+internal check failure (a cross-route or convention check disagreed,
+or a flow step drifted off the constraint set by more than
+flow.DRIFT_TOL: a bug in the package, not a verdict on the geometry
+or the config).
 """
 
 from __future__ import annotations
@@ -457,16 +459,17 @@ def main(argv=None) -> int:
         payload, code = run_command(
             args.command, cfg, tol=args.tol, seed=args.seed, out=args.out
         )
+    except InternalConventionError as exc:
+        # before GridError: flow.DriftError is both
+        error = f"internal check failed: {exc}"
+        print(render_json({"schema": 1, "error": error}), file=sys.stderr)
+        return EXIT_INTERNAL
     except (ConfigError, GridError) as exc:
         print(render_json({"schema": 1, "error": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
     except (GeometryError, ParseError, EvalError) as exc:
         print(render_json({"schema": 1, "error": str(exc)}), file=sys.stderr)
         return EXIT_GEOMETRY
-    except InternalConventionError as exc:
-        error = f"internal check failed: {exc}"
-        print(render_json({"schema": 1, "error": error}), file=sys.stderr)
-        return EXIT_INTERNAL
 
     text = render_json(payload)
     print(text)

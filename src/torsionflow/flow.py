@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import FramePack
-from .unstruct import TorsionTensor, _frame_gray_hervella, random_j_values
+from .unstruct import InternalConventionError, TorsionTensor, _frame_gray_hervella, random_j_values
 
 __all__ = [
     "GridError",
+    "DriftError",
     "JGrid",
     "FlowTrace",
     "FlowResult",
@@ -61,6 +62,10 @@ _STENCIL = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
 
 class GridError(ValueError):
     """Invalid grid data, resolution, or a violated step invariant."""
+
+
+class DriftError(GridError, InternalConventionError):
+    """A step drifted past DRIFT_TOL: a fault of the retraction kernels."""
 
 
 def _diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -336,9 +341,29 @@ def _expm_skew(a: np.ndarray) -> np.ndarray:
 
 
 def _cayley(a: np.ndarray) -> np.ndarray:
-    """(I - a/2)^{-1}(I + a/2): exactly orthogonal for skew a."""
-    eye = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
-    return np.linalg.solve(eye - 0.5 * a, eye + 0.5 * a)
+    """(I - a/2)^{-1}(I + a/2): exactly orthogonal for skew a.
+
+    Gaussian elimination on all nodes at once: both sides are laid out
+    component first, (d, d, nodes), and each of the d - 1 forward and d
+    back steps updates whole rows.  No pivoting: I - a/2 has symmetric
+    part I, each Schur complement keeps a symmetric part >= I, so every
+    pivot is >= 1 (Golub & Van Loan §4.4).  Returns a C-contiguous array.
+    """
+    d = a.shape[-1]
+    comps = a.reshape(-1, d * d).T.reshape(d, d, -1)
+    lhs = np.multiply(comps, -0.5, out=np.empty(comps.shape))
+    rhs = np.multiply(comps, 0.5, out=np.empty(comps.shape))
+    # every (d + 1)-th entry of the flattened (d, d) axis is diagonal
+    lhs.reshape(d * d, -1)[:: d + 1] += 1.0
+    rhs.reshape(d * d, -1)[:: d + 1] += 1.0
+    for k in range(d - 1):
+        f = lhs[k + 1 :, k] / lhs[k, k]
+        lhs[k + 1 :, k + 1 :] -= f[:, None] * lhs[k, k + 1 :]
+        rhs[k + 1 :] -= f[:, None] * rhs[k]
+    for k in range(d - 1, -1, -1):
+        rhs[k] -= np.sum(lhs[k, k + 1 :, None] * rhs[k + 1 :], axis=0)
+        rhs[k] /= lhs[k, k]
+    return np.ascontiguousarray(rhs.reshape(d * d, -1).T).reshape(a.shape)
 
 
 def variation(grid: JGrid, phi: np.ndarray, eps: float) -> JGrid:
@@ -484,7 +509,7 @@ def descend(
             q = _cayley(step * g)
             trial, drift = _nearest_structure(q @ vals @ np.swapaxes(q, -1, -2))
             if drift > DRIFT_TOL:
-                raise GridError(f"per-step drift {drift:.3e} exceeds {DRIFT_TOL}")
+                raise DriftError(f"per-step drift {drift:.3e} exceeds {DRIFT_TOL}")
             trial_sq, trial_hat = _dirichlet_modes(trial, modes)
             trial_e = 0.125 * vol * trial_sq
             if trial_e <= e - decrease * step * slope:

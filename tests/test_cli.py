@@ -146,6 +146,21 @@ def test_internal_check_failure_exits_5(tmp_path, capsys, monkeypatch):
     assert "internal check failed" in json.loads(err)["error"]
 
 
+def test_flow_drift_exits_5(tmp_path, capsys, monkeypatch):
+    # a retraction that leaves the constraint set is a kernel bug, not a
+    # config error
+    from torsionflow import flow
+
+    cayley = flow._cayley
+    monkeypatch.setattr(flow, "_cayley", lambda a: (1.0 + 1e-6) * cayley(a))
+    cfg = {"schema": 1, "command": "flow", "flow": {"seed": 7, "n": 2, "m": 4, "max_iter": 2}}
+    path = write_config(tmp_path, "drift.json", cfg)
+    code, out, err = run(["flow", "--config", path], capsys)
+    assert code == 5
+    assert out == ""
+    assert "drift" in json.loads(err)["error"]
+
+
 def test_inspect_flat_is_all_zero(tmp_path, capsys):
     path = write_config(
         tmp_path, "flat.json", geometry_config({"type": "flat", "n": 2}, count=3)

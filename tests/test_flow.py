@@ -21,6 +21,7 @@ from torsionflow.flow import (
     uperp_project,
     variation,
     write_trace_csv,
+    _cayley,
     _dirichlet_modes,
     _diff,
     _mode_weights,
@@ -252,6 +253,51 @@ def test_descend_rejects_drift_above_tolerance(monkeypatch):
     monkeypatch.setattr(flow, "_cayley", lambda a: (1.0 + 1e-6) * cayley(a))
     with pytest.raises(GridError, match="drift"):
         descend(random_grid(7, 2, 6), max_iter=2)
+
+
+def _solve_cayley(a):
+    """The Cayley factor by one LAPACK solve per node: the kernel's oracle."""
+    eye = np.eye(a.shape[-1])
+    return np.linalg.solve(eye - 0.5 * a, eye + 0.5 * a)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+@pytest.mark.parametrize(
+    "size, gap_bound, orth_bound",
+    [
+        # flow steps: |a| = 1e-2 per node; measured <= 3.4e-16 and <= 6.7e-16
+        (1e-2, 4e-15, 4e-15),
+        # entries ~ N(0, 10^2); measured <= 4.4e-15 and <= 9.6e-15
+        (10.0, 1e-13, 1e-13),
+    ],
+)
+def test_cayley_matches_the_solve(d, size, gap_bound, orth_bound):
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((3, 5, d, d))
+    a = (g - np.swapaxes(g, -1, -2)) / np.sqrt(2.0)
+    if size < 1.0:
+        a *= size / np.sqrt(np.sum(a * a, axis=(-2, -1), keepdims=True))
+    else:
+        a *= size
+    q = _cayley(a)
+    assert q.shape == a.shape and q.flags.c_contiguous
+    assert np.abs(q - _solve_cayley(a)).max() <= gap_bound
+    assert np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(d)).max() <= orth_bound
+
+
+@pytest.mark.parametrize("n, m", [(2, 6), (3, 4)])
+def test_descend_follows_the_solve_trajectory(monkeypatch, n, m):
+    # at d = 6 u(n)-perp is 6-dimensional, so the elimination's later
+    # rows see non-trivial Schur complements
+    from torsionflow import flow
+
+    ours = descend(random_grid(7, n, m), max_iter=5)
+    monkeypatch.setattr(flow, "_cayley", _solve_cayley)
+    theirs = descend(random_grid(7, n, m), max_iter=5)
+    assert len(ours.trace) == len(theirs.trace) == 6
+    assert [r.step for r in ours.trace] == [r.step for r in theirs.trace]
+    for a, b in zip(ours.trace, theirs.trace):
+        assert abs(a.energy - b.energy) <= 1e-13 * b.energy
 
 
 def test_descend_reports_budget_exhaustion():
