@@ -8,13 +8,15 @@ writes its trace.  Reports are deterministic for a fixed config and
 seed; every float is serialized with 17 significant digits.
 
 Exit codes: 0 pass, 1 residual failure, 2 config error (including
-undecodable JSON, a negative seed, a points count above MAX_POINTS and
-a flow grid above MAX_GRID_ENTRIES), 3 geometry error (including an
-expression nested deeper than exprlang.MAX_DEPTH), 4 flow stall, 5
-internal check failure (a cross-route or convention check disagreed,
-or a flow step drifted off the constraint set by more than
-flow.DRIFT_TOL: a bug in the package, not a verdict on the geometry
-or the config).
+undecodable JSON, a negative seed, a points count above MAX_POINTS, a
+flow grid above MAX_GRID_ENTRIES, an --out outside an existing
+directory and a failed report or artifact write), 3 geometry error
+(including an expression nested deeper than exprlang.MAX_DEPTH), 4 flow
+stall, 5 internal failure (a cross-route or convention check disagreed,
+a flow step drifted past flow.DRIFT_TOL, or any other exception, report
+rendering included: a bug in the package, not a verdict on the
+geometry or the config).  An error exit writes one JSON error to
+stderr and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 import unicodedata
 from pathlib import Path
 
@@ -452,29 +455,39 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(error: str, code: int) -> int:
+    print(render_json({"schema": 1, "error": error}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.out is not None and not Path(args.out).parent.is_dir():
+            raise ConfigError(f"--out {args.out}: parent is not an existing directory")
         cfg = load_config(args.config)
         payload, code = run_command(
             args.command, cfg, tol=args.tol, seed=args.seed, out=args.out
         )
+        text = render_json(payload)
+        if args.out:
+            Path(args.out).write_text(text + "\n")
     except InternalConventionError as exc:
         # before GridError: flow.DriftError is both
-        error = f"internal check failed: {exc}"
-        print(render_json({"schema": 1, "error": error}), file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(f"internal check failed: {exc}", EXIT_INTERNAL)
     except (ConfigError, GridError) as exc:
-        print(render_json({"schema": 1, "error": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(str(exc), EXIT_CONFIG)
     except (GeometryError, ParseError, EvalError) as exc:
-        print(render_json({"schema": 1, "error": str(exc)}), file=sys.stderr)
-        return EXIT_GEOMETRY
+        return _fail(str(exc), EXIT_GEOMETRY)
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}", EXIT_CONFIG)
+    except Exception as exc:
+        # a bug in the package: name where it was raised, without a traceback
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        origin = f"{Path(where.filename).name}:{where.lineno}"
+        return _fail(f"internal error: {type(exc).__name__}: {exc} ({origin})", EXIT_INTERNAL)
 
-    text = render_json(payload)
     print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
     return code
 
 

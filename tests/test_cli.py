@@ -161,6 +161,69 @@ def test_flow_drift_exits_5(tmp_path, capsys, monkeypatch):
     assert "drift" in json.loads(err)["error"]
 
 
+SMALL_FLOW = {"schema": 1, "command": "flow", "flow": {"seed": 7, "n": 2, "m": 4, "max_iter": 2}}
+
+
+def _must_not_run(*args, **kwargs):
+    pytest.fail("the command ran before its --out was checked")
+
+
+@pytest.mark.parametrize("command", ["flow", "inspect"])
+def test_out_into_missing_directory_exits_2(tmp_path, capsys, monkeypatch, command):
+    from torsionflow import cli
+
+    monkeypatch.setattr(cli, "descend", _must_not_run)
+    monkeypatch.setattr(cli, "run_diagnostics", _must_not_run)
+    cfg = SMALL_FLOW if command == "flow" else geometry_config({"type": "flat", "n": 2})
+    path = write_config(tmp_path, "cfg.json", cfg)
+    missing = tmp_path / "missing" / "dir" / "run.json"
+    code, out, err = run([command, "--config", path, "--out", str(missing)], capsys)
+    assert code == 2
+    assert out == ""
+    assert str(missing) in json.loads(err)["error"]
+
+
+def test_failed_report_or_artifact_write_exits_2(tmp_path, capsys):
+    # the report path is a directory; then the trace CSV's path is one
+    path = write_config(tmp_path, "flow.json", SMALL_FLOW)
+    (tmp_path / "taken").mkdir()
+    code, out, err = run(["flow", "--config", path, "--out", str(tmp_path / "taken")], capsys)
+    assert (code, out) == (2, "")
+    assert "cannot write" in json.loads(err)["error"]
+    (tmp_path / "run.trace.csv").mkdir()
+    code, out, err = run(["flow", "--config", path, "--out", str(tmp_path / "run.json")], capsys)
+    assert (code, out) == (2, "")
+    assert "run.trace.csv" in json.loads(err)["error"]
+    assert not (tmp_path / "run.json").exists()
+
+
+def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
+    from torsionflow import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("descent exploded")
+
+    path = write_config(tmp_path, "flow.json", SMALL_FLOW)
+    monkeypatch.setattr(cli, "descend", broken)
+    code, out, err = run(["flow", "--config", path], capsys)
+    assert (code, out) == (5, "")
+    error = json.loads(err)["error"]
+    assert error.startswith("internal error: RuntimeError: descent exploded (test_cli.py:")
+
+
+def test_non_finite_report_exits_5(tmp_path, capsys, monkeypatch):
+    # render_json refuses NaN; that is a bug in the package, not a
+    # failed residual, and must not end in a traceback
+    from torsionflow import cli
+
+    monkeypatch.setattr(cli, "energy", lambda grid: float("nan"))
+    path = write_config(tmp_path, "flow.json", SMALL_FLOW)
+    code, out, err = run(["flow", "--config", path], capsys)
+    assert (code, out) == (5, "")
+    assert "non-finite" in json.loads(err)["error"]
+    assert "Traceback" not in err
+
+
 def test_inspect_flat_is_all_zero(tmp_path, capsys):
     path = write_config(
         tmp_path, "flat.json", geometry_config({"type": "flat", "n": 2}, count=3)

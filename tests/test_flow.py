@@ -25,7 +25,9 @@ from torsionflow.flow import (
     _dirichlet_modes,
     _diff,
     _mode_weights,
+    _nearest_structure,
     _skew_laplacian,
+    _structure_defect,
 )
 from torsionflow.unstruct import intrinsic_torsion, random_structure
 
@@ -236,6 +238,8 @@ def test_descend_converges_monotonically():
     assert all(b >= a for a, b in zip(millis, millis[1:]))
     final = pointwise_norms(gradient(result.grid)).max()
     assert final < result.terminal_grad_norm
+    assert result.terminal_pointwise == final
+    assert result.terminal_grad_norm == l2_norm(result.grid, gradient(result.grid))
 
 
 def test_descend_carries_the_accepted_trial_energy():
@@ -298,6 +302,99 @@ def test_descend_follows_the_solve_trajectory(monkeypatch, n, m):
     assert [r.step for r in ours.trace] == [r.step for r in theirs.trace]
     for a, b in zip(ours.trace, theirs.trace):
         assert abs(a.energy - b.energy) <= 1e-13 * b.energy
+
+
+def _transposed_nearest_structure(values):
+    """Polar projection with every a^T and v^T a swapaxes view: the oracle
+    for the contiguous operands of ``_nearest_structure``."""
+    eye = np.eye(values.shape[-1])
+    sq = np.abs(values @ values + eye).max()
+    orth = np.abs(np.swapaxes(values, -1, -2) @ values - eye).max()
+    drift = float(max(sq, orth))
+    a = 0.5 * (values - np.swapaxes(values, -1, -2))
+    for _ in range(8):
+        gram = np.swapaxes(a, -1, -2) @ a
+        if float(np.abs(gram - eye).max()) <= 1e-14:
+            return a, drift
+        a = a @ (1.5 * eye - 0.5 * gram)
+    raise GridError("polar projection did not converge")
+
+
+def _cayley_step_field():
+    g = random_grid(7, 2, 8)
+    q = _cayley(1e-2 * gradient(g))
+    return q @ g.values @ np.swapaxes(q, -1, -2)
+
+
+def _noisy_field(scale):
+    # the grid of test_reprojection_removes_drift; noise 1e-11 needs one
+    # sweep, 1e-6 two, and only the second reads a swept gram's bits
+    g = random_grid(2, 2, 6)
+    return g.values + scale * np.random.default_rng(0).standard_normal(g.values.shape)
+
+
+@pytest.mark.parametrize(
+    "make, swept",
+    [
+        (_cayley_step_field, False),
+        (lambda: _noisy_field(1e-11), True),
+        (lambda: _noisy_field(1e-6), True),
+        (lambda: random_grid(5, 3, 4).values, False),
+    ],
+    ids=["cayley-step", "noise-1e-11", "noise-1e-6", "n3-m4"],
+)
+def test_nearest_structure_matches_the_transposed_oracle(make, swept):
+    values = make()
+    ours, drift = _nearest_structure(values)
+    theirs, oracle_drift = _transposed_nearest_structure(values)
+    assert np.array_equal(ours, theirs)
+    assert drift == oracle_drift
+    skew = 0.5 * (values - np.swapaxes(values, -1, -2))
+    assert np.array_equal(ours, skew) != swept
+
+
+@pytest.mark.parametrize("n, m", [(2, 6), (3, 4)])
+def test_descend_follows_the_transposed_oracle(monkeypatch, n, m):
+    from torsionflow import flow
+
+    ours = descend(random_grid(7, n, m), max_iter=5)
+    monkeypatch.setattr(flow, "_nearest_structure", _transposed_nearest_structure)
+    theirs = descend(random_grid(7, n, m), max_iter=5)
+    assert len(ours.trace) == len(theirs.trace) == 6
+    for a, b in zip(ours.trace, theirs.trace):
+        assert (a.energy, a.grad_norm, a.step) == (b.energy, b.grad_norm, b.step)
+    assert np.array_equal(ours.grid.values, theirs.grid.values)
+    assert ours.max_drift == theirs.max_drift
+
+
+def test_structure_defect_measures_jt_j_not_j_jt():
+    # J = S J0 S^-1 with S not orthogonal: J^2 = -Id to roundoff, but
+    # J^T J and J J^T miss Id by different amounts (8.90587e-3 and
+    # 8.90591e-3), so a transposition slip in the defect shows
+    j0 = JGrid.constant(2, 4).values
+    s = np.eye(4) + 1e-3 * np.random.default_rng(0).standard_normal(j0.shape)
+    j = s @ j0 @ np.linalg.inv(s)
+    eye = np.eye(4)
+    jtj = np.abs(np.einsum("...ki,...kj->...ij", j, j) - eye).max()
+    jjt = np.abs(np.einsum("...ik,...jk->...ij", j, j) - eye).max()
+    assert np.abs(j @ j + eye).max() < 1e-14
+    assert abs(_structure_defect(j) - jtj) <= 1e-14
+    assert abs(_structure_defect(j) - jjt) > 1e-9
+
+
+def test_terminal_gradient_is_the_loop_gradient():
+    # descend reports the terminal norms from its last gradient, which
+    # must be the gradient of the returned grid bit for bit (a converged
+    # run is checked in test_descend_converges_monotonically)
+    for grid, kwargs in (
+        (random_grid(3, 2, 8), {"max_iter": 3}),
+        (random_grid(5, 3, 4), {"max_iter": 4}),
+        (JGrid.constant(2, 8), {}),
+    ):
+        result = descend(grid, **kwargs)
+        terminal = gradient(result.grid)
+        assert result.terminal_grad_norm == l2_norm(result.grid, terminal)
+        assert result.terminal_pointwise == float(pointwise_norms(terminal).max())
 
 
 def test_descend_reports_budget_exhaustion():
