@@ -16,6 +16,8 @@ Charts:
 Canonical structures on 3-symmetric spaces other than the six-sphere
 (which are quasi-Kahler with parallel torsion) are not modelled here;
 the six-sphere is the built-in representative.
+
+Kept for the tests only: ``octonion_multiply`` and ``cross7`` (the Fano table).
 """
 
 from __future__ import annotations
@@ -44,11 +46,8 @@ __all__ = [
     "octonion_structure_constants",
     "cross7",
     "octonion_multiply",
-    "CATALOG_NAMES",
     "FANO_TRIPLES",
 ]
-
-CATALOG_NAMES = ("flat", "conformal", "hopf", "s6")
 
 # Cayley basis: e_a e_b = e_c with sign +1 for each cyclic rotation of
 # these index triples (1-based), -1 for the transpositions.

@@ -34,17 +34,7 @@ import numpy as np
 from .catalog import build_structure, sample_points, spec_from_config
 from .diagnostics import IDENTITY_NAMES, ROUTE_NAMES, classify_gh, gh_label, run_diagnostics
 from .exprlang import EvalError, ParseError
-from .flow import (
-    GridError,
-    calibrate_sign,
-    descend,
-    energy,
-    gradient,
-    grid_payload,
-    l2_norm,
-    random_grid,
-    write_trace_csv,
-)
+from .flow import GridError, calibrate_sign, descend, grid_payload, random_grid, write_trace_csv
 from .geometry import GeometryError
 from .unstruct import InternalConventionError
 
@@ -379,11 +369,9 @@ def _run_flow(cfg: dict, tol: float, seed_override, out) -> tuple[dict, int]:
         )
 
     grid = random_grid(seed, n, m, amplitude)
-    initial_energy = energy(grid)
-    initial_grad = l2_norm(grid, gradient(grid))
-    sign = calibrate_sign(grid) if initial_grad > 1e-10 else None
-
     result = descend(grid, max_iter=max_iter, tol_grad=tol_grad)
+    start = result.trace[0]  # the starting grid's energy and gradient norm
+    sign = calibrate_sign(grid) if start.grad_norm > 1e-10 else None
     energies = [row.energy for row in result.trace]
     monotone = all(b <= a for a, b in zip(energies, energies[1:]))
 
@@ -401,7 +389,7 @@ def _run_flow(cfg: dict, tol: float, seed_override, out) -> tuple[dict, int]:
         "flow": dict(section),
         "sign_audit": "paper-convention",
         "sign": sign,
-        "initial_energy": initial_energy,
+        "initial_energy": start.energy,
         "final_energy": energies[-1],
         "iterations": len(result.trace) - 1,
         "terminal_grad_norm": result.terminal_grad_norm,

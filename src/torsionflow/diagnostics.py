@@ -17,6 +17,10 @@ if" directly, so tests assert that both members vanish together.
 Conventions follow the rest of the package: R(X,Y) = nabla_[X,Y] -
 [nabla_X, nabla_Y], omega(X,Y) = <X, JY>, xi_X = -1/2 J (nabla_X J),
 and tensor inner products contract every slot in an orthonormal frame.
+
+Kept for the tests only: the theorem checks ``class_criteria``,
+``w1w4_laplacian_residual``, ``nearly_kahler_suite`` and
+``conformal_example_check``, and ``point_scale`` (the verdict scale).
 """
 
 from __future__ import annotations

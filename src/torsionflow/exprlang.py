@@ -21,16 +21,18 @@ operators is as deep as it is long).  Parsing, evaluation and
 overflow the interpreter stack into a parse error.
 
 Parse errors carry the byte offset of the offending token and a short
-description of what was expected.
+description of what was expected.  Kept for the tests only: ``pretty``
+(the parser's round-trip oracle).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
-from .jets import JetField, jet_arith, jet_constant, jet_variable
+from .jets import JetField, jet_constant, jet_variable
 
 __all__ = [
     "ParseError",
@@ -50,6 +52,7 @@ __all__ = [
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 CONSTANTS = {"pi": math.pi, "e": math.e}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 # parsing recurses about five frames per parenthesis level, so 100 levels
 # stay well inside Python's default recursion limit of 1000
 MAX_DEPTH = 100
@@ -213,7 +216,11 @@ class _Parser:
                 if nkind != "num" or any(c in ntext for c in ".eE"):
                     raise ParseError("exponent must be an integer literal", npos)
                 self.advance()
-                e = Pow(pos=pos, base=e, exponent=sign * int(ntext))
+                try:
+                    exponent = int(ntext)
+                except ValueError as err:
+                    raise ParseError("exponent literal is too long", npos) from err
+                e = Pow(pos=pos, base=e, exponent=sign * exponent)
             else:
                 return e
 
@@ -316,15 +323,13 @@ def eval_expr(expr: Expr, point, dim: int, degree: int) -> JetField:
         if isinstance(e, Call):
             arg = rec(e.arg)
             try:
-                return jet_arith(e.fn, arg)
+                return arg.fn(e.fn)
             except ValueError as err:
                 raise EvalError(f"{e.fn}: {err}", e.pos) from err
         if isinstance(e, BinOp):
             lhs, rhs = rec(e.lhs), rec(e.rhs)
             try:
-                return jet_arith(
-                    {"+": "add", "-": "sub", "*": "mul", "/": "div"}[e.op], lhs, rhs
-                )
+                return _BINARY[e.op](lhs, rhs)
             except ValueError as err:
                 raise EvalError(f"operator {e.op}: {err}", e.pos) from err
         if isinstance(e, Pow):

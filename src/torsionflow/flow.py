@@ -15,6 +15,9 @@ skew part (6 of 16 entries at n = 2) and ``_skew_laplacian`` rebuilds
 the skew Laplacian from its inverse transform.  ``descend`` projects
 each trial before its Armijo test and reuses the accepted trial's
 transform as the next state's.
+
+Kept for the tests only: ``grid_torsion`` (converges to the jet torsion),
+``hessian_form`` (second variation) and ``bracket_u_defect`` ([m, m] in u(n)).
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import FramePack
-from .unstruct import InternalConventionError, TorsionTensor, _frame_gray_hervella, random_j_values
+from .unstruct import InternalConventionError, TorsionTensor, _frame_gray_hervella, random_j_values, standard_j
 
 __all__ = [
     "GridError",
@@ -232,12 +234,8 @@ class JGrid:
         return JGrid(self.n, self.resolution, values), drift
 
     @classmethod
-    def constant(cls, n: int, resolution: int, j0: np.ndarray | None = None) -> "JGrid":
-        if j0 is None:
-            j0 = np.zeros((2 * n, 2 * n))
-            for k in range(n):
-                j0[2 * k + 1, 2 * k] = 1.0
-                j0[2 * k, 2 * k + 1] = -1.0
+    def constant(cls, n: int, resolution: int) -> "JGrid":
+        j0 = standard_j(n)
         values = np.broadcast_to(j0, (resolution,) * (2 * n) + j0.shape).copy()
         return cls(n, resolution, values)
 
@@ -282,14 +280,12 @@ def grid_torsion(grid: JGrid, node: tuple[int, ...]) -> TorsionTensor:
     xi = -0.5 * np.einsum("km,amy->aky", jn, dj)
     xi1, xi2, xi3, xi4 = _frame_gray_hervella(xi, jn, grid.n)
     return TorsionTensor(
-        point=grid.spacing * np.asarray(node, dtype=float),
         xi=xi,
         xi1=xi1,
         xi2=xi2,
         xi3=xi3,
         xi4=xi4,
         lee_vector=np.einsum("iki->k", xi),
-        frame=FramePack(np.eye(grid.dim)),
         j_frame=jn,
     )
 

@@ -15,8 +15,8 @@ Index conventions, used everywhere downstream:
   * ``riem[l, i, j, k]`` is ``(R(d_i, d_j) d_k)^l``; ``rflat[i, j, k, l]``
     lowers the first slot to the last: ``<R(d_i, d_j) d_k, d_l>``.
   * The Ricci tensor is the negative frame trace of the stored R, so the
-    unit round sphere comes out with positive Ricci; ``SIGN_AUDIT`` below
-    records this choice and the test that pins it.
+    unit round sphere comes out with positive Ricci.  The test
+    ``test_conformal_curvature_closed_form`` pins the stored sign of R.
 """
 
 from __future__ import annotations
@@ -26,33 +26,18 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import JetError, JetField, jet_einsum, jet_matrix_inverse, jet_space
-from .tensor import FramePack
+from .jets import JetField, jet_einsum, jet_matrix_inverse
 
 __all__ = [
     "MIN_JET_DEGREE",
     "GeometryError",
     "MetricField",
-    "CurvaturePack",
-    "SIGN_AUDIT",
     "christoffel_jets",
     "cov_derivative_jets",
     "curvature_jets",
     "second_cov_jets",
     "rough_laplacian_jets",
-    "christoffel",
-    "covariant_derivative",
-    "curvature",
-    "second_cov_derivative",
-    "connection_laplacian",
 ]
-
-SIGN_AUDIT = {
-    "curvature_convention": "R(X,Y) = nabla_[X,Y] - [nabla_X, nabla_Y]",
-    "ricci_definition": "Ric(X,Y) = -<R(e_i,X)Y,e_i> (negative frame trace "
-    "of the stored R); fixed so the unit 6-sphere has Ric = 5 g",
-    "pinned_by": "conformal curvature closed form and round-sphere audit",
-}
 
 
 # Default and least jet degree of a metric.  The Ric* divergence identity
@@ -80,9 +65,6 @@ class MetricField:
         self.degree = degree
         self.evaluator = evaluator
 
-    def space(self):
-        return jet_space(self.dim, self.degree)
-
     def jets(self, p) -> JetField:
         """Validated jets of g at the point."""
         p = np.asarray(p, dtype=float)
@@ -91,6 +73,8 @@ class MetricField:
         g = self.evaluator(p)
         if not isinstance(g, JetField) or g.shape != (self.dim, self.dim):
             raise GeometryError("metric evaluator must return a square jet field")
+        if not np.isfinite(g.data).all():
+            raise GeometryError("metric jets are not finite at the point")
         sym_gap = np.abs(g.data - np.swapaxes(g.data, 0, 1)).max()
         if sym_gap > 1e-10 * (1.0 + np.abs(g.data).max()):
             raise GeometryError("metric jets are not symmetric")
@@ -99,15 +83,6 @@ class MetricField:
         except np.linalg.LinAlgError as err:
             raise GeometryError("metric is not positive definite at the point") from err
         return g
-
-    def inverse_jets(self, p) -> JetField:
-        return jet_matrix_inverse(self.jets(p))
-
-    def christoffel_jets(self, p) -> JetField:
-        return christoffel_jets(self.jets(p))
-
-    def frame(self, p, rotation: np.ndarray | None = None) -> FramePack:
-        return FramePack(self.jets(p).value, rotation=rotation)
 
 
 def christoffel_jets(g: JetField, ginv: JetField | None = None) -> JetField:
@@ -192,78 +167,3 @@ def rough_laplacian_jets(t: JetField, variance: str, gamma: JetField, ginv: JetF
     second = second_cov_jets(t, variance, gamma)
     letters = "abcdefgh"[: len(variance)]
     return jet_einsum(f"xy,{letters}yx->{letters}", ginv, second) * (-1.0)
-
-
-# -- point-level public surface ---------------------------------------
-
-
-@dataclass
-class CurvaturePack:
-    """Curvature evaluated at a point."""
-
-    point: np.ndarray
-    riem: np.ndarray          # (1,3): [l, i, j, k]
-    rflat: np.ndarray         # (0,4): [i, j, k, l]
-    ricci: np.ndarray         # (0,2)
-    scalar: float
-    nabla_riem: np.ndarray | None = None   # (1,4): [l, i, j, k, direction]
-
-    @property
-    def metadata(self) -> dict:
-        return dict(SIGN_AUDIT)
-
-
-def _field_jets(field, metric: MetricField, p) -> JetField:
-    value = field(p) if callable(field) else field
-    if not isinstance(value, JetField):
-        raise GeometryError("tensor field evaluator must return a JetField")
-    return value
-
-
-def christoffel(metric: MetricField, p) -> np.ndarray:
-    """Gamma^k_{ij} values at the point."""
-    return metric.christoffel_jets(p).value
-
-
-def covariant_derivative(field, variance: str, metric: MetricField, p) -> np.ndarray:
-    """nabla T at a point; the new covariant slot comes last."""
-    t = _field_jets(field, metric, p)
-    return cov_derivative_jets(t, variance, metric.christoffel_jets(p)).value
-
-
-def curvature(metric: MetricField, p, with_nabla_r: bool = False) -> CurvaturePack:
-    g = metric.jets(p)
-    ginv = jet_matrix_inverse(g)
-    gamma = christoffel_jets(g, ginv)
-    cj = curvature_jets(g, gamma, ginv)
-    nabla_riem = None
-    if with_nabla_r:
-        if cj.riem.deg < 1:
-            raise GeometryError("metric degree too low for nabla R")
-        nabla_riem = cov_derivative_jets(cj.riem, "uddd", gamma).value
-    return CurvaturePack(
-        point=np.asarray(p, dtype=float),
-        riem=cj.riem.value,
-        rflat=cj.rflat.value,
-        ricci=cj.ricci.value,
-        scalar=float(cj.scalar.value),
-        nabla_riem=nabla_riem,
-    )
-
-
-def second_cov_derivative(field, variance: str, metric: MetricField, p) -> np.ndarray:
-    """(nabla^2 T) values; axes ``[..., y, x]`` hold the (x, y) slot pair."""
-    t = _field_jets(field, metric, p)
-    return second_cov_jets(t, variance, metric.christoffel_jets(p)).value
-
-
-def connection_laplacian(field, variance: str, metric: MetricField, p) -> np.ndarray:
-    """nabla*nabla T = -(nabla^2 T)_{e_i, e_i} at the point."""
-    t = _field_jets(field, metric, p)
-    try:
-        g = metric.jets(p)
-        ginv = jet_matrix_inverse(g)
-        lap = rough_laplacian_jets(t, variance, christoffel_jets(g, ginv), ginv)
-    except JetError as err:
-        raise GeometryError(f"insufficient jet degree: {err}") from err
-    return lap.value

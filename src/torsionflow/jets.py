@@ -40,7 +40,6 @@ __all__ = [
     "Jet",
     "jet_constant",
     "jet_variable",
-    "jet_arith",
     "sin",
     "cos",
     "exp",
@@ -482,30 +481,6 @@ cos = _unary("cos")
 exp = _unary("exp")
 log = _unary("log")
 sqrt = _unary("sqrt")
-
-_ARITH_OPS: dict[str, Callable] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "neg": lambda a: -a,
-    "sin": sin,
-    "cos": cos,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "pow": lambda a, n: a**n,
-}
-
-
-def jet_arith(op: str, *args):
-    """Named-operation dispatcher over jets (same table the evaluator uses)."""
-    try:
-        fn = _ARITH_OPS[op]
-    except KeyError:
-        raise JetError(f"unknown jet operation {op!r}")
-    return fn(*args)
-
 
 def jet_einsum(subscripts: str, a: JetField, b: JetField) -> JetField:
     """Einstein contraction over tensor axes with jet-coefficient convolution.

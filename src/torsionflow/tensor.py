@@ -5,6 +5,8 @@ character per axis: ``'u'`` for a contravariant (vector) slot, ``'d'``
 for a covariant (form) slot.  A :class:`FramePack` carries the metric
 together with a g-orthonormal frame; expressing tensors in that frame
 turns metric contractions and frame traces into plain component sums.
+
+Kept for the tests only: ``random_rotation`` (frame invariance).
 """
 
 from __future__ import annotations
@@ -16,10 +18,7 @@ import numpy as np
 __all__ = [
     "PointTensor",
     "FramePack",
-    "musical",
     "wedge2",
-    "endo_to_form",
-    "form_to_endo",
     "random_rotation",
 ]
 
@@ -42,28 +41,6 @@ class PointTensor:
         object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
         _check_variance(self.variance, self.data.ndim)
 
-    @property
-    def rank(self) -> int:
-        return self.data.ndim
-
-    def musical(self, slot: int, g: np.ndarray) -> "PointTensor":
-        """Flip one slot between upper and lower with the metric."""
-        data, variance = musical(self.data, self.variance, slot, g)
-        return PointTensor(data, variance)
-
-
-def musical(data, variance: str, slot: int, g) -> tuple[np.ndarray, str]:
-    """Raise or lower ``slot``; returns the new components and variance."""
-    data = np.asarray(data, dtype=float)
-    _check_variance(variance, data.ndim)
-    if not 0 <= slot < data.ndim:
-        raise ValueError(f"slot {slot} out of range for rank {data.ndim}")
-    g = np.asarray(g, dtype=float)
-    mat = g if variance[slot] == "u" else np.linalg.inv(g)
-    out = np.moveaxis(np.tensordot(data, mat, axes=(slot, 0)), -1, slot)
-    flipped = "d" if variance[slot] == "u" else "u"
-    return out, variance[:slot] + flipped + variance[slot + 1 :]
-
 
 def wedge2(alpha, beta) -> np.ndarray:
     """Wedge of two one-forms: (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X)."""
@@ -73,32 +50,6 @@ def wedge2(alpha, beta) -> np.ndarray:
         raise ValueError("wedge2 expects two one-forms of equal dimension")
     outer = np.outer(alpha, beta)
     return outer - outer.T
-
-
-def endo_to_form(endo, g, *, require_skew: bool = True, tol: float = 1e-10):
-    """Lower the upper slot of an endomorphism A^k_j to the two-form
-    w_ij = g_ik A^k_j.  With ``require_skew`` the result must come out
-    antisymmetric, which is the compatibility check for g-skew operators.
-    """
-    endo = np.asarray(endo, dtype=float)
-    g = np.asarray(g, dtype=float)
-    form = g @ endo
-    if require_skew:
-        scale = 1.0 + np.abs(form).max()
-        if np.abs(form + form.T).max() > tol * scale:
-            raise ValueError("endomorphism is not skew with respect to the metric")
-        form = 0.5 * (form - form.T)
-    return form
-
-
-def form_to_endo(form, g, *, require_skew: bool = True, tol: float = 1e-10):
-    """Raise the first slot of a two-form: A^k_j = g^ki w_ij."""
-    form = np.asarray(form, dtype=float)
-    if require_skew:
-        scale = 1.0 + np.abs(form).max()
-        if np.abs(form + form.T).max() > tol * scale:
-            raise ValueError("two-form input is not antisymmetric")
-    return np.linalg.inv(np.asarray(g, dtype=float)) @ form
 
 
 def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,6 +19,9 @@ Layout conventions:
     skew endomorphism ``xi_{e_a}`` in the orthonormal frame.
   * The Kahler form is ``omega(X, Y) = <X, JY>``; with the standard flat
     structure (J e_1 = e_2) this makes ``omega(e_1, e_2) = -1``.
+
+Kept for the tests only: ``random_structure`` and ``random_curved_structure``
+(structures whose invariants hold exactly as jets).
 """
 
 from __future__ import annotations
@@ -46,12 +49,6 @@ __all__ = [
     "AlmostHermitianStructure",
     "TorsionTensor",
     "StructureJets",
-    "kahler_form",
-    "intrinsic_torsion",
-    "gray_hervella_decompose",
-    "project_u_uperp",
-    "lee_vector",
-    "minimal_derivative",
     "minimal_derivative_jets",
     "connection_action_jets",
     "random_structure",
@@ -108,14 +105,12 @@ class TorsionTensor:
     frame components of xi_{e_i} e_i.
     """
 
-    point: np.ndarray
     xi: np.ndarray
     xi1: np.ndarray
     xi2: np.ndarray
     xi3: np.ndarray
     xi4: np.ndarray
     lee_vector: np.ndarray
-    frame: FramePack
     j_frame: np.ndarray
 
     @property
@@ -376,69 +371,23 @@ class StructureJets:
     def torsion(self) -> TorsionTensor:
         xi1, xi2, xi3, xi4 = self.gh_frame
         return TorsionTensor(
-            point=self.point,
             xi=self.xi_frame,
             xi1=xi1,
             xi2=xi2,
             xi3=xi3,
             xi4=xi4,
             lee_vector=self.lee_frame,
-            frame=self.framepack,
             j_frame=self.j_frame,
         )
 
 
-# -- public point operations ---------------------------------------------
-
-
-def kahler_form(structure: AlmostHermitianStructure, p) -> JetField:
-    """omega = <., J.> as a jet field (full available degree)."""
-    return structure.structure_jets(p).omega
-
-
-def intrinsic_torsion(structure: AlmostHermitianStructure, p) -> TorsionTensor:
-    return structure.structure_jets(p).torsion()
-
-
-def gray_hervella_decompose(structure: AlmostHermitianStructure, p, xi_frame: np.ndarray | None = None):
-    """Split xi into (xi1, xi2, xi3, xi4) in frame components."""
-    sj = structure.structure_jets(p)
-    if xi_frame is None:
-        return sj.gh_frame
-    return _frame_gray_hervella(np.asarray(xi_frame, dtype=float), sj.j_frame, sj.n)
-
-
-def project_u_uperp(a: np.ndarray, j: np.ndarray, tol: float = 1e-9):
-    """Split a skew endomorphism into J-commuting and J-anti-commuting parts."""
-    a = np.asarray(a, dtype=float)
-    j = np.asarray(j, dtype=float)
-    if np.abs(a + a.T).max() > tol * (1.0 + np.abs(a).max()):
-        raise ValueError("input endomorphism is not skew")
-    a_u = 0.5 * (a - j @ a @ j)
-    a_perp = 0.5 * (a + j @ a @ j)
-    return a_u, a_perp
-
-
-def lee_vector(structure: AlmostHermitianStructure, p) -> np.ndarray:
-    """Frame components of xi_{e_i} e_i, computed by two routes."""
-    return structure.structure_jets(p).lee_frame
-
-
 def minimal_derivative_jets(t: JetField, variance: str, sj: StructureJets) -> JetField:
+    """Minimal-connection derivative (nabla + xi) T, direction axis last."""
     sj.minimal_connection_validated
     levi_civita = cov_derivative_jets(t, variance, sj.gamma)
     # the sum is valid only to t.deg - 1, so no product goes higher
     xi = sj.xi.truncate(min(sj.xi.deg, levi_civita.deg))
     return levi_civita + connection_action_jets(t, variance, xi)
-
-
-def minimal_derivative(field, variance: str, structure: AlmostHermitianStructure, p) -> np.ndarray:
-    """Minimal-connection derivative at a point, direction axis last."""
-    sj = structure.structure_jets(p)
-    t = field(p) if callable(field) else field
-    if not isinstance(t, JetField):
-        raise GeometryError("tensor field evaluator must return a JetField")
-    return minimal_derivative_jets(t, variance, sj).value
 
 
 # -- structure factories ---------------------------------------------------

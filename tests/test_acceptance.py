@@ -45,7 +45,7 @@ from torsionflow.flow import (
 )
 from torsionflow.exprlang import eval_expr, parse
 from torsionflow.geometry import rough_laplacian_jets
-from torsionflow.unstruct import intrinsic_torsion, random_curved_structure, random_structure
+from torsionflow.unstruct import random_curved_structure, random_structure
 
 
 def _fro(a):
@@ -390,7 +390,7 @@ def test_grid_torsion_refines_at_fourth_order(start16):
     structure = random_structure(7, 2, amplitude=0.3)
     nodes16 = [(1, 2, 3, 4), (3, 1, 0, 2), (5, 7, 2, 6), (0, 4, 1, 3), (7, 3, 6, 1), (2, 6, 5, 0)]
     xi_ref = {
-        node: intrinsic_torsion(structure, (2.0 * np.pi / 16.0) * np.asarray(node, dtype=float)).xi
+        node: structure.structure_jets((2.0 * np.pi / 16.0) * np.asarray(node, dtype=float)).torsion().xi
         for node in nodes16
     }
 

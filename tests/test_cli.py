@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionflow import diagnostics
 from torsionflow.catalog import build_structure, sample_points, spec_from_config
@@ -126,6 +132,10 @@ def test_geometry_errors_exit_3(tmp_path, capsys):
         # nesting beyond exprlang.MAX_DEPTH is a parse error, not a stack overflow
         {"type": "conformal", "n": 2, "f": "(" * 3000 + "x1" + ")" * 3000},
         {"type": "conformal", "n": 2, "f": "+".join(["x1"] * 5000)},
+        # an exponent literal longer than Python converts to int
+        {"type": "conformal", "n": 2, "f": "x1^" + "9" * 5000},
+        # a finite factor whose metric e^f overflows to inf
+        {"type": "conformal", "n": 2, "f": "exp(700)"},
     ]
     for idx, geo in enumerate(bad):
         path = write_config(tmp_path, f"geo{idx}.json", geometry_config(geo))
@@ -133,6 +143,87 @@ def test_geometry_errors_exit_3(tmp_path, capsys):
         assert code == 3, geo
         assert out == ""
         assert "error" in json.loads(err)
+
+
+class _RawNumber(str):
+    """A number written into the config text as-is, past what json.dumps emits."""
+
+
+def _to_json(value) -> str:
+    if isinstance(value, _RawNumber):
+        return str(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_to_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_to_json(v) for v in value) + "]"
+    return json.dumps(value)  # NaN and Infinity as json writes them
+
+
+_JUNK = st.sampled_from(
+    [None, True, -1, 0, 2.5, -1e308, 1e308, float("nan"), float("inf"), float("-inf"),
+     10**400, "abc", "", [], {}, [1, 2], {"a": 1}, _RawNumber("9" * 5000)]
+)
+_FORMULAS = st.sampled_from(
+    ["sin(x1)", "sin(x1)*cos(x2)", "exp(x1)", "log(x1)", "1/x1", "x1^3", "sqrt(x2)", "x1^-2",
+     "exp(exp(x1))", "exp(700)", "9" * 5000, "1e400", "x1^" + "9" * 5000, "x1^" + "9" * 30, "x5", "(x1"]
+)
+
+
+@st.composite
+def _configs(draw):
+    """A valid config of a random command with up to three fields spoiled."""
+    command = draw(st.sampled_from(["inspect", "verify", "classify", "flow"]))
+    cfg = {"schema": 1, "command": command, "tol": draw(st.sampled_from([1e-6, 1e-3]))}
+    if command == "flow":
+        cfg["flow"] = {
+            "seed": draw(st.integers(0, 5)),
+            "n": draw(st.integers(1, 2)),
+            "m": 4,
+            "amplitude": draw(st.sampled_from([0.0, 0.3, -2.0, 1e308])),
+            # set always: the default of 5000 iterations is too slow here
+            "max_iter": draw(st.integers(1, 20)),
+            "tol_grad": draw(st.sampled_from([1e-2, 1e-5, 10.0])),
+        }
+    else:
+        kind = draw(st.sampled_from(["flat", "conformal", "hopf", "s6"]))
+        cfg["geometry"] = {"type": kind, "n": draw(st.integers(1, 3))}
+        if kind == "conformal":
+            cfg["geometry"]["f"] = draw(_FORMULAS)
+            cfg["geometry"]["periodic"] = draw(st.booleans())
+        if kind == "s6":
+            del cfg["geometry"]["n"]
+        cfg["points"] = {"count": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 5))}
+    # only these dicts are edited: junk values are shared between examples
+    sections = [cfg] + [v for v in cfg.values() if isinstance(v, dict)]
+    for _ in range(draw(st.integers(0, 3))):
+        section = draw(st.sampled_from(sections))
+        key = draw(st.sampled_from(sorted(section) + ["bogus", "jet_degree", "count"]))
+        if draw(st.booleans()):
+            section.pop(key, None)
+        else:
+            section[key] = draw(_JUNK)
+    return command, cfg
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_configs())
+def test_fuzzed_configs_exit_with_a_documented_code(case):
+    # every config ends in a report or one JSON error, never a traceback
+    # and never exit 5, which is kept for faults of the package itself
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(_to_json(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path)])
+    assert code in (0, 1, 2, 3, 4), (code, err.getvalue()[:300])
+    if code in (2, 3):
+        assert out.getvalue() == ""
+        assert "error" in json.loads(err.getvalue())
+    else:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["schema"] == 1
 
 
 def test_internal_check_failure_exits_5(tmp_path, capsys, monkeypatch):
@@ -216,7 +307,15 @@ def test_non_finite_report_exits_5(tmp_path, capsys, monkeypatch):
     # failed residual, and must not end in a traceback
     from torsionflow import cli
 
-    monkeypatch.setattr(cli, "energy", lambda grid: float("nan"))
+    descend = cli.descend
+
+    def nan_start(grid, **kwargs):
+        # the report's initial energy is the first trace row's
+        result = descend(grid, **kwargs)
+        result.trace[0] = dataclasses.replace(result.trace[0], energy=float("nan"))
+        return result
+
+    monkeypatch.setattr(cli, "descend", nan_start)
     path = write_config(tmp_path, "flow.json", SMALL_FLOW)
     code, out, err = run(["flow", "--config", path], capsys)
     assert (code, out) == (5, "")

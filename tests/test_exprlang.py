@@ -68,6 +68,15 @@ def test_fractional_exponent_rejected():
         parse("x1^x2")
 
 
+def test_overlong_exponent_literal_is_a_parse_error():
+    # beyond Python's integer string conversion limit int() raises ValueError
+    for src in ("x1^" + "9" * 5000, "x1^-" + "9" * 5000):
+        with pytest.raises(ParseError, match="too long") as exc:
+            parse(src)
+        assert exc.value.offset == src.index("9")
+    assert parse("x1^" + "9" * 30).exponent == int("9" * 30)
+
+
 def test_parse_error_offsets():
     with pytest.raises(ParseError) as exc:
         parse("x1 + @")

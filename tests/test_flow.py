@@ -29,7 +29,7 @@ from torsionflow.flow import (
     _skew_laplacian,
     _structure_defect,
 )
-from torsionflow.unstruct import intrinsic_torsion, random_structure
+from torsionflow.unstruct import random_structure
 
 # jet-quadrature value of the continuum energy for seed 7, amplitude 0.3
 QUAD_ENERGY = 125.3631136398
@@ -137,7 +137,7 @@ def test_grid_torsion_matches_jets_at_fourth_order():
     errs8, errs16, scales = [], [], []
     for nd in nodes:
         p = 2 * np.pi * np.asarray(nd) / 8.0
-        ref = intrinsic_torsion(st, p).xi
+        ref = st.structure_jets(p).torsion().xi
         scales.append(np.sqrt(np.sum(ref**2)))
         errs8.append(np.sqrt(np.sum((grid_torsion(g8, nd).xi - ref) ** 2)))
         nd16 = tuple(2 * i for i in nd)

@@ -12,31 +12,35 @@ from helpers import (
 from torsionflow.geometry import (
     GeometryError,
     MetricField,
-    christoffel,
-    connection_laplacian,
+    christoffel_jets,
     cov_derivative_jets,
-    covariant_derivative,
-    curvature,
-    second_cov_derivative,
+    curvature_jets,
+    rough_laplacian_jets,
+    second_cov_jets,
 )
-from torsionflow.jets import JetField, jet_space
+from torsionflow.jets import JetField, jet_matrix_inverse, jet_space
+
+
+def curvature_at(m, p):
+    g = m.jets(p)
+    return curvature_jets(g, christoffel_jets(g))
 
 
 def test_flat_metric_trivial():
     m = flat_metric_field(3)
     p = np.array([0.2, -0.1, 0.4])
-    assert np.abs(christoffel(m, p)).max() == 0.0
-    pack = curvature(m, p)
-    assert np.abs(pack.riem).max() == 0.0
-    assert np.abs(pack.ricci).max() == 0.0
-    assert pack.scalar == 0.0
+    assert np.abs(christoffel_jets(m.jets(p)).value).max() == 0.0
+    pack = curvature_at(m, p)
+    assert np.abs(pack.riem.value).max() == 0.0
+    assert np.abs(pack.ricci.value).max() == 0.0
+    assert float(pack.scalar.value) == 0.0
 
 
 def test_flat_covariant_derivative_is_partials():
     m = flat_metric_field(2)
     t = random_tensor_evaluator(3, 2, (2, 2))
     p = np.array([0.3, -0.6])
-    nabla = covariant_derivative(t, "ud", m, p)
+    nabla = cov_derivative_jets(t(p), "ud", christoffel_jets(m.jets(p))).value
     partials = t(p).grad().value
     assert np.abs(nabla - partials).max() < 1e-14
 
@@ -44,7 +48,7 @@ def test_flat_covariant_derivative_is_partials():
 def test_christoffel_symmetric_in_lower_slots():
     m = random_metric_field(0, 3)
     p = np.array([0.1, 0.2, -0.3])
-    gam = christoffel(m, p)
+    gam = christoffel_jets(m.jets(p)).value
     assert np.abs(gam - np.swapaxes(gam, 1, 2)).max() < 1e-13
 
 
@@ -59,7 +63,7 @@ def test_conformal_christoffel_closed_form():
     rng = np.random.default_rng(5)
     for _ in range(3):
         p = rng.uniform(-0.5, 0.5, size=n)
-        gam = christoffel(m, p)
+        gam = christoffel_jets(m.jets(p)).value
         space = jet_space(n, 4)
         fj = JetField(space, f_of_x(space, p).data.reshape(space.ncoeff))
         df = fj.grad().value
@@ -75,7 +79,8 @@ def test_conformal_christoffel_closed_form():
 def test_metric_compatibility():
     m = random_metric_field(1, 3)
     p = np.array([0.15, -0.25, 0.05])
-    nabla_g = covariant_derivative(lambda q: m.jets(q), "dd", m, p)
+    g = m.jets(p)
+    nabla_g = cov_derivative_jets(g, "dd", christoffel_jets(g)).value
     assert np.abs(nabla_g).max() < 1e-12
 
 
@@ -88,7 +93,7 @@ def test_leibniz_rule():
     x_eval = random_tensor_evaluator(4, n, (n,))
     x = x_eval(p)
     fx = x * JetField(space, f.data.reshape(space.ncoeff))
-    gamma = m.christoffel_jets(p)
+    gamma = christoffel_jets(m.jets(p))
     lhs = cov_derivative_jets(fx, "u", gamma).value
     fj = JetField(space, f.data.reshape(space.ncoeff))
     rhs = (
@@ -103,23 +108,25 @@ def test_curvature_symmetries_random_geometry():
     rng = np.random.default_rng(7)
     for _ in range(2):
         p = rng.uniform(-0.4, 0.4, size=4)
-        pack = curvature(m, p)
-        rf = pack.rflat
+        pack = curvature_at(m, p)
+        rf = pack.rflat.value
         # skew in the vector-pair slots and in the lowered pair
         assert np.abs(rf + np.transpose(rf, (1, 0, 2, 3))).max() < 1e-9
         assert np.abs(rf + np.transpose(rf, (0, 1, 3, 2))).max() < 1e-9
         # pair interchange
         assert np.abs(rf - np.transpose(rf, (2, 3, 0, 1))).max() < 1e-8
         # first Bianchi: cyclic sum over (i, j, k)
-        cyc = pack.riem + np.transpose(pack.riem, (0, 2, 3, 1)) + np.transpose(pack.riem, (0, 3, 1, 2))
+        riem = pack.riem.value
+        cyc = riem + np.transpose(riem, (0, 2, 3, 1)) + np.transpose(riem, (0, 3, 1, 2))
         assert np.abs(cyc).max() < 1e-8
 
 
 def test_second_bianchi():
     m = random_metric_field(8, 3)
     p = np.array([0.2, -0.1, 0.3])
-    pack = curvature(m, p, with_nabla_r=True)
-    nr = pack.nabla_riem
+    g = m.jets(p)
+    gamma = christoffel_jets(g)
+    nr = cov_derivative_jets(curvature_jets(g, gamma).riem, "uddd", gamma).value
     cyc = (
         nr
         + np.transpose(nr, (0, 2, 4, 3, 1))
@@ -139,7 +146,7 @@ def test_conformal_curvature_closed_form():
     rng = np.random.default_rng(11)
     for _ in range(3):
         p = rng.uniform(-0.5, 0.5, size=n)
-        pack = curvature(m, p)
+        pack = curvature_at(m, p)
         space = jet_space(n, 4)
         fj = JetField(space, f_of_x(space, p).data.reshape(space.ncoeff))
         fval = float(fj.value)
@@ -148,7 +155,7 @@ def test_conformal_curvature_closed_form():
         ell = hess - 0.5 * np.outer(df, df)
         df2 = float(df @ df)
         eye = np.eye(n)
-        lhs = -2.0 * np.exp(-fval) * pack.rflat
+        lhs = -2.0 * np.exp(-fval) * pack.rflat.value
         rhs = (
             np.einsum("ik,jl->ijkl", ell, eye)
             + np.einsum("jl,ik->ijkl", ell, eye)
@@ -165,10 +172,10 @@ def test_sphere6_ricci_is_five_g():
     rng = np.random.default_rng(13)
     for _ in range(2):
         p = rng.uniform(-0.3, 0.3, size=6)
-        pack = curvature(m, p)
+        pack = curvature_at(m, p)
         g = m.jets(p).value
-        assert np.abs(pack.ricci - 5.0 * g).max() < 1e-7
-        assert pack.scalar == pytest.approx(30.0, abs=1e-7)
+        assert np.abs(pack.ricci.value - 5.0 * g).max() < 1e-7
+        assert float(pack.scalar.value) == pytest.approx(30.0, abs=1e-7)
 
 
 def test_flat_laplacian_is_sum_of_second_partials():
@@ -182,7 +189,8 @@ def test_flat_laplacian_is_sum_of_second_partials():
         val = x1 * x1 * x2 + x2 * x2
         return JetField(space, val.data.reshape(space.ncoeff))
 
-    lap = connection_laplacian(psi, "", m, p)
+    g = m.jets(p)
+    lap = rough_laplacian_jets(psi(p), "", christoffel_jets(g), jet_matrix_inverse(g)).value
     # psi = x1^2 x2 + x2^2: sum of pure second partials is 2 x2 + 2
     assert lap == pytest.approx(-(2.0 * p[1] + 2.0), abs=1e-12)
 
@@ -190,7 +198,8 @@ def test_flat_laplacian_is_sum_of_second_partials():
 def test_laplacian_of_metric_vanishes():
     m = random_metric_field(14, 3)
     p = np.array([0.1, 0.0, -0.2])
-    lap = connection_laplacian(lambda q: m.jets(q), "dd", m, p)
+    g = m.jets(p)
+    lap = rough_laplacian_jets(g, "dd", christoffel_jets(g), jet_matrix_inverse(g)).value
     assert np.abs(lap).max() < 1e-11
 
 
@@ -200,20 +209,15 @@ def test_hessian_slot_order():
     m = random_metric_field(15, 2)
     p = np.array([0.2, 0.3])
     psi = random_tensor_evaluator(16, 2, ())
-    h = second_cov_derivative(psi, "", m, p)
+    h = second_cov_jets(psi(p), "", christoffel_jets(m.jets(p))).value
     space = jet_space(2, 4)
     pj = psi(p)
     dd = pj.grad().grad().value  # dd[y, x] = d_x d_y psi
     dpsi = pj.grad().value
-    gam = christoffel(m, p)
+    gam = christoffel_jets(m.jets(p)).value
     expect = dd - np.einsum("mxy,m->yx", gam, dpsi)
     assert np.abs(h - expect).max() < 1e-12
     assert np.abs(h - h.T).max() < 1e-12
-
-
-def test_curvature_metadata_mentions_convention():
-    pack = curvature(flat_metric_field(2), np.zeros(2))
-    assert "Ric" in pack.metadata["ricci_definition"]
 
 
 def test_geometry_errors():
@@ -229,6 +233,15 @@ def test_geometry_errors():
     with pytest.raises(GeometryError):
         MetricField(2, asym).jets(np.zeros(2))
 
-    shallow = random_metric_field(17, 2, degree=2)
+    def overflowing(p):
+        return JetField.constants(jet_space(2, 4), np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    with pytest.raises(GeometryError, match="not finite"):
+        MetricField(2, overflowing).jets(np.zeros(2))
+
+    # degree-2 metric jets leave curvature at degree 0: no nabla R
+    g = random_metric_field(17, 2, degree=2).jets(np.zeros(2))
+    gamma = christoffel_jets(g)
+    riem = curvature_jets(g, gamma).riem
     with pytest.raises(GeometryError):
-        curvature(shallow, np.zeros(2), with_nabla_r=True)
+        cov_derivative_jets(riem, "uddd", gamma)

@@ -13,7 +13,6 @@ from torsionflow.jets import (
     JetDomainError,
     JetError,
     JetField,
-    jet_arith,
     jet_constant,
     jet_einsum,
     jet_matrix_inverse,
@@ -149,14 +148,6 @@ def test_integer_pow_matches_repeated_mul():
     assert np.allclose(inv.data, direct.data, atol=1e-14)
     with pytest.raises(JetError):
         base**0.5
-
-
-def test_jet_arith_dispatch():
-    x = jet_variable(0, 0.3, 1, 3)
-    assert np.allclose(jet_arith("sin", x).data, jets.sin(x).data)
-    assert np.allclose(jet_arith("add", x, x).data, (x + x).data)
-    with pytest.raises(JetError):
-        jet_arith("gamma", x)
 
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)

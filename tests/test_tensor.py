@@ -4,9 +4,6 @@ import pytest
 from torsionflow.tensor import (
     FramePack,
     PointTensor,
-    endo_to_form,
-    form_to_endo,
-    musical,
     random_rotation,
     wedge2,
 )
@@ -70,23 +67,6 @@ def test_inner_product_frame_invariant():
         assert rotated == pytest.approx(base, rel=1e-11)
 
 
-def test_musical_round_trip_and_lowering():
-    rng = np.random.default_rng(4)
-    g = random_spd(rng, 4)
-    v = rng.standard_normal(4)
-    lowered, variance = musical(v, "u", 0, g)
-    assert variance == "d"
-    assert np.abs(lowered - g @ v).max() < 1e-12
-    raised, variance2 = musical(lowered, "d", 0, g)
-    assert variance2 == "u"
-    assert np.abs(raised - v).max() < 1e-10
-
-    t = PointTensor(rng.standard_normal((4, 4)), "ud")
-    round_trip = t.musical(1, g).musical(1, g)
-    assert round_trip.variance == "ud"
-    assert np.abs(round_trip.data - t.data).max() < 1e-10
-
-
 def test_point_tensor_validates_variance():
     with pytest.raises(ValueError):
         PointTensor(np.zeros((2, 2)), "u")
@@ -101,29 +81,6 @@ def test_wedge2():
     assert np.abs(w + w.T).max() < 1e-14
     x, y = rng.standard_normal(4), rng.standard_normal(4)
     assert x @ w @ y == pytest.approx((a @ x) * (b @ y) - (a @ y) * (b @ x), rel=1e-12)
-
-
-def test_endo_form_conversion():
-    j0 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    w = endo_to_form(j0, np.eye(2))
-    assert np.abs(w - np.array([[0.0, -1.0], [1.0, 0.0]])).max() < 1e-14
-    back = form_to_endo(w, np.eye(2))
-    assert np.abs(back - j0).max() < 1e-14
-
-    rng = np.random.default_rng(6)
-    g = random_spd(rng, 4)
-    a = rng.standard_normal((4, 4))
-    skew_endo = np.linalg.inv(g) @ (a - a.T)
-    w2 = endo_to_form(skew_endo, g)
-    assert np.abs(w2 + w2.T).max() < 1e-12
-    assert np.abs(form_to_endo(w2, g) - skew_endo).max() < 1e-10
-
-
-def test_endo_form_conversion_rejects_non_skew():
-    with pytest.raises(ValueError):
-        endo_to_form(np.eye(3), np.eye(3))
-    with pytest.raises(ValueError):
-        form_to_endo(np.eye(3), np.eye(3))
 
 
 def test_random_rotation_properties():

@@ -8,12 +8,7 @@ from torsionflow.tensor import random_rotation
 from torsionflow.unstruct import (
     AlmostHermitianStructure,
     connection_action_jets,
-    gray_hervella_decompose,
-    intrinsic_torsion,
-    kahler_form,
-    lee_vector,
-    minimal_derivative,
-    project_u_uperp,
+    minimal_derivative_jets,
     random_curved_structure,
     random_structure,
     standard_j,
@@ -48,7 +43,7 @@ def f_example(space, p):
 
 def test_flat_kahler_form_sign():
     s = flat_kahler(2)
-    omega = kahler_form(s, np.zeros(4)).value
+    omega = s.structure_jets(np.zeros(4)).omega.value
     # omega(X, Y) = <X, JY> with J e1 = e2 makes omega(e1, e2) = -1
     expect = np.zeros((4, 4))
     expect[0, 1] = -1.0
@@ -70,7 +65,7 @@ def test_kahler_form_compatibility_properties():
 
 def test_flat_kahler_torsion_vanishes():
     s = flat_kahler(2)
-    t = intrinsic_torsion(s, np.array([0.3, -0.2, 0.5, 0.1]))
+    t = s.structure_jets(np.array([0.3, -0.2, 0.5, 0.1])).torsion()
     assert np.abs(t.xi).max() < 1e-14
     assert np.abs(t.lee_vector).max() < 1e-14
 
@@ -103,7 +98,7 @@ def test_n2_has_no_w1_w3():
     for seed in range(3):
         s = random_structure(seed, 2)
         p = np.random.default_rng(seed).uniform(-0.6, 0.6, size=4)
-        t = intrinsic_torsion(s, p)
+        t = s.structure_jets(p).torsion()
         norms = t.component_norms()
         assert norms[0] < 1e-9
         assert norms[2] < 1e-9
@@ -111,7 +106,7 @@ def test_n2_has_no_w1_w3():
 
 def test_generic_n3_has_all_components():
     s = random_structure(7, 3)
-    t = intrinsic_torsion(s, np.array([0.3, -0.1, 0.45, 0.2, -0.5, 0.15]))
+    t = s.structure_jets(np.array([0.3, -0.1, 0.45, 0.2, -0.5, 0.15])).torsion()
     assert (t.component_norms() > 1e-3).all()
 
 
@@ -119,7 +114,7 @@ def test_amplitude_zero_is_flat_kahler():
     s = random_structure(5, 2, amplitude=0.0)
     p = np.array([0.2, 0.4, -0.3, 0.6])
     assert np.abs(s.structure_jets(p).J.value - standard_j(2)).max() < 1e-14
-    assert np.abs(intrinsic_torsion(s, p).xi).max() < 1e-13
+    assert np.abs(s.structure_jets(p).torsion().xi).max() < 1e-13
 
 
 def test_curved_structure_invariants():
@@ -140,7 +135,7 @@ def test_conformal_structure_is_pure_w4():
     rng = np.random.default_rng(4)
     for _ in range(2):
         p = rng.uniform(-0.5, 0.5, size=6)
-        t = intrinsic_torsion(s, p)
+        t = s.structure_jets(p).torsion()
         norms = t.component_norms()
         assert norms[0] < 1e-9
         assert norms[1] < 1e-9
@@ -159,7 +154,7 @@ def test_conformal_lee_vector_closed_form():
     for _ in range(2):
         p = rng.uniform(-0.5, 0.5, size=2 * n)
         sj = s.structure_jets(p)
-        ell = lee_vector(s, p)
+        ell = sj.lee_frame
         space = jet_space(2 * n, 4)
         fj = JetField(space, f_example(space, p).data.reshape(space.ncoeff))
         df = fj.grad().value
@@ -168,36 +163,12 @@ def test_conformal_lee_vector_closed_form():
         assert np.abs(ell - expect).max() < 1e-9
 
 
-def test_project_u_uperp():
-    n = 3
-    j = standard_j(n)
-    a_u, a_perp = project_u_uperp(j, j)
-    assert np.abs(a_u - j).max() < 1e-14
-    assert np.abs(a_perp).max() < 1e-14
-
-    rng = np.random.default_rng(11)
-    raw = rng.standard_normal((2 * n, 2 * n))
-    skew = raw - raw.T
-    a_u, a_perp = project_u_uperp(skew, j)
-    assert np.abs(a_u + a_perp - skew).max() < 1e-12
-    assert np.abs(a_u @ j - j @ a_u).max() < 1e-12
-    assert np.abs(a_perp @ j + j @ a_perp).max() < 1e-12
-    assert abs(np.sum(a_u * a_perp)) < 1e-10 * (1.0 + np.abs(skew).max() ** 2)
-    # anti-commuting input passes through
-    back_u, back_perp = project_u_uperp(a_perp, j)
-    assert np.abs(back_u).max() < 1e-12
-    assert np.abs(back_perp - a_perp).max() < 1e-12
-
-    with pytest.raises(ValueError):
-        project_u_uperp(np.eye(2 * n), j)
-
-
 def test_minimal_connection_stabilises_structure():
     s = random_curved_structure(6, 3, amplitude=0.25, metric_amplitude=0.2)
     p = np.array([0.15, -0.2, 0.3, 0.05, -0.4, 0.25])
     sj = s.structure_jets(p)
     assert sj.minimal_connection_validated
-    nabla_u_omega = minimal_derivative(lambda q: s.structure_jets(q).omega, "dd", s, p)
+    nabla_u_omega = minimal_derivative_jets(sj.omega, "dd", sj).value
     assert np.abs(nabla_u_omega).max() < 1e-10
 
 
@@ -213,7 +184,7 @@ def test_minimal_connection_equals_levi_civita_when_kahler():
             entries[i] = (x.entry(i) * x.entry((i + 1) % 4)).data
         return JetField(space, entries)
 
-    nabla_u = minimal_derivative(field, "u", s, p)
+    nabla_u = minimal_derivative_jets(field(p), "u", s.structure_jets(p)).value
     partials = field(p).grad().value
     assert np.abs(nabla_u - partials).max() < 1e-13
 
@@ -252,15 +223,6 @@ def test_extended_norm_matches_coordinate_contraction():
     xi = sj.xi.value
     coord = np.einsum("kxy,lab,kl,xa,yb->", xi, xi, g, ginv, ginv)
     assert frame_norm == pytest.approx(coord, rel=1e-10)
-
-
-def test_gray_hervella_public_entry():
-    s = random_structure(4, 2)
-    p = np.array([0.1, 0.1, 0.2, -0.3])
-    parts = gray_hervella_decompose(s, p)
-    t = intrinsic_torsion(s, p)
-    for a, b in zip(parts, t.components):
-        assert np.abs(a - b).max() < 1e-12
 
 
 def test_odd_dimension_rejected():
