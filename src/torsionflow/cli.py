@@ -11,7 +11,8 @@ Exit codes: 0 pass, 1 residual failure, 2 config error (including
 undecodable JSON, a negative seed, a points count above MAX_POINTS, a
 flow grid above MAX_GRID_ENTRIES, an --out outside an existing
 directory and a failed report or artifact write), 3 geometry error
-(including an expression nested deeper than exprlang.MAX_DEPTH), 4 flow
+(including an expression nested deeper than exprlang.MAX_DEPTH and a
+metric whose diagnostics overflow float64 at a point), 4 flow
 stall, 5 internal failure (a cross-route or convention check disagreed,
 a flow step drifted past flow.DRIFT_TOL, or any other exception, report
 rendering included: a bug in the package, not a verdict on the
@@ -451,15 +452,18 @@ def _fail(error: str, code: int) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.out is not None and not Path(args.out).parent.is_dir():
-            raise ConfigError(f"--out {args.out}: parent is not an existing directory")
-        cfg = load_config(args.config)
-        payload, code = run_command(
-            args.command, cfg, tol=args.tol, seed=args.seed, out=args.out
-        )
-        text = render_json(payload)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
+        # non-finite results are checked where they arise, so numpy's
+        # floating-point warnings would only break the one-JSON stderr
+        with np.errstate(all="ignore"):
+            if args.out is not None and not Path(args.out).parent.is_dir():
+                raise ConfigError(f"--out {args.out}: parent is not an existing directory")
+            cfg = load_config(args.config)
+            payload, code = run_command(
+                args.command, cfg, tol=args.tol, seed=args.seed, out=args.out
+            )
+            text = render_json(payload)
+            if args.out:
+                Path(args.out).write_text(text + "\n")
     except InternalConventionError as exc:
         # before GridError: flow.DriftError is both
         return _fail(f"internal check failed: {exc}", EXIT_INTERNAL)

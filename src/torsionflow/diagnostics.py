@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .exprlang import eval_expr, parse
-from .geometry import cov_derivative_jets, rough_laplacian_jets
+from .geometry import GeometryError, cov_derivative_jets, rough_laplacian_jets
 from .jets import JetField, jet_einsum
 from .tensor import FramePack, PointTensor, wedge2
 from .unstruct import (
@@ -115,6 +115,10 @@ def _fro(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.asarray(a) ** 2)))
 
 
+def _where(p) -> str:
+    return "(" + ", ".join(format(float(v), ".17g") for v in p) + ")"
+
+
 class _PointData:
     """Frame-component arrays shared by the diagnostics at one point.
 
@@ -137,6 +141,11 @@ class _PointData:
         # nabla xi frame: F[k, s, a, c] = <(nabla_{e_c} xi)_{e_s} e_a, e_k>
         self.F = self.fp.to_frame(sj.nabla_xi.value, "uddd")
         self.scale = 1.0 + _fro(self.xiF) + _fro(self.RF)
+        if not np.isfinite(self.scale):
+            # an infinite scale would pass every residual
+            raise GeometryError(
+                f"torsion and curvature norms overflow float64 at point {_where(sj.point)}"
+            )
 
     @cached_property
     def minimal_xi(self) -> np.ndarray:
@@ -864,6 +873,8 @@ def run_diagnostics(
         star = _star_ricci(pd)
         row["star_ricci_alt_norm"] = _fro(star.alt)
         gaps = (pd.coderivative.route_gap, pd.coderivative.uperp_defect, star.route_gap)
+        if not np.isfinite([*row.values(), *gaps]).all():
+            raise GeometryError(f"residuals overflow float64 at point {_where(p)}")
         records.append(
             PointRecord(row, pd.scale, pd.component_norms, dict(zip(ROUTE_NAMES, gaps)))
         )

@@ -58,6 +58,13 @@ __all__ = [
 PROJECTION_TOL = 1e-10
 DRIFT_TOL = 1e-8
 
+# Armijo search of descend: each rejected trial halves the step, a trial
+# must lower the energy by ARMIJO_DECREASE * step * slope, and a step
+# below STEP_FLOOR is a stall
+ARMIJO_SHRINK = 0.5
+ARMIJO_DECREASE = 1e-4
+STEP_FLOOR = 1e-12
+
 # 4th-order central first derivative: weight per node offset, overall /(12h).
 _STENCIL = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
 
@@ -467,9 +474,6 @@ def descend(
     max_iter: int = 5000,
     tol_grad: float = 1e-5,
     step0: float = 1e-2,
-    shrink: float = 0.5,
-    decrease: float = 1e-4,
-    step_floor: float = 1e-12,
 ) -> FlowResult:
     """Armijo-backtracked gradient descent of the total bending.
 
@@ -479,7 +483,7 @@ def descend(
     must stay below DRIFT_TOL.  The accepted trial is therefore exactly
     the next state, and its skew-packed transform and energy carry over:
     an accepted step costs one forward and one inverse transform.  A
-    step shrinking past ``step_floor`` reports a stall instead of
+    step shrinking past STEP_FLOOR reports a stall instead of
     failing: whether non-Kahler stationary points can trap the flow is
     left as an empirical finding.
     """
@@ -520,10 +524,10 @@ def descend(
                 raise DriftError(f"per-step drift {drift:.3e} exceeds {DRIFT_TOL}")
             trial_sq, trial_hat = _dirichlet_modes(trial, modes)
             trial_e = 0.125 * vol * trial_sq
-            if trial_e <= e - decrease * step * slope:
+            if trial_e <= e - ARMIJO_DECREASE * step * slope:
                 break
-            step *= shrink
-            if step < step_floor:
+            step *= ARMIJO_SHRINK
+            if step < STEP_FLOOR:
                 stalled = True
                 message = "step-size underflow in the Armijo search"
                 break

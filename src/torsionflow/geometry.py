@@ -35,7 +35,6 @@ __all__ = [
     "christoffel_jets",
     "cov_derivative_jets",
     "curvature_jets",
-    "second_cov_jets",
     "rough_laplacian_jets",
 ]
 
@@ -98,8 +97,10 @@ def christoffel_jets(g: JetField, ginv: JetField | None = None) -> JetField:
 
 
 def cov_derivative_jets(t: JetField, variance: str, gamma: JetField) -> JetField:
-    """Levi-Civita derivative of a tensor jet field.
+    """Covariant derivative of a tensor jet field.
 
+    ``gamma[k, x, m]`` acts as Gamma^k_{xm}, plus on upper slots and minus
+    on lower ones: Christoffel jets, or ``StructureJets.minimal_gamma``.
     The direction is appended as a new last (covariant) axis; degree
     drops by one.
     """
@@ -151,19 +152,10 @@ def curvature_jets(g: JetField, gamma: JetField, ginv: JetField | None = None) -
     return CurvatureJets(riem=riem, rflat=rflat, ricci=ricci, scalar=scalar)
 
 
-def second_cov_jets(t: JetField, variance: str, gamma: JetField) -> JetField:
-    """Iterated derivative; axes ``[..., y, x]`` hold ``(nabla^2 T)_{x,y}``.
-
-    The trailing axis is the outer direction, so the array equals the
-    true second covariant derivative (Hessian), Gamma-corrected in both
-    slots.
-    """
-    first = cov_derivative_jets(t, variance, gamma)
-    return cov_derivative_jets(first, variance + "d", gamma)
-
-
 def rough_laplacian_jets(t: JetField, variance: str, gamma: JetField, ginv: JetField) -> JetField:
     """Connection Laplacian: -(nabla^2 T)_{e_i, e_i} as a jet field."""
-    second = second_cov_jets(t, variance, gamma)
+    first = cov_derivative_jets(t, variance, gamma)
+    # the outer direction is the last axis: [..., y, x] holds (nabla^2 T)_{x,y}
+    second = cov_derivative_jets(first, variance + "d", gamma)
     letters = "abcdefgh"[: len(variance)]
     return jet_einsum(f"xy,{letters}yx->{letters}", ginv, second) * (-1.0)

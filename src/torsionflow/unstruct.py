@@ -7,7 +7,8 @@ complex structure J.  Its intrinsic torsion is
 
 a one-form with values in the skew endomorphisms anti-commuting with J
 (the u(n)-perp part of so(2n)).  The minimal U(n)-connection is
-``nabla + xi``.  This module computes xi, splits it into the four
+``nabla + xi``; its coefficients Gamma + xi are ``minimal_gamma``, laid
+out like gamma.  This module computes xi, splits it into the four
 Gray-Hervella components, and differentiates tensors with the minimal
 connection.
 
@@ -50,7 +51,6 @@ __all__ = [
     "TorsionTensor",
     "StructureJets",
     "minimal_derivative_jets",
-    "connection_action_jets",
     "random_structure",
     "random_curved_structure",
     "random_j_values",
@@ -177,29 +177,6 @@ def _frame_gray_hervella(xi_frame: np.ndarray, j_frame: np.ndarray, n: int):
     return xi1, xi2, xi3, xi4
 
 
-def connection_action_jets(t: JetField, variance: str, coef: JetField) -> JetField:
-    """Derivation action of a connection-coefficient field on a tensor.
-
-    ``coef[k, x, m]`` acts like Gamma^k_{xm}: plus on upper slots, minus
-    on lower slots, direction appended as a new last axis.
-    """
-    letters = "abcdefgh"[: len(variance)]
-    out = None
-    for k, c in enumerate(variance):
-        lab = letters[k]
-        inner = letters[:k] + "m" + letters[k + 1 :]
-        if c == "u":
-            term = jet_einsum(f"{lab}ym,{inner}->{letters}y", coef, t)
-        else:
-            term = jet_einsum(f"my{lab},{inner}->{letters}y", coef, t) * (-1.0)
-        out = term if out is None else out + term
-    if out is None:
-        # scalars carry no slots; the action vanishes
-        space = t.space
-        out = JetField.zeros(space, t.shape + (space.dim,), deg=min(t.deg, coef.deg))
-    return out
-
-
 class StructureJets:
     """All jet and frame data of a structure at one point, lazily built.
 
@@ -288,6 +265,11 @@ class StructureJets:
         return xi
 
     @cached_property
+    def minimal_gamma(self) -> JetField:
+        """Gamma + xi: the minimal connection's coefficients, laid out like gamma."""
+        return self.gamma + self.xi
+
+    @cached_property
     def nabla_xi(self) -> JetField:
         """nabla xi to degree 0: its reader keeps only the value."""
         return cov_derivative_jets(self.xi.truncate(1), "udd", self.gamma)
@@ -358,10 +340,10 @@ class StructureJets:
 
     @cached_property
     def minimal_connection_validated(self) -> bool:
-        """Contract for the xi-action sign: the minimal connection kills
-        g, J and omega.  Checked once per point, then trusted."""
+        """Contract for the sign of ``minimal_gamma``: the minimal connection
+        kills g, J and omega.  Checked once per point, then trusted."""
         for t, variance in ((self.g, "dd"), (self.J, "ud"), (self.omega, "dd")):
-            nabla_u = cov_derivative_jets(t, variance, self.gamma) + connection_action_jets(t, variance, self.xi)
+            nabla_u = cov_derivative_jets(t, variance, self.minimal_gamma)
             if np.abs(nabla_u.data).max() > CHECK_TOL * (1.0 + np.abs(t.data).max()):
                 raise InternalConventionError(
                     "minimal connection does not stabilise the structure tensors"
@@ -384,10 +366,7 @@ class StructureJets:
 def minimal_derivative_jets(t: JetField, variance: str, sj: StructureJets) -> JetField:
     """Minimal-connection derivative (nabla + xi) T, direction axis last."""
     sj.minimal_connection_validated
-    levi_civita = cov_derivative_jets(t, variance, sj.gamma)
-    # the sum is valid only to t.deg - 1, so no product goes higher
-    xi = sj.xi.truncate(min(sj.xi.deg, levi_civita.deg))
-    return levi_civita + connection_action_jets(t, variance, xi)
+    return cov_derivative_jets(t, variance, sj.minimal_gamma)
 
 
 # -- structure factories ---------------------------------------------------

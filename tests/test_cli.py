@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,28 @@ def test_geometry_errors_exit_3(tmp_path, capsys):
         assert "error" in json.loads(err)
 
 
+def test_numpy_warnings_stay_off_stderr(tmp_path, capsys):
+    # e^f overflows inside the jet products before the factor is refused
+    geo = {"type": "conformal", "n": 2, "f": "exp(300*x1)"}
+    path = write_config(tmp_path, "exp.json", geometry_config(geo))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["inspect", "--config", path], capsys)
+    assert (code, out) == (3, "")
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("command", ["inspect", "verify"])
+def test_extreme_metric_exits_3(tmp_path, capsys, command):
+    # e^f up to 1e152 is finite, but products of xi and R overflow float64
+    geo = {"type": "conformal", "n": 2, "f": "350*sin(x1)", "periodic": True}
+    path = write_config(tmp_path, "extreme.json", geometry_config(geo, count=3, command=command))
+    code, out, err = run([command, "--config", path], capsys)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert "overflow float64 at point (" in json.loads(err)["error"]
+
+
 class _RawNumber(str):
     """A number written into the config text as-is, past what json.dumps emits."""
 
@@ -164,7 +187,7 @@ _JUNK = st.sampled_from(
      10**400, "abc", "", [], {}, [1, 2], {"a": 1}, _RawNumber("9" * 5000)]
 )
 _FORMULAS = st.sampled_from(
-    ["sin(x1)", "sin(x1)*cos(x2)", "exp(x1)", "log(x1)", "1/x1", "x1^3", "sqrt(x2)", "x1^-2",
+    ["sin(x1)", "sin(x1)*cos(x2)", "350*sin(x1)", "exp(x1)", "log(x1)", "1/x1", "x1^3", "sqrt(x2)", "x1^-2",
      "exp(exp(x1))", "exp(700)", "9" * 5000, "1e400", "x1^" + "9" * 5000, "x1^" + "9" * 30, "x5", "(x1"]
 )
 
@@ -253,6 +276,21 @@ def test_flow_drift_exits_5(tmp_path, capsys, monkeypatch):
 
 
 SMALL_FLOW = {"schema": 1, "command": "flow", "flow": {"seed": 7, "n": 2, "m": 4, "max_iter": 2}}
+
+
+def test_flow_stall_exits_4(tmp_path, capsys, monkeypatch):
+    # a retraction that steps uphill fails every Armijo trial
+    from torsionflow import flow
+
+    cayley = flow._cayley
+    monkeypatch.setattr(flow, "_cayley", lambda a: cayley(-a))
+    path = write_config(tmp_path, "stall.json", SMALL_FLOW)
+    code, out, err = run(["flow", "--config", path], capsys)
+    assert (code, err) == (4, "")
+    report = json.loads(out)
+    assert report["stalled"] is True
+    assert report["converged"] is False
+    assert report["message"] == "step-size underflow in the Armijo search"
 
 
 def _must_not_run(*args, **kwargs):

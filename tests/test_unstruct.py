@@ -7,7 +7,6 @@ from torsionflow.jets import JetField, jet_space
 from torsionflow.tensor import random_rotation
 from torsionflow.unstruct import (
     AlmostHermitianStructure,
-    connection_action_jets,
     minimal_derivative_jets,
     random_curved_structure,
     random_structure,
@@ -246,11 +245,12 @@ def test_bad_j_rejected():
 
 
 def test_connection_action_on_scalar_is_zero():
+    # a scalar has no slots for the coefficients to act on
     s = random_structure(1, 2)
     p = np.zeros(4)
     sj = s.structure_jets(p)
     space = sj.g.space
     x = JetField.variables(space, p)
     scalar = JetField(space, (x.entry(0) * x.entry(1)).data.reshape(space.ncoeff))
-    act = connection_action_jets(scalar, "", sj.xi)
-    assert np.abs(act.data).max() == 0.0
+    nabla_u = minimal_derivative_jets(scalar, "", sj)
+    assert np.array_equal(nabla_u.data, scalar.grad().data)
