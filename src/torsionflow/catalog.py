@@ -22,7 +22,7 @@ Kept for the tests only: ``octonion_multiply`` and ``cross7`` (the Fano table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .exprlang import EvalError, Expr, eval_expr, parse
 from .geometry import MIN_JET_DEGREE, GeometryError, MetricField
-from .jets import MAX_DEGREE, MAX_DIM, JetField, jet_einsum, jet_matrix_inverse, jet_space
+from .jets import MAX_DIM, JetField, jet_einsum, jet_matrix_inverse, jet_space
 from .jets import exp as jet_exp
 from .unstruct import AlmostHermitianStructure, standard_j
 
@@ -316,16 +316,7 @@ def hopf_chart(n: int, degree: int = MIN_JET_DEGREE) -> GeometrySpec:
         "expected_nonzero": ("vert_geodesic", "horiz_geodesic"),
         "sphere_curvature_k": 1.0,
     }
-    return GeometrySpec(
-        name="hopf",
-        n=n,
-        metric_kind="conformal",
-        conformal_factor=spec.conformal_factor,
-        domain=box,
-        periodic=False,
-        degree=degree,
-        metadata=meta,
-    )
+    return replace(spec, metadata=meta)
 
 
 def s6_nearly_kahler(degree: int = MIN_JET_DEGREE) -> GeometrySpec:
@@ -434,34 +425,32 @@ def spec_from_config(cfg: Mapping) -> GeometrySpec:
 
     Dispatches on the ``type`` field over the catalog names; unknown
     fields are rejected so misspelled options cannot silently pass.
+    Every spec is expanded to ``MIN_JET_DEGREE``.
     """
     if not isinstance(cfg, Mapping) or "type" not in cfg:
         raise GeometryError("geometry config must be a mapping with a 'type' field")
     kind = cfg["type"]
-    degree = cfg.get("jet_degree", MIN_JET_DEGREE)
-    # type(), not isinstance(), so that true/false are rejected too
-    if type(degree) is not int or not MIN_JET_DEGREE <= degree <= MAX_DEGREE:
-        raise GeometryError(f"jet_degree must be an integer in {MIN_JET_DEGREE}..{MAX_DEGREE}")
     n = cfg.get("n", 2)
+    # type(), not isinstance(), so that true/false are rejected too
     if type(n) is not int or not 1 <= n <= MAX_DIM // 2:
         raise GeometryError(f"n must be an integer in 1..{MAX_DIM // 2}")
     periodic = cfg.get("periodic", False)
     if type(periodic) is not bool:
         raise GeometryError("periodic must be true or false")
     if kind == "flat":
-        allowed = {"type", "n", "jet_degree"}
-        spec = flat_kahler(n, degree=degree)
+        allowed = {"type", "n"}
+        spec = flat_kahler(n)
     elif kind == "conformal":
-        allowed = {"type", "n", "f", "periodic", "jet_degree"}
+        allowed = {"type", "n", "f", "periodic"}
         if "f" not in cfg:
             raise GeometryError("conformal geometry needs an 'f' expression")
-        spec = conformal(n, str(cfg["f"]), periodic=periodic, degree=degree)
+        spec = conformal(n, str(cfg["f"]), periodic=periodic)
     elif kind == "hopf":
-        allowed = {"type", "n", "jet_degree"}
-        spec = hopf_chart(n, degree=degree)
+        allowed = {"type", "n"}
+        spec = hopf_chart(n)
     elif kind == "s6":
-        allowed = {"type", "jet_degree"}
-        spec = s6_nearly_kahler(degree=degree)
+        allowed = {"type"}
+        spec = s6_nearly_kahler()
     else:
         raise GeometryError(f"unknown catalog geometry {kind!r}")
     extra = set(cfg) - allowed

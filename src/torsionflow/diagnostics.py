@@ -38,6 +38,7 @@ from .unstruct import (
     AlmostHermitianStructure,
     InternalConventionError,
     StructureJets,
+    _where,
     minimal_derivative_jets,
     standard_j,
 )
@@ -113,10 +114,6 @@ HARMONIC_MAP_FORM_CALIBRATION = 4.0
 
 def _fro(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.asarray(a) ** 2)))
-
-
-def _where(p) -> str:
-    return "(" + ", ".join(format(float(v), ".17g") for v in p) + ")"
 
 
 class _PointData:
@@ -859,7 +856,6 @@ def run_diagnostics(
     points,
     tol: float = 1e-6,
     rotation=None,
-    metadata: dict | None = None,
 ) -> DiagnosticsReport:
     """Evaluate sections, Laplacian criteria and identities pointwise."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -891,8 +887,6 @@ def run_diagnostics(
         "sign_audit": "paper-convention",
         "rotated_frame": rotation is not None,
     }
-    if metadata:
-        meta.update(metadata)
     return DiagnosticsReport(
         geometry=structure.name,
         points=points,

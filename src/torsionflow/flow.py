@@ -336,24 +336,6 @@ def pointwise_norms(field: np.ndarray) -> np.ndarray:
 # -- variations -------------------------------------------------------------------
 
 
-def _expm_skew(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of per-node skew matrices, scaling and squaring."""
-    norm = float(np.sqrt(np.sum(a * a, axis=(-2, -1)).max(initial=0.0)))
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.25))) if norm > 0.25 else 0)
-    b = a / (2.0**squarings)
-    eye = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
-    out = eye.copy()
-    term = eye.copy()
-    for k in range(1, 15):
-        term = term @ b / k
-        out += term
-        if float(np.abs(term).max()) < 1e-17:
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 def _cayley(a: np.ndarray) -> np.ndarray:
     """(I - a/2)^{-1}(I + a/2): exactly orthogonal for skew a.
 
@@ -381,8 +363,9 @@ def _cayley(a: np.ndarray) -> np.ndarray:
 
 
 def variation(grid: JGrid, phi: np.ndarray, eps: float) -> JGrid:
-    """The varied grid exp(eps phi) J exp(-eps phi) with exact exponentials."""
-    q = _expm_skew(eps * phi)
+    """The varied grid q J q^T through the descent's retraction q = _cayley(eps phi):
+    exactly orthogonal and exp(eps phi) + O(eps^3), so both variations are exp's."""
+    q = _cayley(eps * phi)
     values = q @ grid.values @ np.swapaxes(q, -1, -2)
     return JGrid(grid.n, grid.resolution, values)
 

@@ -60,6 +60,10 @@ __all__ = [
 CHECK_TOL = 1e-9
 
 
+def _where(p) -> str:
+    return "(" + ", ".join(format(float(v), ".17g") for v in p) + ")"
+
+
 class InternalConventionError(AssertionError):
     """A built-in cross-check failed; signals a sign or layout bug."""
 
@@ -208,7 +212,15 @@ class StructureJets:
 
     @cached_property
     def curv(self) -> CurvatureJets:
-        return curvature_jets(self.g, self.gamma, self.ginv)
+        c = curvature_jets(self.g, self.gamma, self.ginv)
+        self._require_finite("curvature", c.riem, c.rflat, c.ricci, c.scalar)
+        return c
+
+    def _require_finite(self, what: str, *jets: JetField) -> None:
+        # a metric near either end of the float64 range: refused before
+        # any cross-route check reads the overflowed jets
+        if not all(np.isfinite(j.data).all() for j in jets):
+            raise GeometryError(f"{what} jets overflow float64 at point {_where(self.point)}")
 
     @cached_property
     def framepack(self) -> FramePack:
@@ -259,6 +271,7 @@ class StructureJets:
         xi = jet_einsum("km,myx->kxy", self.J, self.nabla_J) * (-0.5)
         lhs = jet_einsum("zk,kxy->xyz", self.g, xi) * 2.0
         rhs = jet_einsum("ymx,mz->xyz", self.nabla_omega, self.J) * (-1.0)
+        self._require_finite("torsion", xi, lhs, rhs)
         scale = 1.0 + np.abs(lhs.data).max()
         if np.abs(lhs.data - rhs.data).max() > CHECK_TOL * scale:
             raise InternalConventionError("xi from nabla J disagrees with nabla omega route")

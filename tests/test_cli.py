@@ -120,6 +120,7 @@ def test_geometry_errors_exit_3(tmp_path, capsys):
         {"type": "conformal", "n": 2, "f": "sin(x1"},
         {"type": "conformal", "n": 2, "f": "x1", "periodic": True},
         {"type": "conformal", "n": 2, "f": "1/x1"},
+        {"type": "flat", "n": 2, "jet_degree": 3},
         {"type": "flat", "n": 2, "jet_degree": 9},
         {"type": "flat", "n": 2, "jet_degree": 2},
         {"type": "flat", "n": 2, "jet_degree": "abc"},
@@ -157,11 +158,20 @@ def test_numpy_warnings_stay_off_stderr(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
-@pytest.mark.parametrize("command", ["inspect", "verify"])
-def test_extreme_metric_exits_3(tmp_path, capsys, command):
-    # e^f up to 1e152 is finite, but products of xi and R overflow float64
-    geo = {"type": "conformal", "n": 2, "f": "350*sin(x1)", "periodic": True}
-    path = write_config(tmp_path, "extreme.json", geometry_config(geo, count=3, command=command))
+# e^f up to 1e152 is finite, but products of xi and R overflow float64
+_HUGE = {"type": "conformal", "n": 2, "f": "350*sin(x1)", "periodic": True}
+# g near 1e-308 at the second point: the torsion jets overflow
+_TINY = {"type": "conformal", "n": 3, "f": "709*sin(x1)"}
+
+
+@pytest.mark.parametrize(
+    "command, geo",
+    [("inspect", _HUGE), ("verify", _HUGE), ("inspect", _TINY), ("verify", _TINY), ("classify", _TINY)],
+    ids=["inspect", "verify", "inspect-709", "verify-709", "classify-709"],
+)
+def test_extreme_metric_exits_3(tmp_path, capsys, command, geo):
+    cfg = geometry_config(geo, count=3, seed=0 if geo is _TINY else 1, command=command)
+    path = write_config(tmp_path, "extreme.json", cfg)
     code, out, err = run([command, "--config", path], capsys)
     assert (code, out) == (3, "")
     assert err.count("\n") == 1
@@ -187,8 +197,9 @@ _JUNK = st.sampled_from(
      10**400, "abc", "", [], {}, [1, 2], {"a": 1}, _RawNumber("9" * 5000)]
 )
 _FORMULAS = st.sampled_from(
-    ["sin(x1)", "sin(x1)*cos(x2)", "350*sin(x1)", "exp(x1)", "log(x1)", "1/x1", "x1^3", "sqrt(x2)", "x1^-2",
-     "exp(exp(x1))", "exp(700)", "9" * 5000, "1e400", "x1^" + "9" * 5000, "x1^" + "9" * 30, "x5", "(x1"]
+    ["sin(x1)", "sin(x1)*cos(x2)", "350*sin(x1)", "709*sin(x1)", "exp(x1)", "log(x1)", "1/x1", "x1^3",
+     "sqrt(x2)", "x1^-2", "exp(exp(x1))", "exp(700)", "9" * 5000, "1e400", "x1^" + "9" * 5000,
+     "x1^" + "9" * 30, "x5", "(x1"]
 )
 
 
