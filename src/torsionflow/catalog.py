@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .exprlang import EvalError, Expr, eval_expr, parse
-from .geometry import MIN_JET_DEGREE, GeometryError, MetricField
+from .geometry import MIN_JET_DEGREE, GeometryError, MetricField, fail_first
 from .jets import MAX_DIM, JetField, jet_einsum, jet_matrix_inverse, jet_space
 from .jets import exp as jet_exp
 from .unstruct import AlmostHermitianStructure, standard_j
@@ -258,20 +258,14 @@ def conformal(
     dim = 2 * n
     box = domain if domain is not None else ((-np.pi, np.pi),) * dim
     probes = _halton_box(box, 8, 1)
-    grad_mag = 0.0
-    for p in probes:
-        jet = _eval_factor(expr, p, dim)
-        grad_mag = max(grad_mag, float(np.abs(jet.data[1 : 1 + dim]).max()))
+    jet = _eval_factor(expr, probes, dim)
+    grad_mag = float(np.abs(jet.data[..., 1 : 1 + dim]).max())
     if periodic:
-        for p in probes[:4]:
-            base = _eval_factor(expr, p, dim).value
-            for i in range(dim):
-                q = p.copy()
-                q[i] += 2.0 * np.pi
-                if abs(_eval_factor(expr, q, dim).value - base) > 1e-9 * (1.0 + abs(base)):
-                    raise GeometryError(
-                        "conformal factor is not 2 pi periodic in every coordinate"
-                    )
+        base = jet.value[:4, None]
+        # [p, i] is probe p moved by 2 pi along coordinate i
+        moved = _eval_factor(expr, probes[:4, None] + 2.0 * np.pi * np.eye(dim), dim).value
+        if (np.abs(moved - base) > 1e-9 * (1.0 + np.abs(base))).any():
+            raise GeometryError("conformal factor is not 2 pi periodic in every coordinate")
     if grad_mag < 1e-12:
         meta = {
             "expected_class": "Kähler",
@@ -350,20 +344,20 @@ def _s6_graph(p, degree: int) -> tuple[JetField, JetField, JetField, JetField]:
     D has identity rows over -x_i/w.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape != (6,):
+    if p.shape[-1:] != (6,):
         raise GeometryError("six-sphere chart points live in R^6")
-    if float(p @ p) >= 0.9**2:
-        raise GeometryError("six-sphere chart point outside the coordinate ball")
+    fail_first(np.sum(p * p, axis=-1) >= 0.9**2, p, GeometryError,
+               "six-sphere chart point outside the coordinate ball")
     space = jet_space(6, degree)
     x = JetField.variables(space, p)
     sq = jet_einsum("i,i->", x, x)
     w = (sq * (-1.0) + JetField.constants(space, 1.0)).fn("sqrt")
     winv = w.fn("reciprocal")
 
-    d = JetField.zeros(space, (7, 6))
+    d = JetField.zeros(space, p.shape[:-1] + (7, 6))
     for i in range(6):
-        d.data[i, i, 0] = 1.0
-    d.data[6] = (jet_einsum("i,->i", x, winv) * (-1.0)).data
+        d.data[..., i, i, 0] = 1.0
+    d.data[..., 6, :, :] = (jet_einsum("i,->i", x, winv) * (-1.0)).data
     g = jet_einsum("ai,aj->ij", d, d)
     return x, w, d, g
 
@@ -372,9 +366,9 @@ def _s6_j(p, degree: int) -> JetField:
     """J jets in the graph chart: the pullback of cross multiplication by
     the sphere point."""
     x, w, d, g = _s6_graph(p, degree)
-    embed = JetField.zeros(x.space, (7,))
-    embed.data[:6] = x.data
-    embed.data[6] = w.data
+    embed = JetField.zeros(x.space, x.shape[:-1] + (7,))
+    embed.data[..., :6, :] = x.data
+    embed.data[..., 6, :] = w.data
 
     cross_op = jet_einsum("abc,a->cb", JetField.constants(x.space, _OCT), embed)
     md = jet_einsum("cb,bj->cj", cross_op, d)
@@ -383,14 +377,17 @@ def _s6_j(p, degree: int) -> JetField:
 
 
 def build_structure(spec: GeometrySpec) -> AlmostHermitianStructure:
-    """Materialize a spec as metric and J evaluators."""
+    """Materialize a spec as metric and J evaluators of point blocks."""
     dim = spec.dim
     degree = spec.degree
+
+    def constant(p, value):
+        return JetField.constants(jet_space(dim, degree), np.broadcast_to(value, p.shape[:-1] + value.shape))
 
     if spec.metric_kind == "flat":
 
         def g_eval(p):
-            return JetField.constants(jet_space(dim, degree), np.eye(dim))
+            return constant(p, np.eye(dim))
 
     elif spec.metric_kind == "conformal":
         expr = spec.conformal_factor
@@ -409,7 +406,7 @@ def build_structure(spec: GeometrySpec) -> AlmostHermitianStructure:
         j0 = standard_j(spec.n)
 
         def j_eval(p):
-            return JetField.constants(jet_space(dim, degree), j0)
+            return constant(p, j0)
 
     else:
 

@@ -18,6 +18,11 @@ Conventions follow the rest of the package: R(X,Y) = nabla_[X,Y] -
 [nabla_X, nabla_Y], omega(X,Y) = <X, JY>, xi_X = -1/2 J (nabla_X J),
 and tensor inner products contract every slot in an orthonormal frame.
 
+``run_diagnostics`` and ``classify_gh`` evaluate the points in chunks,
+each one ``StructureJets`` on a block of points (CHUNK_ENTRIES bounds
+its memory); the suites return one value per point, and the per-point
+functions below are chunks of one point.
+
 Kept for the tests only: the theorem checks ``class_criteria``,
 ``w1w4_laplacian_residual``, ``nearly_kahler_suite`` and
 ``conformal_example_check``, and ``point_scale`` (the verdict scale).
@@ -31,14 +36,13 @@ from functools import cached_property
 import numpy as np
 
 from .exprlang import eval_expr, parse
-from .geometry import GeometryError, cov_derivative_jets, rough_laplacian_jets
-from .jets import JetField, jet_einsum
-from .tensor import FramePack, PointTensor, wedge2
+from .geometry import GeometryError, cov_derivative_jets, point_max, rough_laplacian_jets
+from .jets import JetField, jet_einsum, jet_space
+from .tensor import FramePack, PointTensor, permute, wedge2
 from .unstruct import (
     AlmostHermitianStructure,
     InternalConventionError,
     StructureJets,
-    _where,
     minimal_derivative_jets,
     standard_j,
 )
@@ -70,6 +74,12 @@ __all__ = [
 
 # Independent computation routes must agree this closely (times scale).
 ROUTE_TOL = 1e-8
+
+# Points evaluated together: about this many entries of a rank-4 jet
+# (dim^4 entries of ncoeff coefficients) per chunk.  At MIN_JET_DEGREE
+# that is 7 points at dim 4 and one point at dim 6 and 8, so a chunk's
+# arrays stay near a megabyte whatever the number of points.
+CHUNK_ENTRIES = 2**16
 
 SECTION_NAMES = (
     "harmonic",
@@ -112,17 +122,20 @@ PSI_NORM_CALIBRATION = 24.0
 HARMONIC_MAP_FORM_CALIBRATION = 4.0
 
 
-def _fro(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.asarray(a) ** 2)))
+def _fro(a: np.ndarray, lead: int = 1) -> np.ndarray:
+    """Frobenius norm over every axis after the ``lead`` point axes."""
+    a = np.asarray(a)
+    return np.sqrt(np.sum(a**2, axis=tuple(range(lead, a.ndim))))
 
 
 class _PointData:
-    """Frame-component arrays shared by the diagnostics at one point.
+    """Frame-component arrays shared by the diagnostics on a chunk of points.
 
-    Everything here is plain numpy in the orthonormal frame of the
-    structure's FramePack, so residual norms are frame-rotation
-    invariant by construction.  Each derived quantity is built once, on
-    first use, like the jets of ``StructureJets``.
+    Everything here is plain numpy in the orthonormal frames of the
+    structure's FramePack, one leading axis over the chunk's points, so
+    residual norms are frame-rotation invariant by construction.  Each
+    derived quantity is built once, on first use, like the jets of
+    ``StructureJets``; the suites return one value per point.
     """
 
     def __init__(self, sj: StructureJets):
@@ -138,11 +151,12 @@ class _PointData:
         # nabla xi frame: F[k, s, a, c] = <(nabla_{e_c} xi)_{e_s} e_a, e_k>
         self.F = self.fp.to_frame(sj.nabla_xi.value, "uddd")
         self.scale = 1.0 + _fro(self.xiF) + _fro(self.RF)
-        if not np.isfinite(self.scale):
-            # an infinite scale would pass every residual
-            raise GeometryError(
-                f"torsion and curvature norms overflow float64 at point {_where(sj.point)}"
-            )
+        # an infinite scale would pass every residual
+        sj.fail(~np.isfinite(self.scale), GeometryError, "torsion and curvature norms overflow float64")
+
+    def check_route(self, gap: np.ndarray, what: str) -> None:
+        """Two routes to one quantity agree within ROUTE_TOL * scale."""
+        self.sj.fail(gap > ROUTE_TOL * self.scale, InternalConventionError, what)
 
     @cached_property
     def minimal_xi(self) -> np.ndarray:
@@ -153,41 +167,37 @@ class _PointData:
 
     @cached_property
     def component_norms(self) -> np.ndarray:
-        return np.array([_fro(c) for c in self.sj.gh_frame])
+        return self.sj.torsion().component_norms()
 
     @cached_property
-    def coderivative(self) -> CoderivativeXi:
-        """d*xi by definition, checked against the minimal-connection route."""
-        d1 = -np.einsum("kiyi->ky", self.F)
-        d2 = -np.einsum("kiyi->ky", self.minimal_xi) - self.lee_endo()
-        gap = float(np.abs(d1 - d2).max())
-        if gap > ROUTE_TOL * self.scale:
-            raise InternalConventionError(
-                f"d*xi routes disagree by {gap:.3e} (scale {self.scale:.3e})"
-            )
+    def coderivative(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """d*xi by definition, checked against the minimal-connection route;
+        with the route gap and the u(n) defect of each point."""
+        d1 = -np.einsum("...kiyi->...ky", self.F)
+        d2 = -np.einsum("...kiyi->...ky", self.minimal_xi) - self.lee_endo()
+        gap = point_max(d1 - d2, 1)
+        self.check_route(gap, "d*xi routes disagree")
         # membership in u(n)-perp: the J-commuting half must vanish
-        u_part = 0.5 * (d1 - self.jf @ d1 @ self.jf)
-        u_def = float(np.abs(u_part).max())
-        if u_def > ROUTE_TOL * self.scale:
-            raise InternalConventionError("d*xi has a u(n) component")
-        return CoderivativeXi(point=self.sj.point, value=d1, route_gap=gap, uperp_defect=u_def)
+        u_def = point_max(0.5 * (d1 - self.jf @ d1 @ self.jf), 1)
+        self.check_route(u_def, "d*xi has a u(n) component")
+        return d1, gap, u_def
 
     @cached_property
     def harmonic_map_form(self) -> np.ndarray:
         """Frame components of the one-form <xi_{e_i}, R(e_i, X)>."""
-        return np.einsum("ikm,ixmk->x", self.xiF, self.RF)
+        return np.einsum("...ikm,...ixmk->...x", self.xiF, self.RF)
 
     @cached_property
     def rperp(self) -> np.ndarray:
         """u(n)-perp part of the curvature endomorphisms R(e_x, e_y)."""
         # endo matrix of R(e_x, e_y): entries [k, m] = <R e_m, e_k>
-        rend = np.transpose(self.RF, (0, 1, 3, 2))
-        return 0.5 * (rend + np.einsum("ka,xyab,bm->xykm", self.jf, rend, self.jf))
+        rend = permute(self.RF, (0, 1, 3, 2))
+        return 0.5 * (rend + np.einsum("...ka,...xyab,...bm->...xykm", self.jf, rend, self.jf))
 
     @cached_property
     def star_ricci_frame(self) -> np.ndarray:
         """Ric* by contracting the frame curvature."""
-        return np.einsum("xicd,cy,di->xy", self.RF, self.jf, self.jf)
+        return np.einsum("...xicd,...cy,...di->...xy", self.RF, self.jf, self.jf)
 
     @cached_property
     def star_ricci_field(self) -> JetField:
@@ -199,7 +209,7 @@ class _PointData:
 
     def lee_endo(self) -> np.ndarray:
         """Matrix of xi_{xi_{e_i} e_i} in the frame."""
-        return np.einsum("a,akm->km", self.ell, self.xiF)
+        return np.einsum("...a,...akm->...km", self.ell, self.xiF)
 
     @cached_property
     def laplacian_j(self) -> np.ndarray:
@@ -212,20 +222,44 @@ class _PointData:
         lap_om = rough_laplacian_jets(sj.omega, "dd", sj.gamma, sj.ginv)
         lo = self.fp.to_frame(lap_om.value, "dd")
         # (nabla*nabla omega)(X, Y) = <X, (nabla*nabla J) Y>
-        if np.abs(lo - self.laplacian_j).max() > ROUTE_TOL * self.scale:
-            raise InternalConventionError(
-                "rough Laplacians of omega and J disagree"
-            )
+        self.check_route(point_max(lo - self.laplacian_j, 1), "rough Laplacians of omega and J disagree")
         return lo
 
 
 def _point_data(structure: AlmostHermitianStructure, p, rotation=None) -> _PointData:
-    return _PointData(structure.structure_jets(p, rotation))
+    """A chunk of the one point ``p``: the per-point functions read index 0."""
+    return _PointData(structure.structure_jets(np.asarray(p, dtype=float)[None], rotation))
+
+
+def _chunk_size(structure: AlmostHermitianStructure) -> int:
+    """Points per chunk: CHUNK_ENTRIES entries of a rank-4 jet, at least one."""
+    ncoeff = jet_space(structure.dim, structure.metric.degree).ncoeff
+    return max(1, CHUNK_ENTRIES // (structure.dim**4 * ncoeff))
+
+
+def _chunked(structure: AlmostHermitianStructure, points: np.ndarray, rotation, evaluate) -> list:
+    """``evaluate`` on each chunk of points, results joined in point order.
+
+    A chunk that fails is evaluated again one point at a time, so the
+    error raised is the one of the first failing point in point order.
+    """
+    size = _chunk_size(structure)
+    out: list = []
+    for start in range(0, len(points), size):
+        block = points[start : start + size]
+        try:
+            out += evaluate(_PointData(structure.structure_jets(block, rotation)))
+        except Exception:
+            if len(block) > 1:
+                for p in block:
+                    evaluate(_point_data(structure, p, rotation))
+            raise
+    return out
 
 
 def point_scale(structure: AlmostHermitianStructure, p, rotation=None) -> float:
     """1 + |xi| + |R| at the point; residual tolerances multiply this."""
-    return _point_data(structure, p, rotation).scale
+    return float(_point_data(structure, p, rotation).scale[0])
 
 
 # -- coderivative ----------------------------------------------------------
@@ -248,33 +282,37 @@ class CoderivativeXi:
 
     @property
     def norm(self) -> float:
-        return _fro(self.value)
+        return float(_fro(self.value, 0))
 
 
 def coderivative_xi(structure: AlmostHermitianStructure, p, rotation=None) -> CoderivativeXi:
     """d*xi computed two ways with a built-in agreement check."""
-    return _point_data(structure, p, rotation).coderivative
+    pd = _point_data(structure, p, rotation)
+    d1, gap, u_def = pd.coderivative
+    return CoderivativeXi(
+        point=pd.sj.points[0], value=d1[0], route_gap=float(gap[0]), uperp_defect=float(u_def[0])
+    )
 
 
 # -- section residuals ------------------------------------------------------
 
 
-def _section_residuals(pd: _PointData) -> dict[str, float]:
+def _section_residuals(pd: _PointData) -> dict[str, np.ndarray]:
     xiF, RF, F = pd.xiF, pd.RF, pd.F
 
-    harmonic = pd.coderivative.norm
+    harmonic = _fro(pd.coderivative[0])
 
     # Sup over unit X of |<xi_{e_i}, R(e_i, X)>|, the l2 norm in an
     # orthonormal frame.
     harmonic_map = _fro(pd.harmonic_map_form)
 
     # A[x, y, k, m] = <(nabla_{e_x} xi)_{e_y} e_m, e_k>
-    a = np.transpose(F, (3, 1, 0, 2))
-    sym = a + np.transpose(a, (1, 0, 2, 3))
+    a = permute(F, (3, 1, 0, 2))
+    sym = a + permute(a, (1, 0, 2, 3))
     vert = _fro(sym)
 
-    t3 = np.einsum("xkm,yzmk->xyz", xiF, RF)
-    horiz = _fro(t3 + np.transpose(t3, (1, 0, 2)))
+    t3 = np.einsum("...xkm,...yzmk->...xyz", xiF, RF)
+    horiz = _fro(t3 + permute(t3, (1, 0, 2)))
 
     flatness = _fro(pd.rperp)
 
@@ -288,9 +326,9 @@ def _section_residuals(pd: _PointData) -> dict[str, float]:
     tors = xi - xi.transpose((0, 2, 1))
     ft = pd.fp.to_frame(cov_derivative_jets(tors, "udd", pd.sj.gamma).value, "uddd")
     # Sup over unit X, Y: the spectral norm of the bilinear trace form.
-    iv_a = float(np.linalg.norm(np.einsum("ixyi->xy", ft), 2))
-    dt = -np.einsum("kixi->kx", ft)
-    iv_b = _fro(0.5 * (dt - dt.T))
+    iv_a = np.linalg.norm(np.einsum("...ixyi->...xy", ft), 2, axis=(-2, -1))
+    dt = -np.einsum("...kixi->...kx", ft)
+    iv_b = _fro(0.5 * (dt - permute(dt, (1, 0))))
 
     return {
         "harmonic": harmonic,
@@ -314,7 +352,12 @@ def section_residuals(structure: AlmostHermitianStructure, p, rotation=None) -> 
     ``torsion_iv_{a,b}`` restate harmonicity through the torsion
     T(X,Y) = xi_X Y - xi_Y X of the minimal connection.
     """
-    return _section_residuals(_point_data(structure, p, rotation))
+    return _first(_section_residuals(_point_data(structure, p, rotation)))
+
+
+def _first(columns: dict[str, np.ndarray]) -> dict[str, float]:
+    """The values of the first point of per-point columns."""
+    return {name: float(values[0]) for name, values in columns.items()}
 
 
 # -- *-Ricci ----------------------------------------------------------------
@@ -339,55 +382,52 @@ class StarRicci:
     route_gap: float
 
 
-def _star_ricci(pd: _PointData) -> StarRicci:
+def _star_ricci(pd: _PointData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ric* in the frame, its skew part and the skew part's route gap."""
     ric = pd.star_ricci_frame
     jf, xiF = pd.jf, pd.xiF
     # Hermitian symmetry Ric*(JX, JY) = Ric*(Y, X) is a theorem; treat
     # violation as an internal layout bug.
-    twisted = np.einsum("ax,by,ab->xy", jf, jf, ric)
-    if np.abs(twisted - ric.T).max() > ROUTE_TOL * pd.scale:
-        raise InternalConventionError("Ric*(JX,JY) = Ric*(Y,X) fails")
-    alt = 0.5 * (ric - ric.T)
+    twisted = np.einsum("...ax,...by,...ab->...xy", jf, jf, ric)
+    pd.check_route(point_max(twisted - permute(ric, (1, 0)), 1), "Ric*(JX,JY) = Ric*(Y,X) fails")
+    alt = 0.5 * (ric - permute(ric, (1, 0)))
 
     # independent route for the skew part through the minimal connection
-    jell = jf @ pd.ell
-    m1 = np.einsum("a,akm->km", jell, xiF)
-    term1 = -np.einsum("ym,mx->xy", m1, jf)
-    term2 = np.einsum("si,ax,ysai->xy", jf, jf, pd.minimal_xi)
-    gap = float(np.abs(alt - (term1 + term2)).max())
-    if gap > ROUTE_TOL * pd.scale:
-        raise InternalConventionError(
-            f"Ric*_alt routes disagree by {gap:.3e} (scale {pd.scale:.3e})"
-        )
-
-    coords = pd.fp.from_frame(ric, "dd")
-    return StarRicci(
-        point=pd.sj.point,
-        ric_star=PointTensor(data=coords, variance="dd"),
-        s_star=float(np.trace(ric)),
-        sym=0.5 * (ric + ric.T),
-        alt=alt,
-        frame=pd.fp,
-        route_gap=gap,
-    )
+    jell = np.einsum("...km,...m->...k", jf, pd.ell)
+    m1 = np.einsum("...a,...akm->...km", jell, xiF)
+    term1 = -np.einsum("...ym,...mx->...xy", m1, jf)
+    term2 = np.einsum("...si,...ax,...ysai->...xy", jf, jf, pd.minimal_xi)
+    gap = point_max(alt - (term1 + term2), 1)
+    pd.check_route(gap, "Ric*_alt routes disagree")
+    return ric, alt, gap
 
 
 def star_ricci(structure: AlmostHermitianStructure, p, rotation=None) -> StarRicci:
     """Ric* with the built-in cross-check on its skew part."""
-    return _star_ricci(_point_data(structure, p, rotation))
+    pd = _point_data(structure, p, rotation)
+    ric, alt, gap = _star_ricci(pd)
+    return StarRicci(
+        point=pd.sj.points[0],
+        ric_star=PointTensor(data=pd.fp.from_frame(ric, "dd")[0], variance="dd"),
+        s_star=float(np.trace(ric[0])),
+        sym=0.5 * (ric[0] + ric[0].T),
+        alt=alt[0],
+        frame=FramePack(pd.fp.g[0], rotation),
+        route_gap=float(gap[0]),
+    )
 
 
 # -- Hermitian Laplacian criteria --------------------------------------------
 
 
-def _hermitian_harmonicity(pd: _PointData) -> dict[str, float]:
+def _hermitian_harmonicity(pd: _PointData) -> dict[str, np.ndarray]:
     jf, xiF = pd.jf, pd.xiF
     lo, lj = pd.laplacian_omega, pd.laplacian_j
     comm = jf @ lj - lj @ jf
 
-    herm = np.einsum("ax,by,ab->xy", jf, jf, lo) - lo
+    herm = np.einsum("...ax,...by,...ab->...xy", jf, jf, lo) - lo
 
-    pairing = np.einsum("ikx,km,imy->xy", xiF, jf, xiF)
+    pairing = np.einsum("...ikx,...km,...imy->...xy", xiF, jf, xiF)
     cond_iv = lo + 4.0 * pairing
 
     return {
@@ -405,7 +445,7 @@ def hermitian_harmonicity(structure: AlmostHermitianStructure, p, rotation=None)
     defect of nabla*nabla omega(X,Y) = -4 omega(xi_{e_i} X, xi_{e_i} Y).
     The three vanish together, and exactly when |d*xi| does.
     """
-    return _hermitian_harmonicity(_point_data(structure, p, rotation))
+    return _first(_hermitian_harmonicity(_point_data(structure, p, rotation)))
 
 
 # -- tensor identities --------------------------------------------------------
@@ -414,7 +454,7 @@ def hermitian_harmonicity(structure: AlmostHermitianStructure, p, rotation=None)
 def _act_on_form(endo: np.ndarray, form: np.ndarray) -> np.ndarray:
     """Derivation action of an endomorphism on a (0,2) tensor:
     (A T)(Y, Z) = -T(AY, Z) - T(Y, AZ)."""
-    return -(np.einsum("kx,ky->xy", endo, form) + np.einsum("ky,xk->xy", endo, form))
+    return -(np.einsum("...kx,...ky->...xy", endo, form) + np.einsum("...ky,...xk->...xy", endo, form))
 
 
 def _lee_dexterior_anti(pd: _PointData) -> np.ndarray:
@@ -423,8 +463,8 @@ def _lee_dexterior_anti(pd: _PointData) -> np.ndarray:
     sj = pd.sj
     ell_flat = jet_einsum("ky,k->y", sj.g, sj.lee_field.truncate(1))
     dal = ell_flat.grad().value  # dal[c, x] = d_x (ell_flat)_c
-    dl = pd.fp.to_frame(dal.T - dal, "dd")
-    return dl - np.einsum("ax,by,ab->xy", pd.jf, pd.jf, dl)
+    dl = pd.fp.to_frame(permute(dal, (1, 0)) - dal, "dd")
+    return dl - np.einsum("...ax,...by,...ab->...xy", pd.jf, pd.jf, dl)
 
 
 def _gh_trace_terms(pd: _PointData) -> list[np.ndarray]:
@@ -434,32 +474,32 @@ def _gh_trace_terms(pd: _PointData) -> list[np.ndarray]:
     out = []
     for comp in (xi1, xi3, xi4):
         gk = pd.fp.to_frame(minimal_derivative_jets(comp, "udd", pd.sj).value, "uddd")
-        out.append(np.einsum("yixi->xy", gk))
+        out.append(np.einsum("...yixi->...xy", gk))
     return out
 
 
-def _identity_suite(pd: _PointData) -> dict[str, float]:
+def _identity_suite(pd: _PointData) -> dict[str, np.ndarray]:
     n, xiF, ell = pd.n, pd.xiF, pd.ell
     if n == 1:
         # xi vanishes identically in complex dimension one
-        return {name: 0.0 for name in IDENTITY_NAMES}
+        return {name: np.zeros(pd.scale.shape) for name in IDENTITY_NAMES}
 
     xi1F, xi2F, xi3F, xi4F = pd.sj.gh_frame
     a1, a3, a4 = _gh_trace_terms(pd)
 
     # (a) the ten-term combination forced by d^2 omega = 0
-    b1 = np.einsum("xci,icy->xy", xi3F, xi1F)
-    b2 = np.einsum("xci,icy->xy", xi3F, xi2F)
-    ell4 = np.einsum("iki->k", xi4F)
-    c1 = np.einsum("a,ayx->xy", ell4, xi1F)
-    c2 = np.einsum("a,ayx->xy", ell4, xi2F)
-    c3 = np.einsum("a,ayx->xy", ell4, xi3F)
+    b1 = np.einsum("...xci,...icy->...xy", xi3F, xi1F)
+    b2 = np.einsum("...xci,...icy->...xy", xi3F, xi2F)
+    ell4 = np.einsum("...iki->...k", xi4F)
+    c1 = np.einsum("...a,...ayx->...xy", ell4, xi1F)
+    c2 = np.einsum("...a,...ayx->...xy", ell4, xi2F)
+    c3 = np.einsum("...a,...ayx->...xy", ell4, xi3F)
     combo = (
         3.0 * a1
         - a3
         + (n - 2.0) * a4
-        + (b1 - b1.T)
-        + (b2 - b2.T)
+        + (b1 - permute(b1, (1, 0)))
+        + (b2 - permute(b2, (1, 0)))
         - ((n - 5.0) / (n - 1.0)) * c1
         - ((n - 2.0) / (n - 1.0)) * c2
         + c3
@@ -469,17 +509,17 @@ def _identity_suite(pd: _PointData) -> dict[str, float]:
     # (b) trace of the minimal derivative of the W4 part against the
     # exterior derivative of the Lee form
     dl_anti = _lee_dexterior_anti(pd)
-    c1f = np.einsum("a,ayx->xy", ell, xi1F)
-    c2f = np.einsum("a,ayx->xy", ell, xi2F)
+    c1f = np.einsum("...a,...ayx->...xy", ell, xi1F)
+    c2f = np.einsum("...a,...ayx->...xy", ell, xi2F)
     res_b = _fro(2.0 * (n - 1.0) * a4 - (dl_anti - 4.0 * c1f + 2.0 * c2f))
 
     # (c) rough Laplacian of omega through the minimal connection
     lo = pd.laplacian_omega
     omf = pd.jf  # omega(e_x, e_y) = <e_x, J e_y> is the frame matrix of J
-    d_endo = np.einsum("kimi->km", pd.minimal_xi)
+    d_endo = np.einsum("...kimi->...km", pd.minimal_xi)
     rhs = _act_on_form(d_endo, omf) + _act_on_form(pd.lee_endo(), omf)
     for i in range(pd.dim):
-        rhs -= _act_on_form(xiF[i], _act_on_form(xiF[i], omf))
+        rhs -= _act_on_form(xiF[:, i], _act_on_form(xiF[:, i], omf))
     res_c = _fro(lo - rhs)
 
     # (d) divergence identity for Ric* and the *-scalar curvature
@@ -496,13 +536,12 @@ def _identity_suite(pd: _PointData) -> dict[str, float]:
 def _star_ricci_divergence_defect(pd: _PointData) -> np.ndarray:
     jf, xiF = pd.jf, pd.xiF
     ric = pd.fp.to_frame(pd.star_ricci_field.value, "dd")
-    if np.abs(ric - pd.star_ricci_frame).max() > ROUTE_TOL * pd.scale:
-        raise InternalConventionError("Ric* jet field disagrees with frame route")
+    pd.check_route(point_max(ric - pd.star_ricci_frame, 1), "Ric* jet field disagrees with frame route")
 
-    k = np.einsum("ai,akb,bm->ikm", jf, xiF, jf)
-    t1 = 2.0 * np.einsum("ixmk,ikm->x", pd.RF, k)
-    t2 = -4.0 * ric @ pd.ell
-    t3 = 4.0 * np.einsum("ib,xbi->x", ric, xiF)
+    k = np.einsum("...ai,...akb,...bm->...ikm", jf, xiF, jf)
+    t1 = 2.0 * np.einsum("...ixmk,...ikm->...x", pd.RF, k)
+    t2 = -4.0 * np.einsum("...xy,...y->...x", ric, pd.ell)
+    t3 = 4.0 * np.einsum("...ib,...xbi->...x", ric, xiF)
     return _divergence_pair(pd) - (t1 + t2 + t3)
 
 
@@ -510,7 +549,7 @@ def identity_suite(structure: AlmostHermitianStructure, p, rotation=None) -> dic
     """Residuals of four tensor identities that hold on every almost
     Hermitian manifold; any sizeable value indicates an implementation
     bug, not a geometric property."""
-    return _identity_suite(_point_data(structure, p, rotation))
+    return _first(_identity_suite(_point_data(structure, p, rotation)))
 
 
 # -- classification-restricted criteria ---------------------------------------
@@ -553,9 +592,9 @@ def class_criteria(
     pd = _point_data(structure, p, rotation)
     n, ell, xiF = pd.n, pd.ell, pd.xiF
     must_vanish, reason = _class_requirements(label, n)
-    norms = pd.component_norms
+    norms = pd.component_norms[0]
     if reason is None:
-        bad = [GH_LABELS[i] for i in must_vanish if norms[i] > tol * pd.scale]
+        bad = [GH_LABELS[i] for i in must_vanish if norms[i] > tol * pd.scale[0]]
         if bad:
             reason = f"structure has {'+'.join(bad)} torsion above tolerance"
     record = {
@@ -563,18 +602,17 @@ def class_criteria(
         "applicable": reason is None,
         "reason": reason,
         "criterion": None,
-        "harmonic": pd.coderivative.norm,
-        "harmonic_map": _fro(pd.harmonic_map_form),
+        "harmonic": float(_fro(pd.coderivative[0])[0]),
+        "harmonic_map": float(_fro(pd.harmonic_map_form)[0]),
     }
     if reason is not None:
         return record
 
-    star = _star_ricci(pd)
-    alt = star.alt
+    _, alt, _ = _star_ricci(pd)
     xi1F = pd.sj.gh_frame[0]
-    cf = np.einsum("a,ayx->xy", ell, xiF)
-    c1f = np.einsum("a,ayx->xy", ell, xi1F)
-    c2f = np.einsum("a,ayx->xy", ell, pd.sj.gh_frame[1])
+    cf = np.einsum("...a,...ayx->...xy", ell, xiF)
+    c1f = np.einsum("...a,...ayx->...xy", ell, xi1F)
+    c2f = np.einsum("...a,...ayx->...xy", ell, pd.sj.gh_frame[1])
 
     if label == "W1+W2+W4":
         dl_anti = _lee_dexterior_anti(pd)
@@ -589,8 +627,8 @@ def class_criteria(
         defect = alt + 2.0 * cf
     else:  # W1+W2-map: Ric* symmetric and 2 d*Ric* + ds* = 0
         div = _divergence_pair(pd)
-        defect = np.concatenate([alt.ravel(), div.ravel()])
-    record["criterion"] = _fro(defect)
+        defect = np.concatenate([alt.reshape(len(alt), -1), div], axis=1)
+    record["criterion"] = float(_fro(defect)[0])
     return record
 
 
@@ -600,7 +638,7 @@ def _divergence_pair(pd: _PointData) -> np.ndarray:
     nt = pd.fp.to_frame(
         cov_derivative_jets(ric_field.transpose((1, 0)), "dd", pd.sj.gamma).value, "ddd"
     )
-    dstar_rt = -np.einsum("ixi->x", nt)
+    dstar_rt = -np.einsum("...ixi->...x", nt)
     s_field = jet_einsum("xy,xy->", pd.sj.ginv, ric_field)
     ds = pd.fp.to_frame(s_field.grad().value, "d")
     return 2.0 * dstar_rt + ds
@@ -619,26 +657,26 @@ def w1w4_laplacian_residual(
     if pd.dim != 6:
         record["reason"] = "formula is specific to six dimensions"
         return record
-    norms = pd.component_norms
-    bad = [GH_LABELS[i] for i in (1, 2) if norms[i] > tol * pd.scale]
+    norms, scale = pd.component_norms[0], pd.scale[0]
+    bad = [GH_LABELS[i] for i in (1, 2) if norms[i] > tol * scale]
     if bad:
         record["reason"] = f"structure has {'+'.join(bad)} torsion above tolerance"
         return record
-    harmonic = pd.coderivative.norm
-    if harmonic > tol * pd.scale:
+    harmonic = _fro(pd.coderivative[0])[0]
+    if harmonic > tol * scale:
         record["reason"] = "structure is not harmonic at the point"
         return record
 
-    n, jf = pd.n, pd.jf
-    psi = np.transpose(pd.sj.gh_frame[0], (0, 2, 1))
+    n, jf = pd.n, pd.jf[0]
+    psi = np.transpose(pd.sj.gh_frame[0][0], (0, 2, 1))
     term1 = 4.0 * np.einsum("xbc,ay,abc->xy", psi, jf, psi)
-    nom = pd.fp.to_frame(pd.sj.nabla_omega.value, "ddd")
+    nom = pd.fp.to_frame(pd.sj.nabla_omega.value, "ddd")[0]
     dstar_om = -np.einsum("ixi->x", nom)
     j_dstar = -jf.T @ dstar_om
     term2 = wedge2(dstar_om, j_dstar) / (4.0 * (n - 1.0) ** 2)
-    lo = pd.laplacian_omega
+    lo = pd.laplacian_omega[0]
     record["applicable"] = True
-    record["residual"] = _fro(lo - term1 - term2)
+    record["residual"] = float(_fro(lo - term1 - term2, 0))
     return record
 
 
@@ -658,10 +696,10 @@ def nearly_kahler_suite(
     of nabla*nabla omega = 4 alpha omega.
     """
     pd = _point_data(structure, p, rotation)
-    xiF, jf, RF = pd.xiF, pd.jf, pd.RF
-    norms = pd.component_norms
+    xiF, jf, RF, scale = pd.xiF[0], pd.jf[0], pd.RF[0], pd.scale[0]
+    norms = pd.component_norms[0]
     impurity = float(np.sqrt(max(np.sum(norms[1:] ** 2), 0.0)))
-    record: dict = {"applicable": impurity < tol * pd.scale, "reason": None}
+    record: dict = {"applicable": bool(impurity < tol * scale), "reason": None}
     if not record["applicable"]:
         record["reason"] = "torsion is not pure W1 at the point"
         return record
@@ -673,33 +711,34 @@ def nearly_kahler_suite(
     record["ecxy"] = float(np.abs(rxyxy - rjj - 4.0 * xi_sq).max())
 
     rj4 = np.einsum("abcd,ax,by,cz,dw->xyzw", RF, jf, jf, jf, jf)
-    record["ecjxjy"] = _fro(rj4 - RF)
+    record["ecjxjy"] = float(_fro(rj4 - RF, 0))
 
     rzw_j = np.einsum("xycd,cz,dw->xyzw", RF, jf, jf)
     pair = np.einsum("xky,zkw->xyzw", xiF, xiF)
-    record["ecxyzw"] = _fro(RF - rzw_j - 4.0 * pair)
+    record["ecxyzw"] = float(_fro(RF - rzw_j - 4.0 * pair, 0))
 
-    record["minimal_parallel"] = _fro(pd.minimal_xi)
+    record["minimal_parallel"] = float(_fro(pd.minimal_xi[0], 0))
 
-    skew_pair = pd.rperp[idx[:, None], idx[None, :], idx[None, :], idx[:, None]]
+    rperp = pd.rperp[0]
+    skew_pair = rperp[idx[:, None], idx[None, :], idx[None, :], idx[:, None]]
     record["curvature_skew"] = float(np.abs(skew_pair - 2.0 * xi_sq).max())
 
-    flatness = _fro(pd.rperp)
-    xi_norm = _fro(xiF)
+    flatness = float(_fro(rperp, 0))
+    xi_norm = float(_fro(xiF, 0))
     record["flatness"] = flatness
     record["xi_norm"] = xi_norm
     record["flat_implies_kahler"] = bool(
-        flatness >= tol * pd.scale or xi_norm < tol * pd.scale
+        flatness >= tol * scale or xi_norm < tol * scale
     )
 
     plain = float(np.sum(xiF**2))
     record["psi_norm_sq_plain"] = plain
     record["psi_norm_sq"] = PSI_NORM_CALIBRATION * plain
 
-    alpha = float(pd.sj.curv.scalar.value) / (5.0 * pd.dim)
+    alpha = float(pd.sj.curv.scalar.value[0]) / (5.0 * pd.dim)
     record["einstein_alpha"] = alpha
-    lo = pd.laplacian_omega
-    record["laplacian_collinear"] = _fro(lo - 4.0 * alpha * jf)
+    lo = pd.laplacian_omega[0]
+    record["laplacian_collinear"] = float(_fro(lo - 4.0 * alpha * jf, 0))
     return record
 
 
@@ -733,7 +772,7 @@ def conformal_example_check(
     dim = pd.dim
     p = np.asarray(p, dtype=float)
 
-    numeric_raw = pd.fp.from_frame(pd.harmonic_map_form, "d")
+    numeric_raw = pd.fp.from_frame(pd.harmonic_map_form, "d")[0]
     numeric = numeric_raw / HARMONIC_MAP_FORM_CALIBRATION
 
     ff = eval_expr(parse(f_src), p, dim, degree=3)
@@ -754,7 +793,7 @@ def conformal_example_check(
         "numeric_raw": numeric_raw,
         "closed_form": closed,
         "residual": float(np.abs(numeric - closed).max()),
-        "scale": pd.scale,
+        "scale": float(pd.scale[0]),
     }
 
 
@@ -766,6 +805,11 @@ def gh_label(normalized_norms, tol: float) -> str:
     exceeds ``tol`` ("W1+W4", ...); all below yields "Kahler"."""
     present = [GH_LABELS[i] for i in range(4) if normalized_norms[i] > tol]
     return "+".join(present) if present else "Kahler"
+
+
+def _norms_and_scale(pd: _PointData) -> list[np.ndarray]:
+    """Per point: the four component norms, then the scale."""
+    return list(np.column_stack([pd.component_norms, pd.scale]))
 
 
 def classify_gh(
@@ -780,13 +824,9 @@ def classify_gh(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 1:
         raise ValueError("classification needs at least one point")
-    raw = np.zeros(4)
-    normalized = np.zeros(4)
-    for p in points:
-        pd = _point_data(structure, p, rotation)
-        norms = pd.component_norms
-        raw = np.maximum(raw, norms)
-        normalized = np.maximum(normalized, norms / pd.scale)
+    rows = np.array(_chunked(structure, points, rotation, _norms_and_scale))
+    raw = rows[:, :4].max(axis=0)
+    normalized = (rows[:, :4] / rows[:, 4:]).max(axis=0)
     return {
         "label": gh_label(normalized, tol),
         "component_norms": dict(zip(GH_LABELS, (float(v) for v in raw))),
@@ -816,8 +856,10 @@ class DiagnosticsReport:
     """All per-point records for one geometry, with global summaries.
 
     ``passes[name]`` is true when the residual stays below
-    ``tol * scale`` at every point.  Per-point evaluation is pure, so
-    points may be mapped in parallel; this reducer only aggregates.
+    ``tol * scale`` at every point.  The points are evaluated in chunks
+    of a size set by CHUNK_ENTRIES, each a block with a leading point
+    axis; the records are per point, in point order, and this reducer
+    only aggregates them.
     """
 
     geometry: str
@@ -851,30 +893,37 @@ class DiagnosticsReport:
         }
 
 
+def _point_records(pd: _PointData) -> list[PointRecord]:
+    columns: dict = {}
+    columns.update(_section_residuals(pd))
+    columns.update(_hermitian_harmonicity(pd))
+    columns.update(_identity_suite(pd))
+    _, alt, star_gap = _star_ricci(pd)
+    columns["star_ricci_alt_norm"] = _fro(alt)
+    gaps = (*pd.coderivative[1:], star_gap)
+    finite = np.isfinite(np.column_stack([*columns.values(), *gaps])).all(axis=1)
+    pd.sj.fail(~finite, GeometryError, "residuals overflow float64")
+    return [
+        PointRecord(
+            {name: float(values[i]) for name, values in columns.items()},
+            float(pd.scale[i]),
+            pd.component_norms[i],
+            {name: float(g[i]) for name, g in zip(ROUTE_NAMES, gaps)},
+        )
+        for i in range(len(pd.scale))
+    ]
+
+
 def run_diagnostics(
     structure: AlmostHermitianStructure,
     points,
     tol: float = 1e-6,
     rotation=None,
 ) -> DiagnosticsReport:
-    """Evaluate sections, Laplacian criteria and identities pointwise."""
+    """Evaluate sections, Laplacian criteria and identities pointwise,
+    on chunks of points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    records: list[PointRecord] = []
-    for p in points:
-        pd = _point_data(structure, p, rotation)
-        row: dict = {}
-        row.update(_section_residuals(pd))
-        row.update(_hermitian_harmonicity(pd))
-        row.update(_identity_suite(pd))
-        star = _star_ricci(pd)
-        row["star_ricci_alt_norm"] = _fro(star.alt)
-        gaps = (pd.coderivative.route_gap, pd.coderivative.uperp_defect, star.route_gap)
-        if not np.isfinite([*row.values(), *gaps]).all():
-            raise GeometryError(f"residuals overflow float64 at point {_where(p)}")
-        records.append(
-            PointRecord(row, pd.scale, pd.component_norms, dict(zip(ROUTE_NAMES, gaps)))
-        )
-
+    records: list[PointRecord] = _chunked(structure, points, rotation, _point_records)
     rows = [r.residuals for r in records]
     names = list(rows[0])
     max_res = {k: max(r[k] for r in rows) for k in names}

@@ -32,6 +32,8 @@ import operator
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .jets import JetField, jet_constant, jet_variable
 
 __all__ = [
@@ -299,14 +301,14 @@ def pretty(expr: Expr) -> str:
 def eval_expr(expr: Expr, point, dim: int, degree: int) -> JetField:
     """Evaluate an expression to a scalar jet of the given dimension and degree.
 
-    ``point`` supplies the coordinate values; variables beyond ``dim`` are
-    an evaluation error, as are domain faults (reported with the offset of
+    ``point`` supplies the coordinate values, shape ``(dim,)`` or a block
+    ``(k, dim)``; a block gives a field of shape ``(k,)``, and each node is
+    evaluated once for the whole block.  Variables beyond ``dim`` are an
+    evaluation error, as are domain faults (reported with the offset of
     the subexpression that raised them).
     """
-    import numpy as np
-
     point = np.asarray(point, dtype=float)
-    if point.shape != (dim,):
+    if point.shape[-1:] != (dim,):
         raise EvalError(f"point must have {dim} coordinates", 0)
 
     def rec(e: Expr) -> JetField:
@@ -317,7 +319,7 @@ def eval_expr(expr: Expr, point, dim: int, degree: int) -> JetField:
                 raise EvalError(
                     f"variable x{e.index} out of range for dimension {dim}", e.pos
                 )
-            return jet_variable(e.index - 1, point[e.index - 1], dim, degree)
+            return jet_variable(e.index - 1, point[..., e.index - 1], dim, degree)
         if isinstance(e, Neg):
             return -rec(e.arg)
         if isinstance(e, Call):
@@ -340,4 +342,5 @@ def eval_expr(expr: Expr, point, dim: int, degree: int) -> JetField:
                 raise EvalError(f"power: {err}", e.pos) from err
         raise TypeError(f"not an expression node: {e!r}")
 
-    return rec(expr)
+    out = rec(expr)  # a constant expression has no point axes yet
+    return JetField(out.space, np.broadcast_to(out.data, point.shape[:-1] + out.data.shape[-1:]).copy())

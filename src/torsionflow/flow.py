@@ -285,7 +285,7 @@ def grid_torsion(grid: JGrid, node: tuple[int, ...]) -> TorsionTensor:
     dj /= 12.0 * h
     jn = j[node]
     xi = -0.5 * np.einsum("km,amy->aky", jn, dj)
-    xi1, xi2, xi3, xi4 = _frame_gray_hervella(xi, jn, grid.n)
+    xi1, xi2, xi3, xi4 = _frame_gray_hervella(xi, jn, grid.n, h * np.asarray(node, dtype=float))
     return TorsionTensor(
         xi=xi,
         xi1=xi1,

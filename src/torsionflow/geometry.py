@@ -31,6 +31,8 @@ from .jets import JetField, jet_einsum, jet_matrix_inverse
 __all__ = [
     "MIN_JET_DEGREE",
     "GeometryError",
+    "fail_first",
+    "point_max",
     "MetricField",
     "christoffel_jets",
     "cov_derivative_jets",
@@ -49,14 +51,36 @@ class GeometryError(ValueError):
     """Geometric precondition failure: bad metric, degree too low, etc."""
 
 
-class MetricField:
-    """A metric given by an evaluator producing jets of g at a point.
+def _where(p) -> str:
+    return "(" + ", ".join(format(float(v), ".17g") for v in p) + ")"
 
-    The evaluator maps a point (shape ``(dim,)``) to a ``(dim, dim)``
-    :class:`JetField`.  Symmetry is required as jets; positive
-    definiteness is required of the constant term.  Nothing is kept
-    between calls: a caller that reads g more than once at a point holds
-    the jets (``StructureJets`` does).
+
+def point_max(a: np.ndarray, lead: int) -> np.ndarray:
+    """max |a| over every axis after the ``lead`` leading ones: one value
+    per point, so each check compares against its own point's scale."""
+    return np.abs(a).max(axis=tuple(range(lead, np.ndim(a))))
+
+
+def fail_first(failed, points, error: type[Exception], message: str) -> None:
+    """Raise ``error`` naming the first point, in point order, at which
+    ``failed`` (one flag per point) holds."""
+    points = np.asarray(points)
+    failed = np.broadcast_to(np.asarray(failed, dtype=bool), points.shape[:-1]).ravel()
+    if failed.any():
+        first = points.reshape(-1, points.shape[-1])[np.flatnonzero(failed)[0]]
+        raise error(f"{message} at point {_where(first)}")
+
+
+class MetricField:
+    """A metric given by an evaluator producing jets of g at points.
+
+    The evaluator maps a block of points, shape ``(k, dim)`` (or one
+    point, shape ``(dim,)``), to a :class:`JetField` of shape
+    ``(k, dim, dim)`` (or ``(dim, dim)``): the leading axes of the block
+    lead the jets.  Symmetry is required as jets; positive definiteness
+    is required of the constant term; both are checked point by point.
+    Nothing is kept between calls: a caller that reads g more than once
+    at a point holds the jets (``StructureJets`` does).
     """
 
     def __init__(self, dim: int, evaluator: Callable[[np.ndarray], JetField], degree: int = MIN_JET_DEGREE):
@@ -65,22 +89,27 @@ class MetricField:
         self.evaluator = evaluator
 
     def jets(self, p) -> JetField:
-        """Validated jets of g at the point."""
+        """Validated jets of g at the point or block of points."""
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.dim,):
-            raise GeometryError(f"point must have shape ({self.dim},)")
+        if p.shape[-1:] != (self.dim,):
+            raise GeometryError(f"point must have shape (..., {self.dim})")
+        lead = p.ndim - 1
         g = self.evaluator(p)
-        if not isinstance(g, JetField) or g.shape != (self.dim, self.dim):
-            raise GeometryError("metric evaluator must return a square jet field")
-        if not np.isfinite(g.data).all():
-            raise GeometryError("metric jets are not finite at the point")
-        sym_gap = np.abs(g.data - np.swapaxes(g.data, 0, 1)).max()
-        if sym_gap > 1e-10 * (1.0 + np.abs(g.data).max()):
-            raise GeometryError("metric jets are not symmetric")
+        if not isinstance(g, JetField) or g.shape != p.shape + (self.dim,):
+            raise GeometryError("metric evaluator must return a square jet field per point")
+        size = point_max(g.data, lead)
+        fail_first(~np.isfinite(size), p, GeometryError, "metric jets are not finite")
+        sym_gap = point_max(g.data - np.swapaxes(g.data, -3, -2), lead)
+        fail_first(sym_gap > 1e-10 * (1.0 + size), p, GeometryError, "metric jets are not symmetric")
         try:
             np.linalg.cholesky(g.value)
-        except np.linalg.LinAlgError as err:
-            raise GeometryError("metric is not positive definite at the point") from err
+        except np.linalg.LinAlgError:
+            # the stacked factorization fails as a whole: find the point
+            for q, v in zip(p.reshape(-1, self.dim), g.value.reshape(-1, self.dim, self.dim)):
+                try:
+                    np.linalg.cholesky(v)
+                except np.linalg.LinAlgError as err:
+                    raise GeometryError(f"metric is not positive definite at point {_where(q)}") from err
         return g
 
 
@@ -102,9 +131,10 @@ def cov_derivative_jets(t: JetField, variance: str, gamma: JetField) -> JetField
     ``gamma[k, x, m]`` acts as Gamma^k_{xm}, plus on upper slots and minus
     on lower ones: Christoffel jets, or ``StructureJets.minimal_gamma``.
     The direction is appended as a new last (covariant) axis; degree
-    drops by one.
+    drops by one.  ``variance`` names the trailing tensor axes of ``t``;
+    axes ahead of them are leading (point) axes.
     """
-    if len(variance) != len(t.shape) or any(c not in "ud" for c in variance):
+    if len(variance) > len(t.shape) or any(c not in "ud" for c in variance):
         raise GeometryError(f"variance {variance!r} does not match shape {t.shape}")
     if t.deg < 1:
         raise GeometryError("tensor jets must have degree >= 1 to differentiate")

@@ -17,6 +17,12 @@ expression evaluator and ``jet_constant``/``jet_variable`` produce.  Chart
 geometry (metrics, Christoffel symbols, curvature) is built on fields;
 ``jet_einsum`` contracts tensor axes while convolving coefficient axes.
 
+A field may carry leading axes ahead of its tensor axes, one per axis of
+a block of base points (``JetField.variables`` of a ``(k, dim)`` block
+has shape ``(k, dim)``).  Every operation addresses the trailing tensor
+axes and broadcasts the leading ones, as numpy's ``...`` does, so the
+same code expands one point or a block of them.
+
 Multi-indices are ordered by total degree, then lexicographically, so a
 truncation to lower degree is a prefix slice.  A ``JetField`` stores its
 coefficients only up to the degree at which they are valid, and the length
@@ -171,7 +177,7 @@ def _mul_data(space: JetSpace, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarr
     return np.add.reduceat(a[..., ia] * b[..., ib], starts, axis=-1)
 
 
-def _diff_data(space: JetSpace, a: np.ndarray, c: int, new_deg: int) -> np.ndarray:
+def _diff_data(space: JetSpace, a: np.ndarray, c: int | slice, new_deg: int) -> np.ndarray:
     nc = space.nc_at(new_deg)
     return a[..., space._diff_idx[c, :nc]] * space._diff_coef[c, :nc]
 
@@ -297,16 +303,16 @@ class JetField:
 
     @staticmethod
     def variables(space: JetSpace, point: np.ndarray) -> "JetField":
-        """Vector of coordinate jets x_i expanded at ``point``."""
+        """Vector of coordinate jets x_i expanded at ``point``, shape
+        ``(..., dim)``: a block of points gives the leading axes."""
         point = np.asarray(point, dtype=float)
-        if point.shape != (space.dim,):
-            raise JetError(f"point must have shape ({space.dim},)")
-        data = np.zeros((space.dim, space.ncoeff))
-        data[:, 0] = point
+        if point.shape[-1:] != (space.dim,):
+            raise JetError(f"point must have shape (..., {space.dim})")
+        data = np.zeros(point.shape + (space.ncoeff,))
+        data[..., 0] = point
         if space.degree >= 1:
-            for i in range(space.dim):
-                unit = tuple(1 if k == i else 0 for k in range(space.dim))
-                data[i, space.index[unit]] = 1.0
+            units = [space.index[tuple(int(k == i) for k in range(space.dim))] for i in range(space.dim)]
+            data[..., range(space.dim), units] = 1.0
         return JetField(space, data)
 
     # -- accessors ----------------------------------------------------
@@ -321,7 +327,8 @@ class JetField:
         return self.data[..., 0].copy()
 
     def entry(self, *idx) -> "JetField":
-        return JetField(self.space, self.data[idx].copy())
+        """The entry at trailing tensor index ``idx``, leading axes kept."""
+        return JetField(self.space, self.data[(Ellipsis, *idx, slice(None))].copy())
 
     def coeff(self, alpha: tuple[int, ...]) -> np.ndarray:
         """The Taylor coefficient of multi-index ``alpha`` of every entry."""
@@ -422,19 +429,21 @@ class JetField:
             raise JetError(f"cannot truncate a degree-{self.deg} field to degree {d}")
         return JetField(self.space, self.data[..., : self.space.nc_at(d)].copy())
 
-    def diff(self, c: int) -> "JetField":
-        """Partial derivative with respect to coordinate ``c``."""
+    def diff(self, c: int | slice) -> "JetField":
+        """Partial derivative with respect to coordinate ``c``; a slice of
+        coordinates stacks their derivatives along a new last tensor axis."""
         if self.deg < 1:
             raise JetError("cannot differentiate a degree-0 jet field")
         return JetField(self.space, _diff_data(self.space, self.data, c, self.deg - 1))
 
     def grad(self) -> "JetField":
         """Stack of all coordinate derivatives along a new last tensor axis."""
-        parts = [self.diff(c).data for c in range(self.space.dim)]
-        return JetField(self.space, np.stack(parts, axis=-2))
+        return self.diff(slice(None))
 
     def transpose(self, axes: tuple[int, ...]) -> "JetField":
-        full = tuple(axes) + (self.data.ndim - 1,)
+        """Permute the trailing ``len(axes)`` tensor axes; leading axes stay."""
+        lead = self.data.ndim - 1 - len(axes)
+        full = (*range(lead), *(lead + a for a in axes), self.data.ndim - 1)
         return JetField(self.space, np.transpose(self.data, full))
 
     def fn(self, name: str) -> "JetField":
@@ -455,15 +464,17 @@ def jet_constant(value: float, dim: int, degree: int) -> JetField:
     return JetField.constants(jet_space(dim, degree), value)
 
 
-def jet_variable(i: int, value: float, dim: int, degree: int) -> JetField:
-    """The coordinate jet x_i expanded at x_i = ``value``."""
+def jet_variable(i: int, value, dim: int, degree: int) -> JetField:
+    """The coordinate jet x_i expanded at x_i = ``value``; an array of
+    values gives a field of that shape."""
     space = jet_space(dim, degree)
     if not 0 <= i < dim:
         raise JetError(f"variable index {i} out of range for dimension {dim}")
-    data = np.zeros(space.ncoeff)
-    data[0] = value
+    value = np.asarray(value, dtype=float)
+    data = np.zeros(value.shape + (space.ncoeff,))
+    data[..., 0] = value
     if degree >= 1:
-        data[space.index[tuple(1 if k == i else 0 for k in range(dim))]] = 1.0
+        data[..., space.index[tuple(int(k == i) for k in range(dim))]] = 1.0
     return JetField(space, data)
 
 
@@ -482,22 +493,60 @@ exp = _unary("exp")
 log = _unary("log")
 sqrt = _unary("sqrt")
 
+
+@functools.lru_cache(maxsize=None)
+def _einsum_plan(subscripts: str, rank_a: int, rank_b: int):
+    """Lower ``subscripts`` on operands of these ranks (leading axes
+    included) to one batched matmul.
+
+    Indices group as batch (in both operands and the output), left and
+    right (in one operand and the output) and contracted.  Returns the
+    leading-axis counts, the group boundaries len(batch), len(batch +
+    left) and len(batch + contracted), and the axis orders: coefficient
+    first, then leading, then (batch, left, contracted) for ``a`` and
+    (batch, contracted, right) for ``b``; ``perm_out`` restores the
+    output order from (coefficient, leading, batch, left, right).
+    """
+    lhs, out = subscripts.split("->")
+    s1, s2 = lhs.split(",")
+    la, lb = rank_a - len(s1), rank_b - len(s2)
+    if min(la, lb) < 0 or not set(out) <= set(s1 + s2) <= set(out) | (set(s1) & set(s2)) or any(
+        len(set(s)) < len(s) for s in (s1, s2, out)
+    ):
+        raise JetError(f"cannot contract {subscripts!r} over tensor ranks {rank_a}, {rank_b}")
+    batch = "".join(c for c in out if c in s1 and c in s2)
+    left, right = "".join(c for c in out if c not in s2), "".join(c for c in out if c not in s1)
+    con = "".join(c for c in s1 if c not in out)
+    perm_a = (rank_a, *range(la), *(la + s1.index(c) for c in batch + left + con))
+    perm_b = (rank_b, *range(lb), *(lb + s2.index(c) for c in batch + con + right))
+    lead = max(la, lb)
+    perm_out = (*range(1, lead + 1), *(1 + lead + (batch + left + right).index(c) for c in out), 0)
+    return la, lb, len(batch), len(batch + left), len(batch + con), perm_a, perm_b, perm_out
+
+
 def jet_einsum(subscripts: str, a: JetField, b: JetField) -> JetField:
     """Einstein contraction over tensor axes with jet-coefficient convolution.
 
-    ``subscripts`` addresses tensor axes only, e.g. ``'km,mj->kj'``; the
-    coefficient axes are handled internally.
+    ``subscripts`` addresses the trailing tensor axes only, e.g.
+    ``'km,mj->kj'``; every summed index appears in both operands.
+    Leading axes are equal in both operands or absent from one, and the
+    coefficient axes are handled internally: the pair gathers lead, so
+    the product is one batched matmul and one ``reduceat`` over pairs.
     """
     space = a.space
     if b.space is not space:
         raise JetError("jet fields from different spaces")
-    d = min(a.deg, b.deg)
-    ia, ib, starts = space.table(d)
-    lhs, out = subscripts.split("->")
-    s1, s2 = lhs.split(",")
-    pair = next(c for c in "zwvutsrqpon" if c not in subscripts)
-    prod = np.einsum(f"{s1}{pair},{s2}{pair}->{out}{pair}", a.data[..., ia], b.data[..., ib])
-    return JetField(space, np.add.reduceat(prod, starts, axis=-1))
+    ia, ib, starts = space.table(min(a.deg, b.deg))
+    la, lb, nb, nbl, nbk, perm_a, perm_b, perm_out = _einsum_plan(subscripts, a.data.ndim - 1, b.data.ndim - 1)
+    x = a.data.transpose(perm_a)[ia]
+    y = b.data.transpose(perm_b)[ib]
+    sx, sy = x.shape[1 + la :], y.shape[1 + lb :]  # (batch, left, contracted), (batch, contracted, right)
+    nk = math.prod(sx[nbl:])
+    x = x.reshape(len(ia), -1, math.prod(sx[:nb]), math.prod(sx[nb:nbl]), nk)
+    y = y.reshape(len(ib), -1, math.prod(sy[:nb]), nk, math.prod(sy[nbk:]))
+    prod = np.add.reduceat(x @ y, starts, axis=0)
+    lead = np.broadcast_shapes(a.shape[:la], b.shape[:lb])
+    return JetField(space, prod.reshape((len(starts), *lead, *sx[:nbl], *sy[nbk:])).transpose(perm_out))
 
 
 def jet_matrix_inverse(a: JetField) -> JetField:
@@ -506,8 +555,8 @@ def jet_matrix_inverse(a: JetField) -> JetField:
     Writes A = A0 (I - N) with N carrying no constant term, so the Neumann
     series (sum of N^k) A0^{-1} terminates exactly at the field degree.
     """
-    m = a.shape[0]
-    if a.shape != (m, m):
+    m = a.shape[-1]
+    if a.shape[-2:] != (m, m):
         raise JetError("matrix inverse requires a square jet field")
     a0 = a.data[..., 0]
     a0inv = np.linalg.inv(a0)

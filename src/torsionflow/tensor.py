@@ -5,6 +5,8 @@ character per axis: ``'u'`` for a contravariant (vector) slot, ``'d'``
 for a covariant (form) slot.  A :class:`FramePack` carries the metric
 together with a g-orthonormal frame; expressing tensors in that frame
 turns metric contractions and frame traces into plain component sums.
+A FramePack may hold a block of points: then its arrays, and the
+tensors it converts, lead with the point axes.
 
 Kept for the tests only: ``random_rotation`` (frame invariance).
 """
@@ -18,6 +20,7 @@ import numpy as np
 __all__ = [
     "PointTensor",
     "FramePack",
+    "permute",
     "wedge2",
     "random_rotation",
 ]
@@ -42,6 +45,13 @@ class PointTensor:
         _check_variance(self.variance, self.data.ndim)
 
 
+def permute(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``np.transpose`` of the trailing ``len(axes)`` axes; leading
+    (point) axes stay in front."""
+    lead = a.ndim - len(axes)
+    return np.transpose(a, (*range(lead), *(lead + x for x in axes)))
+
+
 def wedge2(alpha, beta) -> np.ndarray:
     """Wedge of two one-forms: (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X)."""
     alpha = np.asarray(alpha, dtype=float)
@@ -63,39 +73,51 @@ def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class FramePack:
-    """A metric at a point together with a g-orthonormal frame.
+    """Metrics at one point or a block of points, with g-orthonormal frames.
 
-    The columns of ``frame`` are the frame vectors in coordinates, so
-    ``frame.T @ g @ frame`` is the identity.  ``coframe`` is the inverse;
-    its rows are the dual one-forms.  An optional rotation mixes the
-    frame, and nothing geometric may depend on that choice.
+    ``g`` has shape ``(..., m, m)``; the leading axes are point axes and
+    every array here carries them.  The columns of ``frame`` are the
+    frame vectors in coordinates, so ``frame.T @ g @ frame`` is the
+    identity.  ``coframe`` is the inverse; its rows are the dual
+    one-forms.  An optional rotation mixes every frame alike, and
+    nothing geometric may depend on that choice.
     """
 
     def __init__(self, g, rotation: np.ndarray | None = None):
         g = np.asarray(g, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
             raise ValueError("metric must be a square matrix")
-        scale = 1.0 + np.abs(g).max()
-        if np.abs(g - g.T).max() > 1e-10 * scale:
+        scale = 1.0 + np.abs(g).max(axis=(-2, -1))
+        if (np.abs(g - np.swapaxes(g, -1, -2)).max(axis=(-2, -1)) > 1e-10 * scale).any():
             raise ValueError("metric must be symmetric")
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError as err:
             raise ValueError("metric must be positive definite") from err
-        frame = np.linalg.inv(chol).T
+        frame = np.swapaxes(np.linalg.inv(chol), -1, -2)
         if rotation is not None:
             rotation = np.asarray(rotation, dtype=float)
-            if np.abs(rotation.T @ rotation - np.eye(g.shape[0])).max() > 1e-10:
+            if np.abs(rotation.T @ rotation - np.eye(g.shape[-1])).max() > 1e-10:
                 raise ValueError("frame rotation must be orthogonal")
             frame = frame @ rotation
         self.g = g
-        self.ginv = frame @ frame.T
+        self.ginv = frame @ np.swapaxes(frame, -1, -2)
         self.frame = frame
         self.coframe = np.linalg.inv(frame)
 
     @property
     def dim(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
+
+    def _apply(self, data, variance: str, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        """Contract each slot's axis with ``upper`` or ``lower`` on the right."""
+        data = np.asarray(data, dtype=float)
+        _check_variance(variance, data.ndim - (self.g.ndim - 2))
+        slots = "abcdefgh"[: len(variance)]
+        for k, c in enumerate(variance):
+            out = slots[:k] + "z" + slots[k + 1 :]
+            data = np.einsum(f"...{slots},...{slots[k]}z->...{out}", data, upper if c == "u" else lower)
+        return data
 
     def to_frame(self, data, variance: str) -> np.ndarray:
         """Components in the orthonormal frame.
@@ -103,36 +125,15 @@ class FramePack:
         Upper slots contract with the coframe, lower slots with the
         frame; afterwards index position no longer matters.
         """
-        data = np.asarray(data, dtype=float)
-        _check_variance(variance, data.ndim)
-        for k, c in enumerate(variance):
-            if c == "u":
-                data = np.moveaxis(
-                    np.tensordot(self.coframe, data, axes=(1, k)), 0, k
-                )
-            else:
-                data = np.moveaxis(
-                    np.tensordot(data, self.frame, axes=(k, 0)), -1, k
-                )
-        return data
+        return self._apply(data, variance, np.swapaxes(self.coframe, -1, -2), self.frame)
 
     def from_frame(self, data, variance: str) -> np.ndarray:
         """Back from frame components to coordinate components."""
-        data = np.asarray(data, dtype=float)
-        _check_variance(variance, data.ndim)
-        for k, c in enumerate(variance):
-            if c == "u":
-                data = np.moveaxis(
-                    np.tensordot(self.frame, data, axes=(1, k)), 0, k
-                )
-            else:
-                data = np.moveaxis(
-                    np.tensordot(data, self.coframe, axes=(k, 0)), -1, k
-                )
-        return data
+        return self._apply(data, variance, np.swapaxes(self.frame, -1, -2), self.coframe)
 
-    def inner(self, a, b, variance: str) -> float:
-        """Extended inner product: all slots paired through the metric.
+    def inner(self, a, b, variance: str) -> np.ndarray:
+        """Extended inner product, one value per point: all slots paired
+        through the metric.
 
         In frame components this is the plain sum of products, which is
         how it is computed.
@@ -141,7 +142,7 @@ class FramePack:
         bf = self.to_frame(b, variance)
         if af.shape != bf.shape:
             raise ValueError("tensors must have the same shape")
-        return float(np.sum(af * bf))
+        return np.sum(af * bf, axis=tuple(range(self.g.ndim - 2, af.ndim)))
 
-    def norm(self, a, variance: str) -> float:
-        return float(np.sqrt(max(self.inner(a, a, variance), 0.0)))
+    def norm(self, a, variance: str) -> np.ndarray:
+        return np.sqrt(np.maximum(self.inner(a, a, variance), 0.0))

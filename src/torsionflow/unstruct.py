@@ -18,6 +18,8 @@ Layout conventions:
   * Frame arrays (plain numpy at a point): ``xi_frame[a, k, m]`` is
     ``<xi_{e_a} e_m, e_k>``, so ``xi_frame[a]`` is the matrix of the
     skew endomorphism ``xi_{e_a}`` in the orthonormal frame.
+  * Jet fields and frame arrays of a block of points lead with the
+    block's point axes; the layouts above are those of the trailing axes.
   * The Kahler form is ``omega(X, Y) = <X, JY>``; with the standard flat
     structure (J e_1 = e_2) this makes ``omega(e_1, e_2) = -1``.
 
@@ -41,9 +43,11 @@ from .geometry import (
     christoffel_jets,
     cov_derivative_jets,
     curvature_jets,
+    fail_first,
+    point_max,
 )
 from .jets import JetField, jet_einsum, jet_matrix_inverse, jet_space
-from .tensor import FramePack
+from .tensor import FramePack, permute
 
 __all__ = [
     "InternalConventionError",
@@ -58,10 +62,6 @@ __all__ = [
 ]
 
 CHECK_TOL = 1e-9
-
-
-def _where(p) -> str:
-    return "(" + ", ".join(format(float(v), ".17g") for v in p) + ")"
 
 
 class InternalConventionError(AssertionError):
@@ -80,9 +80,11 @@ def standard_j(n: int) -> np.ndarray:
 class AlmostHermitianStructure:
     """Metric plus compatible almost complex structure, as evaluators.
 
-    ``j_evaluator`` maps a point to the (2n, 2n) jet field of J^i_j.
-    Compatibility (J^2 = -Id and <JX, JY> = <X, Y>) is validated every
-    time J is read into a new :class:`StructureJets`.
+    ``j_evaluator`` follows the contract of the metric's evaluator: a
+    block of points, shape ``(k, 2n)`` (or one point, ``(2n,)``), in;
+    the jet field of J^i_j, shape ``(k, 2n, 2n)`` (or ``(2n, 2n)``),
+    out.  Compatibility (J^2 = -Id and <JX, JY> = <X, Y>) is validated
+    point by point every time J is read into a new :class:`StructureJets`.
     """
 
     def __init__(self, metric: MetricField, j_evaluator: Callable[[np.ndarray], JetField], name: str = ""):
@@ -95,8 +97,8 @@ class AlmostHermitianStructure:
         self.n = metric.dim // 2
 
     def structure_jets(self, p, rotation: np.ndarray | None = None) -> "StructureJets":
-        """A new :class:`StructureJets` at the point on every call; a caller
-        holds that object to reuse the point's jets."""
+        """A new :class:`StructureJets` at the point or block of points on
+        every call; a caller holds that object to reuse the jets."""
         return StructureJets(self, np.asarray(p, dtype=float), rotation)
 
 
@@ -106,7 +108,8 @@ class TorsionTensor:
 
     ``xi[a]`` is the matrix of xi_{e_a}; the Gray-Hervella pieces have
     the same layout and sum to ``xi`` exactly.  ``lee_vector`` holds the
-    frame components of xi_{e_i} e_i.
+    frame components of xi_{e_i} e_i.  At a block of points every array
+    leads with the point axes.
     """
 
     xi: np.ndarray
@@ -122,11 +125,12 @@ class TorsionTensor:
         return (self.xi1, self.xi2, self.xi3, self.xi4)
 
     def component_norms(self) -> np.ndarray:
-        """Euclidean norms of (xi1, xi2, xi3, xi4) in frame components."""
-        return np.array([np.sqrt(np.sum(c * c)) for c in self.components])
+        """Euclidean norms of (xi1, xi2, xi3, xi4) in frame components,
+        along a last axis after the point axes."""
+        return np.stack([np.sqrt(np.sum(c * c, axis=(-3, -2, -1))) for c in self.components], axis=-1)
 
 
-def _frame_xi4(xi_frame: np.ndarray, j_frame: np.ndarray, n: int) -> np.ndarray:
+def _frame_xi4(xi_frame: np.ndarray, j_frame: np.ndarray, n: int, points: np.ndarray) -> np.ndarray:
     """xi4 from the codifferential of omega, with a mandatory cross-check.
 
     Primary route: <xi4_X Y, JZ> = -(X_flat ^ d*omega (Y,Z)
@@ -136,71 +140,82 @@ def _frame_xi4(xi_frame: np.ndarray, j_frame: np.ndarray, n: int) -> np.ndarray:
     """
     m = 2 * n
     if n == 1:
-        return np.zeros((m, m, m))
-    ell = np.einsum("aka->k", xi_frame)
-    jell = j_frame @ ell
+        return np.zeros(xi_frame.shape)
+    ell = np.einsum("...aka->...k", xi_frame)
+    jell = np.einsum("...km,...m->...k", j_frame, ell)
     # d*omega in the frame follows from 2 l = -J (d*omega)^sharp
     theta = 2.0 * jell
-    jtheta = -theta @ j_frame  # (J theta)(e_a) = -theta(J e_a)
+    jtheta = -np.einsum("...m,...mk->...k", theta, j_frame)  # (J theta)(e_a) = -theta(J e_a)
     eye = np.eye(m)
     b3 = -(
-        np.einsum("xy,z->xyz", eye, theta)
-        - np.einsum("xz,y->xyz", eye, theta)
-        - np.einsum("yx,z->xyz", j_frame, jtheta)
-        + np.einsum("zx,y->xyz", j_frame, jtheta)
+        np.einsum("xy,...z->...xyz", eye, theta)
+        - np.einsum("xz,...y->...xyz", eye, theta)
+        - np.einsum("...yx,...z->...xyz", j_frame, jtheta)
+        + np.einsum("...zx,...y->...xyz", j_frame, jtheta)
     ) / (4.0 * (n - 1))
-    c3 = -np.einsum("xyz,zw->xyw", b3, j_frame)
-    xi4 = np.transpose(c3, (0, 2, 1))
+    c3 = -np.einsum("...xyz,...zw->...xyw", b3, j_frame)
+    xi4 = permute(c3, (0, 2, 1))
 
     alt = (
-        np.einsum("am,k->akm", eye, ell)
-        - np.einsum("m,ak->akm", ell, eye)
-        - np.einsum("ma,k->akm", j_frame, jell)
-        + np.einsum("m,ka->akm", jell, j_frame)
+        np.einsum("am,...k->...akm", eye, ell)
+        - np.einsum("...m,ak->...akm", ell, eye)
+        - np.einsum("...ma,...k->...akm", j_frame, jell)
+        + np.einsum("...m,...ka->...akm", jell, j_frame)
     ) / (2.0 * (n - 1))
-    scale = 1.0 + np.abs(xi_frame).max()
-    if np.abs(xi4 - alt).max() > CHECK_TOL * scale:
-        raise InternalConventionError("xi4 routes disagree (torsion formula vs Lee-vector expression)")
+    lead = xi_frame.ndim - 3
+    scale = 1.0 + point_max(xi_frame, lead)
+    fail_first(point_max(xi4 - alt, lead) > CHECK_TOL * scale, points, InternalConventionError,
+               "xi4 routes disagree (torsion formula vs Lee-vector expression)")
     return xi4
 
 
-def _frame_gray_hervella(xi_frame: np.ndarray, j_frame: np.ndarray, n: int):
-    m = 2 * n
+def _frame_gray_hervella(xi_frame: np.ndarray, j_frame: np.ndarray, n: int, points: np.ndarray):
     if n == 1:
-        z = np.zeros((m, m, m))
+        z = np.zeros(xi_frame.shape)
         return z, z.copy(), z.copy(), z.copy()
-    p_xi = np.einsum("ba,bkc,cm->akm", j_frame, xi_frame, j_frame)
+    p_xi = np.einsum("...ba,...bkc,...cm->...akm", j_frame, xi_frame, j_frame)
     a_part = 0.5 * (xi_frame - p_xi)
     b_part = xi_frame - a_part
-    t3 = np.transpose(a_part, (0, 2, 1))  # t3[x, y, z] = <a_{e_x} e_y, e_z>
-    psi = (t3 + np.transpose(t3, (1, 2, 0)) + np.transpose(t3, (2, 0, 1))) / 3.0
-    xi1 = np.transpose(psi, (0, 2, 1))
+    t3 = permute(a_part, (0, 2, 1))  # t3[x, y, z] = <a_{e_x} e_y, e_z>
+    psi = (t3 + permute(t3, (1, 2, 0)) + permute(t3, (2, 0, 1))) / 3.0
+    xi1 = permute(psi, (0, 2, 1))
     xi2 = a_part - xi1
-    xi4 = _frame_xi4(xi_frame, j_frame, n)
+    xi4 = _frame_xi4(xi_frame, j_frame, n, points)
     xi3 = b_part - xi4
     return xi1, xi2, xi3, xi4
 
 
 class StructureJets:
-    """All jet and frame data of a structure at one point, lazily built.
+    """All jet and frame data of a structure at a block of points, lazily built.
 
-    Everything downstream (torsion, curvature couplings, diagnostics)
-    reads from this object, so each quantity is computed once per point.
-    It is the only per-point memo; two instances never share jets.
+    ``points`` has shape ``(k, dim)``; every jet field and frame array
+    leads with that point axis (one point of shape ``(dim,)`` gives
+    arrays without it).  Everything downstream (torsion, curvature
+    couplings, diagnostics) reads from this object, so each quantity is
+    computed once per block.  It is the only memo of jets; two
+    instances never share them.  Every check compares against its own
+    point's scale and names the first failing point.
     """
 
-    def __init__(self, structure: AlmostHermitianStructure, point: np.ndarray, rotation: np.ndarray | None = None):
+    def __init__(self, structure: AlmostHermitianStructure, points: np.ndarray, rotation: np.ndarray | None = None):
         self.structure = structure
-        self.point = point
+        self.points = points
         self.rotation = rotation
         self.dim = structure.dim
         self.n = structure.n
+
+    def _max(self, a: np.ndarray) -> np.ndarray:
+        return point_max(a, self.points.ndim - 1)
+
+    def fail(self, failed, error: type[Exception], message: str) -> None:
+        """Raise ``error`` at the first point where ``failed`` holds."""
+        fail_first(failed, self.points, error, message)
 
     # -- metric layer ---------------------------------------------------
 
     @cached_property
     def g(self) -> JetField:
-        return self.structure.metric.jets(self.point)
+        return self.structure.metric.jets(self.points)
 
     @cached_property
     def ginv(self) -> JetField:
@@ -219,8 +234,8 @@ class StructureJets:
     def _require_finite(self, what: str, *jets: JetField) -> None:
         # a metric near either end of the float64 range: refused before
         # any cross-route check reads the overflowed jets
-        if not all(np.isfinite(j.data).all() for j in jets):
-            raise GeometryError(f"{what} jets overflow float64 at point {_where(self.point)}")
+        overflow = np.logical_or.reduce([~np.isfinite(self._max(j.data)) for j in jets])
+        self.fail(overflow, GeometryError, f"{what} jets overflow float64")
 
     @cached_property
     def framepack(self) -> FramePack:
@@ -230,20 +245,19 @@ class StructureJets:
 
     @cached_property
     def J(self) -> JetField:
-        j = self.structure.j_evaluator(self.point)
-        if not isinstance(j, JetField) or j.shape != (self.dim, self.dim):
-            raise GeometryError("J evaluator must return a square jet field")
+        j = self.structure.j_evaluator(self.points)
+        if not isinstance(j, JetField) or j.shape != self.points.shape + (self.dim,):
+            raise GeometryError("J evaluator must return a square jet field per point")
         space = j.space
         nc1 = space.nc_at(min(1, j.deg))
         jsq = jet_einsum("ik,kj->ij", j, j)
         target = np.zeros((self.dim, self.dim, nc1))
         target[..., 0] = -np.eye(self.dim)
-        if np.abs(jsq.data[..., :nc1] - target).max() > 1e-10:
-            raise GeometryError("J^2 = -Id fails at the point")
+        self.fail(self._max(jsq.data[..., :nc1] - target) > 1e-10, GeometryError, "J^2 = -Id fails")
         compat = jet_einsum("ki,kl->il", j, jet_einsum("kl,lj->kj", self.g, j))
-        cgap = np.abs(compat.data[..., :nc1] - self.g.data[..., :nc1]).max()
-        if cgap > 1e-10 * (1.0 + np.abs(self.g.value).max()):
-            raise GeometryError("J is not compatible with the metric at the point")
+        cgap = self._max(compat.data[..., :nc1] - self.g.data[..., :nc1])
+        self.fail(cgap > 1e-10 * (1.0 + self._max(self.g.value)), GeometryError,
+                   "J is not compatible with the metric")
         return j
 
     @cached_property
@@ -272,9 +286,9 @@ class StructureJets:
         lhs = jet_einsum("zk,kxy->xyz", self.g, xi) * 2.0
         rhs = jet_einsum("ymx,mz->xyz", self.nabla_omega, self.J) * (-1.0)
         self._require_finite("torsion", xi, lhs, rhs)
-        scale = 1.0 + np.abs(lhs.data).max()
-        if np.abs(lhs.data - rhs.data).max() > CHECK_TOL * scale:
-            raise InternalConventionError("xi from nabla J disagrees with nabla omega route")
+        scale = 1.0 + self._max(lhs.data)
+        self.fail(self._max(lhs.data - rhs.data) > CHECK_TOL * scale, InternalConventionError,
+                   "xi from nabla J disagrees with nabla omega route")
         return xi
 
     @cached_property
@@ -333,22 +347,22 @@ class StructureJets:
     @cached_property
     def xi_frame(self) -> np.ndarray:
         """xi_frame[a, k, m] = <xi_{e_a} e_m, e_k>."""
-        return np.transpose(self.framepack.to_frame(self.xi.value, "udd"), (1, 0, 2))
+        return permute(self.framepack.to_frame(self.xi.value, "udd"), (1, 0, 2))
 
     @cached_property
     def gh_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return _frame_gray_hervella(self.xi_frame, self.j_frame, self.n)
+        return _frame_gray_hervella(self.xi_frame, self.j_frame, self.n, self.points)
 
     @cached_property
     def lee_frame(self) -> np.ndarray:
-        ell = np.einsum("aka->k", self.xi_frame)
+        ell = np.einsum("...aka->...k", self.xi_frame)
         # independent route: 2 xi_{e_i} e_i = -J (d*omega)^sharp
         nom = self.framepack.to_frame(self.nabla_omega.value, "ddd")
-        dstar = -np.einsum("iai->a", nom)
-        alt = -0.5 * (self.j_frame @ dstar)
-        scale = 1.0 + np.abs(ell).max()
-        if np.abs(ell - alt).max() > CHECK_TOL * scale:
-            raise InternalConventionError("Lee vector routes disagree (frame trace vs d*omega)")
+        dstar = -np.einsum("...iai->...a", nom)
+        alt = -0.5 * np.einsum("...km,...m->...k", self.j_frame, dstar)
+        scale = 1.0 + self._max(ell)
+        self.fail(self._max(ell - alt) > CHECK_TOL * scale, InternalConventionError,
+                   "Lee vector routes disagree (frame trace vs d*omega)")
         return ell
 
     @cached_property
@@ -357,10 +371,8 @@ class StructureJets:
         kills g, J and omega.  Checked once per point, then trusted."""
         for t, variance in ((self.g, "dd"), (self.J, "ud"), (self.omega, "dd")):
             nabla_u = cov_derivative_jets(t, variance, self.minimal_gamma)
-            if np.abs(nabla_u.data).max() > CHECK_TOL * (1.0 + np.abs(t.data).max()):
-                raise InternalConventionError(
-                    "minimal connection does not stabilise the structure tensors"
-                )
+            self.fail(self._max(nabla_u.data) > CHECK_TOL * (1.0 + self._max(t.data)),
+                       InternalConventionError, "minimal connection does not stabilise the structure tensors")
         return True
 
     def torsion(self) -> TorsionTensor:
@@ -386,11 +398,9 @@ def minimal_derivative_jets(t: JetField, variance: str, sj: StructureJets) -> Je
 
 
 def _pack_jets(space, entries) -> JetField:
-    entries = np.asarray(entries, dtype=object)
-    data = np.zeros(entries.shape + (space.ncoeff,))
-    for idx in np.ndindex(entries.shape):
-        data[idx] = entries[idx].data
-    return JetField(space, data)
+    """A matrix field from rows of equally shaped scalar fields."""
+    rows = [np.stack([e.data for e in row], axis=-2) for row in entries]
+    return JetField(space, np.stack(rows, axis=-3))
 
 
 def _givens_product(space, point, pairs, params, amplitude) -> JetField:
@@ -456,7 +466,7 @@ def random_structure(
         return jet_einsum("ik,jk->ij", qj, q)
 
     def g_evaluator(p):
-        return JetField.constants(jet_space(m, degree), np.eye(m))
+        return JetField.constants(jet_space(m, degree), np.broadcast_to(np.eye(m), p.shape[:-1] + (m, m)))
 
     metric = MetricField(m, g_evaluator, degree=degree)
     return AlmostHermitianStructure(metric, j_evaluator, name=f"random-flat-{seed}")

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from torsionflow import diagnostics
 from torsionflow.catalog import (
     build_structure,
     conformal,
@@ -30,7 +31,7 @@ from torsionflow.diagnostics import (
     star_ricci,
     w1w4_laplacian_residual,
 )
-from torsionflow.geometry import MIN_JET_DEGREE, rough_laplacian_jets
+from torsionflow.geometry import MIN_JET_DEGREE, GeometryError, rough_laplacian_jets
 from torsionflow.tensor import random_rotation
 from torsionflow.unstruct import random_curved_structure, random_structure
 
@@ -363,14 +364,15 @@ def test_classify_gh_labels():
 
 def test_one_evaluation_per_point_and_no_hidden_memo():
     """Each point evaluates g and J once; only the StructureJets a caller
-    holds remembers a point's jets."""
+    holds remembers a point's jets.  An evaluator call takes a block of
+    points, so the counters count the points evaluated."""
     for spec in (hopf_chart(2), s6_nearly_kahler()):
         structure = build_structure(spec)
         calls = {"g": 0, "J": 0}
 
         def counted(name, evaluator):
             def wrapped(p):
-                calls[name] += 1
+                calls[name] += len(np.atleast_2d(p))
                 return evaluator(p)
 
             return wrapped
@@ -388,6 +390,18 @@ def test_one_evaluation_per_point_and_no_hidden_memo():
         assert first is not second
         assert first.g is not second.g
         assert calls["g"] == 8
+
+
+def test_errors_name_the_first_failing_point_in_point_order():
+    """Both points share a chunk.  The second fails the metric check, which
+    runs first on the chunk; the error is still the one the first point
+    raises on its own, where its torsion jets overflow."""
+    structure = build_structure(conformal(2, "-745*sin(x1)"))
+    pts = [[1.3, 0.0, 0.0, 0.0], [-1.3, 0.0, 0.0, 0.0]]
+    with np.errstate(all="ignore"):
+        for run in (run_diagnostics, classify_gh):
+            with pytest.raises(GeometryError, match=r"torsion jets overflow float64 at point \(1.3, 0, 0, 0\)"):
+                run(structure, pts)
 
 
 def test_run_diagnostics_report_shape():
@@ -452,3 +466,41 @@ def test_default_jet_degree_matches_degree_four():
                     assert x == y, low.name
                 else:
                     assert abs(x - y) <= 1e-14 * b.scale, low.name
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_chunks_match_chunks_of_one(monkeypatch, rotated):
+    """run_diagnostics and classify_gh on chunk + 1 points, in the default
+    chunks and in one chunk, give the chunk-of-one records to
+    1e-14 * scale, and the same labels and passes."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for spec in (flat_kahler(2), conformal(2, "sin(x1)*cos(x2)", periodic=True), hopf_chart(2), s6_nearly_kahler()):
+        structure = build_structure(spec)
+        cases.append((structure, sample_points(spec, diagnostics._chunk_size(structure) + 1, seed=4)))
+    curved = random_curved_structure(21, 2)
+    cases.append((curved, rng.uniform(-np.pi, np.pi, (diagnostics._chunk_size(curved) + 1, 4))))
+
+    for structure, pts in cases:
+        rotation = random_rotation(structure.dim, rng) if rotated else None
+        runs = {}
+        for entries in (1, diagnostics.CHUNK_ENTRIES, 2**40):
+            monkeypatch.setattr(diagnostics, "CHUNK_ENTRIES", entries)
+            runs[entries] = (
+                run_diagnostics(structure, pts, rotation=rotation),
+                classify_gh(structure, pts, rotation=rotation),
+            )
+        ref, ref_class = runs.pop(1)
+        for got, got_class in runs.values():
+            assert got.passes == ref.passes, structure.name
+            assert got_class["label"] == ref_class["label"], structure.name
+            top = max(ref.scales)
+            for name, value in ref_class["component_norms"].items():
+                assert abs(got_class["component_norms"][name] - value) <= 1e-14 * top
+            for a, b in zip(got.records, ref.records):
+                assert abs(a.scale - b.scale) <= 1e-14 * b.scale
+                pairs = [(a.residuals[k], b.residuals[k]) for k in b.residuals]
+                pairs += [(a.routes[k], b.routes[k]) for k in b.routes]
+                pairs += list(zip(a.component_norms, b.component_norms))
+                for x, y in pairs:
+                    assert abs(x - y) <= 1e-14 * b.scale, structure.name

@@ -245,3 +245,17 @@ def test_geometry_errors():
     riem = curvature_jets(g, gamma).riem
     with pytest.raises(GeometryError):
         cov_derivative_jets(riem, "uddd", gamma)
+
+
+def test_metric_checks_compare_each_point_against_its_own_scale():
+    """In a block, |g| ~ 1e3 at one point must not hide a 1e-8 asymmetry
+    at another where |g| ~ 1: a scale taken over the block would."""
+    space = jet_space(2, 3)
+    values = np.stack([1e3 * np.eye(2), np.array([[1.0, 1e-8], [0.0, 1.0]])])
+
+    def evaluator(p):
+        return JetField.constants(space, values)
+
+    block = np.array([[0.0, 0.0], [0.5, 0.25]])
+    with pytest.raises(GeometryError, match=r"metric jets are not symmetric at point \(0.5, 0.25\)"):
+        MetricField(2, evaluator).jets(block)
