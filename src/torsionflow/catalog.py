@@ -30,7 +30,7 @@ import numpy as np
 
 from .exprlang import EvalError, Expr, eval_expr, parse
 from .geometry import MIN_JET_DEGREE, GeometryError, MetricField, fail_first
-from .jets import MAX_DIM, JetField, jet_einsum, jet_matrix_inverse, jet_space
+from .jets import MAX_DIM, JetField, jet_einsum, jet_space
 from .jets import exp as jet_exp
 from .unstruct import AlmostHermitianStructure, standard_j
 
@@ -364,16 +364,18 @@ def _s6_graph(p, degree: int) -> tuple[JetField, JetField, JetField, JetField]:
 
 def _s6_j(p, degree: int) -> JetField:
     """J jets in the graph chart: the pullback of cross multiplication by
-    the sphere point."""
-    x, w, d, g = _s6_graph(p, degree)
+    the sphere point.
+
+    p x (D X) is tangent at p, so (p x) D = D J; D's top 6 x 6 block is
+    the identity, so J is the top six rows of (p x) D.
+    """
+    x, w, d, _ = _s6_graph(p, degree)
     embed = JetField.zeros(x.space, x.shape[:-1] + (7,))
     embed.data[..., :6, :] = x.data
     embed.data[..., 6, :] = w.data
 
-    cross_op = jet_einsum("abc,a->cb", JetField.constants(x.space, _OCT), embed)
-    md = jet_einsum("cb,bj->cj", cross_op, d)
-    dtmd = jet_einsum("ai,aj->ij", d, md)
-    return jet_einsum("ik,kj->ij", jet_matrix_inverse(g), dtmd)
+    cross_op = jet_einsum("abc,a->cb", JetField.constants(x.space, _OCT[:, :, :6]), embed)
+    return jet_einsum("cb,bj->cj", cross_op, d)
 
 
 def build_structure(spec: GeometrySpec) -> AlmostHermitianStructure:

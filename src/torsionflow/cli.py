@@ -8,16 +8,16 @@ writes its trace.  Reports are deterministic for a fixed config and
 seed; every float is serialized with 17 significant digits.
 
 Exit codes: 0 pass, 1 residual failure, 2 config error (including
-undecodable JSON, a negative seed, a points count above MAX_POINTS, a
-flow grid above MAX_GRID_ENTRIES, an --out outside an existing
-directory and a failed report or artifact write), 3 geometry error
-(including an expression nested deeper than exprlang.MAX_DEPTH and a
-metric whose diagnostics overflow float64 at a point), 4 flow
-stall, 5 internal failure (a cross-route or convention check disagreed,
-a flow step drifted past flow.DRIFT_TOL, or any other exception, report
-rendering included: a bug in the package, not a verdict on the
-geometry or the config).  An error exit writes one JSON error to
-stderr and nothing to stdout.
+undecodable JSON, a seed outside 0..MAX_SEED = 2^63 - 1, a points count
+above MAX_POINTS, a flow grid above MAX_GRID_ENTRIES, an --out outside
+an existing directory and a failed report or artifact write), 3 geometry
+error (including an expression nested deeper than exprlang.MAX_DEPTH and
+a metric whose diagnostics overflow float64 at a point), 4 flow stall, 5
+internal failure (a cross-route or convention check disagreed, a flow
+step drifted past flow.DRIFT_TOL, or any other exception, report
+rendering included: a bug in the package, not a verdict on the geometry
+or the config).  An error exit writes one JSON error to stderr and
+nothing to stdout.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ EXIT_INTERNAL = 5
 
 # sample points per diagnostics run; each point's record is kept
 MAX_POINTS = 4096
+
+# seeds index the points' Halton sequence (seed * 9973 + 1) and seed the
+# flow's generator; a longer integer costs time linear in its digits
+MAX_SEED = 2**63 - 1
 
 # float64 entries in one (m^(2n), 2n, 2n) flow array: 128 MiB.  The
 # descent holds about ten such arrays at once.
@@ -134,7 +138,7 @@ def _resolve_tol(cfg: dict, override) -> float:
     return float(tol)
 
 
-def _int_field(section: dict, key: str, default=None, minimum=None):
+def _int_field(section: dict, key: str, default=None, minimum=None, maximum=None):
     value = section.get(key, default)
     if value is None:
         raise ConfigError(f"missing required field {key!r}")
@@ -142,15 +146,17 @@ def _int_field(section: dict, key: str, default=None, minimum=None):
         raise ConfigError(f"field {key!r} must be an integer")
     if minimum is not None and value < minimum:
         raise ConfigError(f"field {key!r} must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"field {key!r} must be at most {maximum}")
     return value
 
 
 def _resolve_seed(section: dict, override) -> int:
     """The config seed, or the --seed override under the same check."""
-    seed = _int_field(section, "seed", default=0, minimum=0)
+    seed = _int_field(section, "seed", default=0, minimum=0, maximum=MAX_SEED)
     if override is None:
         return seed
-    return _int_field({"seed": override}, "seed", minimum=0)
+    return _int_field({"seed": override}, "seed", minimum=0, maximum=MAX_SEED)
 
 
 def _float_field(section: dict, key: str, default):
@@ -168,9 +174,7 @@ def _resolve_points(cfg: dict, seed_override) -> tuple[int, int]:
     unknown = [k for k in section if k not in _POINT_KEYS]
     if unknown:
         raise ConfigError(f"unknown points fields: {', '.join(sorted(unknown))}")
-    count = _int_field(section, "count", default=20, minimum=1)
-    if count > MAX_POINTS:
-        raise ConfigError(f"field 'count' must be at most {MAX_POINTS}")
+    count = _int_field(section, "count", default=20, minimum=1, maximum=MAX_POINTS)
     return count, _resolve_seed(section, seed_override)
 
 

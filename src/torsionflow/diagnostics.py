@@ -214,12 +214,12 @@ class _PointData:
     @cached_property
     def laplacian_j(self) -> np.ndarray:
         sj = self.sj
-        return self.fp.to_frame(rough_laplacian_jets(sj.J, "ud", sj.gamma, sj.ginv).value, "ud")
+        return self.fp.to_frame(rough_laplacian_jets(sj.nabla_J, "ud", sj.gamma, sj.ginv).value, "ud")
 
     @cached_property
     def laplacian_omega(self) -> np.ndarray:
         sj = self.sj
-        lap_om = rough_laplacian_jets(sj.omega, "dd", sj.gamma, sj.ginv)
+        lap_om = rough_laplacian_jets(sj.nabla_omega, "dd", sj.gamma, sj.ginv)
         lo = self.fp.to_frame(lap_om.value, "dd")
         # (nabla*nabla omega)(X, Y) = <X, (nabla*nabla J) Y>
         self.check_route(point_max(lo - self.laplacian_j, 1), "rough Laplacians of omega and J disagree")
@@ -322,9 +322,8 @@ def _section_residuals(pd: _PointData) -> dict[str, np.ndarray]:
     # with D[u,z] = sum_i <(nabla_{e_i}T)(e_i,e_z), e_u> couples both
     # residuals to harmonicity; the d*T endomorphism contributes through
     # its skew part only, so that is the reported defect.
-    xi = pd.sj.xi.truncate(1)  # only the value of nabla T is read
-    tors = xi - xi.transpose((0, 2, 1))
-    ft = pd.fp.to_frame(cov_derivative_jets(tors, "udd", pd.sj.gamma).value, "uddd")
+    # nabla T = nabla xi - (nabla xi) with its two form slots swapped
+    ft = F - permute(F, (0, 2, 1, 3))
     # Sup over unit X, Y: the spectral norm of the bilinear trace form.
     iv_a = np.linalg.norm(np.einsum("...ixyi->...xy", ft), 2, axis=(-2, -1))
     dt = -np.einsum("...kixi->...kx", ft)

@@ -9,6 +9,8 @@ Laplacian in that algebraic form makes the gradient exact for the
 discrete energy, because central differences are exactly skew-adjoint
 on a periodic grid.
 
+The start, ``random_grid``, is ``unstruct.random_structure``'s J at the nodes.
+
 Every field differentiated here is skew, so one spectral path,
 ``_dirichlet_modes``, transforms only the strict upper triangle of the
 skew part (6 of 16 entries at n = 2) and ``_skew_laplacian`` rebuilds
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .unstruct import InternalConventionError, TorsionTensor, _frame_gray_hervella, random_j_values, standard_j
+from .unstruct import InternalConventionError, TorsionTensor, _frame_gray_hervella, random_structure, standard_j
 
 __all__ = [
     "GridError",
@@ -248,13 +250,15 @@ class JGrid:
 
 
 def random_grid(seed: int, n: int, resolution: int, amplitude: float = 0.3) -> JGrid:
-    """Sample the 2pi-periodic random structure family onto a grid."""
+    """The 2pi-periodic ``random_structure(seed, n, amplitude)`` sampled
+    onto a grid: the values of its degree-0 J jets at every node."""
     if resolution < 4:
         raise GridError("grid resolution must be at least 4")
     ticks = 2.0 * np.pi * np.arange(resolution) / resolution
     mesh = np.meshgrid(*([ticks] * (2 * n)), indexing="ij")
     points = np.stack(mesh, axis=-1)
-    return JGrid(n, resolution, random_j_values(seed, n, points, amplitude))
+    structure = random_structure(seed, n, amplitude, degree=0)
+    return JGrid(n, resolution, structure.j_evaluator(points).value)
 
 
 # -- torsion and energy -----------------------------------------------------------

@@ -182,10 +182,11 @@ def curvature_jets(g: JetField, gamma: JetField, ginv: JetField | None = None) -
     return CurvatureJets(riem=riem, rflat=rflat, ricci=ricci, scalar=scalar)
 
 
-def rough_laplacian_jets(t: JetField, variance: str, gamma: JetField, ginv: JetField) -> JetField:
-    """Connection Laplacian: -(nabla^2 T)_{e_i, e_i} as a jet field."""
-    first = cov_derivative_jets(t, variance, gamma)
+def rough_laplacian_jets(nabla_t: JetField, variance: str, gamma: JetField, ginv: JetField) -> JetField:
+    """Connection Laplacian -(nabla^2 T)_{e_i, e_i} as a jet field, from
+    the first derivative ``nabla_t = cov_derivative_jets(t, variance, gamma)``
+    that the caller already holds; ``variance`` is that of T."""
     # the outer direction is the last axis: [..., y, x] holds (nabla^2 T)_{x,y}
-    second = cov_derivative_jets(first, variance + "d", gamma)
+    second = cov_derivative_jets(nabla_t, variance + "d", gamma)
     letters = "abcdefgh"[: len(variance)]
     return jet_einsum(f"xy,{letters}yx->{letters}", ginv, second) * (-1.0)

@@ -16,6 +16,8 @@ field is a scalar jet (``Jet`` names the same class), which is what the
 expression evaluator and ``jet_constant``/``jet_variable`` produce.  Chart
 geometry (metrics, Christoffel symbols, curvature) is built on fields;
 ``jet_einsum`` contracts tensor axes while convolving coefficient axes.
+It is the one product kernel: an entrywise product (``*``, and each
+Horner step of the elementary functions) is its contraction ``",->"``.
 
 A field may carry leading axes ahead of its tensor axes, one per axis of
 a block of base points (``JetField.variables`` of a ``(k, dim)`` block
@@ -81,10 +83,9 @@ class JetSpace:
     """Index tables for jets of a fixed dimension and degree.
 
     Instances are cached; use :func:`jet_space` rather than constructing
-    directly.  The heavy pieces are the per-degree multiplication tables:
-    flat arrays of coefficient-index pairs grouped by output index, so a
-    truncated product is one gather, one elementwise multiply and one
-    ``np.add.reduceat``.
+    directly.  The heavy piece is the one multiplication table: flat
+    arrays of coefficient-index pairs grouped by output index.  A product
+    truncated to degree d, in ``jet_einsum``, reads its prefix ``table(d)``.
     """
 
     def __init__(self, dim: int, degree: int):
@@ -103,16 +104,25 @@ class JetSpace:
             a: i for i, a in enumerate(indices)
         }
         self.ncoeff = len(indices)
-        self._order = np.array([sum(a) for a in indices], dtype=np.int64)
+        order = [sum(a) for a in indices]
         # ncoeff of each truncation degree: prefix lengths
-        self.nc_level = np.array(
-            [int(np.searchsorted(self._order, d, side="right")) for d in range(degree + 1)]
-        )
+        self.nc_level = np.searchsorted(order, np.arange(degree + 1), side="right")
         # a field's degree, read from the length of its coefficient axis
         self.deg_of_nc = {int(nc): d for d, nc in enumerate(self.nc_level)}
 
-        self._tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._build_tables()
+        # one pair table, (ia, ib) grouped by output index; outputs are in
+        # degree order, so the pairs of a truncation to degree d are a prefix
+        pairs = [
+            (ia, ib, self.index[tuple(x + y for x, y in zip(a, b))])
+            for ia, a in enumerate(indices)
+            for ib, b in enumerate(indices)
+            if order[ia] + order[ib] <= degree
+        ]
+        ia, ib, out = np.array(pairs, dtype=np.int64).T
+        srt = np.argsort(out, kind="stable")
+        self._ia, self._ib = ia[srt], ib[srt]
+        # segment starts, then the pair count: _starts[nc] pairs end at output nc
+        self._starts = np.searchsorted(out[srt], np.arange(self.ncoeff + 1))
 
         # differentiation maps: index of alpha + e_c and the factor alpha_c + 1
         n_lower = self.nc_level[degree - 1] if degree >= 1 else 0
@@ -126,37 +136,15 @@ class JetSpace:
                 self._diff_idx[c, i] = self.index[tuple(shifted)]
                 self._diff_coef[c, i] = a[c] + 1
 
-    def _build_tables(self) -> None:
-        order = self._order
-        ia_all: list[int] = []
-        ib_all: list[int] = []
-        out_all: list[int] = []
-        for ia, a in enumerate(self.multi_indices):
-            da = order[ia]
-            for ib, b in enumerate(self.multi_indices):
-                if da + order[ib] > self.degree:
-                    continue
-                ia_all.append(ia)
-                ib_all.append(ib)
-                out_all.append(self.index[tuple(x + y for x, y in zip(a, b))])
-        ia_arr = np.array(ia_all, dtype=np.int64)
-        ib_arr = np.array(ib_all, dtype=np.int64)
-        out_arr = np.array(out_all, dtype=np.int64)
-        pair_deg = order[ia_arr] + order[ib_arr]
-        for d in range(self.degree + 1):
-            keep = pair_deg <= d
-            ia_d, ib_d, out_d = ia_arr[keep], ib_arr[keep], out_arr[keep]
-            srt = np.argsort(out_d, kind="stable")
-            ia_d, ib_d, out_d = ia_d[srt], ib_d[srt], out_d[srt]
-            ncd = int(self.nc_level[d])
-            starts = np.searchsorted(out_d, np.arange(ncd), side="left")
-            self._tables[d] = (ia_d, ib_d, starts)
-
     def nc_at(self, d: int) -> int:
         return int(self.nc_level[d])
 
     def table(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._tables[d]
+        """The pairs (ia, ib) of a product truncated to degree ``d`` and the
+        start of each output index's segment: a prefix of the one table."""
+        nc = self.nc_at(d)
+        npairs = self._starts[nc]
+        return self._ia[:npairs], self._ib[:npairs], self._starts[:nc]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"JetSpace(dim={self.dim}, degree={self.degree})"
@@ -170,11 +158,6 @@ def jet_space(dim: int, degree: int) -> JetSpace:
 # ---------------------------------------------------------------------------
 # raw-coefficient kernels; data has shape tensor_shape + (nc_at(deg),)
 # ---------------------------------------------------------------------------
-
-
-def _mul_data(space: JetSpace, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    ia, ib, starts = space.table(d)
-    return np.add.reduceat(a[..., ia] * b[..., ib], starts, axis=-1)
 
 
 def _diff_data(space: JetSpace, a: np.ndarray, c: int | slice, new_deg: int) -> np.ndarray:
@@ -238,17 +221,16 @@ def _recip_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:
     return [(-1.0) ** k / c ** (k + 1) for k in range(deg + 1)]
 
 
-def _apply_series(space: JetSpace, data: np.ndarray, deg: int, name: str) -> np.ndarray:
+def _apply_series(field: "JetField", name: str) -> "JetField":
     """Compose an analytic function with a jet via the Taylor series at the
     constant term, evaluated in Horner form on the nilpotent part."""
-    coeffs = _SERIES_FNS[name](np.asarray(data[..., 0]), deg)
-    h = data.copy()
-    h[..., 0] = 0.0
-    out = np.zeros_like(data)
-    out[..., 0] = coeffs[deg]
-    for k in range(deg - 1, -1, -1):
-        out = _mul_data(space, out, h, deg)
-        out[..., 0] += coeffs[k]
+    coeffs = _SERIES_FNS[name](field.data[..., 0], field.deg)
+    h = JetField(field.space, field.data.copy())
+    h.data[..., 0] = 0.0
+    out = JetField.constants(field.space, coeffs[field.deg], field.deg)
+    for k in range(field.deg - 1, -1, -1):
+        out = out * h
+        out.data[..., 0] += coeffs[k]
     return out
 
 
@@ -387,8 +369,9 @@ class JetField:
         if isinstance(other, _NUMBERS):
             return JetField(self.space, self.data * float(other))
         if isinstance(other, JetField):
-            d = self._binary_deg(other)
-            return JetField(self.space, _mul_data(self.space, self.data, other.data, d))
+            shape = np.broadcast_shapes(self.shape, other.shape)
+            a, b = (JetField(f.space, np.broadcast_to(f.data, shape + f.data.shape[-1:])) for f in (self, other))
+            return jet_einsum(",->", a, b)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -448,7 +431,7 @@ class JetField:
 
     def fn(self, name: str) -> "JetField":
         """Apply an elementary analytic function entrywise."""
-        return JetField(self.space, _apply_series(self.space, self.data, self.deg, name))
+        return _apply_series(self, name)
 
 
 # the scalar jet is the shape-() field
@@ -530,8 +513,9 @@ def jet_einsum(subscripts: str, a: JetField, b: JetField) -> JetField:
     ``subscripts`` addresses the trailing tensor axes only, e.g.
     ``'km,mj->kj'``; every summed index appears in both operands.
     Leading axes are equal in both operands or absent from one, and the
-    coefficient axes are handled internally: the pair gathers lead, so
-    the product is one batched matmul and one ``reduceat`` over pairs.
+    coefficient axes are handled internally: the pair gathers of
+    ``table`` lead, so the product is one batched matmul and one
+    ``reduceat`` over pairs.  ``",->"`` multiplies entrywise.
     """
     space = a.space
     if b.space is not space:

@@ -23,8 +23,11 @@ Layout conventions:
   * The Kahler form is ``omega(X, Y) = <X, JY>``; with the standard flat
     structure (J e_1 = e_2) this makes ``omega(e_1, e_2) = -1``.
 
-Kept for the tests only: ``random_structure`` and ``random_curved_structure``
-(structures whose invariants hold exactly as jets).
+``random_structure`` is a flat family whose invariants hold exactly as
+jets; its J at the grid nodes is the flow's start (``flow.random_grid``).
+
+Kept for the tests only: ``random_curved_structure`` (a curved family
+whose invariants hold exactly as jets).
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ __all__ = [
     "minimal_derivative_jets",
     "random_structure",
     "random_curved_structure",
-    "random_j_values",
     "standard_j",
 ]
 
@@ -470,37 +472,6 @@ def random_structure(
 
     metric = MetricField(m, g_evaluator, degree=degree)
     return AlmostHermitianStructure(metric, j_evaluator, name=f"random-flat-{seed}")
-
-
-def random_j_values(seed: int, n: int, points, amplitude: float = 0.3) -> np.ndarray:
-    """Plain J values of ``random_structure(seed, n, amplitude)`` at many points.
-
-    Consumes the seed exactly as ``random_structure`` does, so the
-    returned matrices agree with the jet evaluator to roundoff.  Input
-    shape (..., 2n), output (..., 2n, 2n).
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    m = 2 * n
-    rng = np.random.default_rng(seed)
-    pairs, params = _rotation_params(rng, m, m)
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != m:
-        raise ValueError("points must have 2n coordinates")
-    lead = pts.shape[:-1]
-    pts = pts.reshape(-1, m)
-    q = np.broadcast_to(np.eye(m), (pts.shape[0], m, m)).copy()
-    for (i, j), (coefs, phases) in zip(pairs, params):
-        theta = amplitude * (np.sin(pts + phases) @ coefs)
-        c, s = np.cos(theta), np.sin(theta)
-        giv = np.broadcast_to(np.eye(m), q.shape).copy()
-        giv[:, i, i] = c
-        giv[:, j, j] = c
-        giv[:, i, j] = -s
-        giv[:, j, i] = s
-        q = q @ giv
-    out = q @ standard_j(n) @ np.swapaxes(q, -1, -2)
-    return out.reshape(lead + (m, m))
 
 
 def random_curved_structure(

@@ -44,7 +44,7 @@ from torsionflow.flow import (
     variation,
 )
 from torsionflow.exprlang import eval_expr, parse
-from torsionflow.geometry import rough_laplacian_jets
+from torsionflow.geometry import cov_derivative_jets, rough_laplacian_jets
 from torsionflow.unstruct import random_curved_structure, random_structure
 
 
@@ -173,7 +173,7 @@ def test_six_sphere_nearly_kahler_suite():
         worst["ricci_5g"] = max(worst.get("ricci_5g", 0.0), float(ric_gap))
 
         lo = sj.framepack.to_frame(
-            rough_laplacian_jets(sj.omega, "dd", sj.gamma, sj.ginv).value, "dd"
+            rough_laplacian_jets(cov_derivative_jets(sj.omega, "dd", sj.gamma), "dd", sj.gamma, sj.ginv).value, "dd"
         )
         lap_gap = np.abs(lo - 4.0 * sj.j_frame).max()
         assert lap_gap < 1e-5, lap_gap
@@ -195,7 +195,7 @@ def test_lck_laplacian_collinear_with_omega(conformal_cases):
         for p in points[:5]:
             sj = structure.structure_jets(p)
             lo = sj.framepack.to_frame(
-                rough_laplacian_jets(sj.omega, "dd", sj.gamma, sj.ginv).value, "dd"
+                rough_laplacian_jets(cov_derivative_jets(sj.omega, "dd", sj.gamma), "dd", sj.gamma, sj.ginv).value, "dd"
             )
             tsq = float(sj.lee_frame @ sj.lee_frame)
             gap = np.abs(lo - 2.0 * tsq * sj.j_frame).max()

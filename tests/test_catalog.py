@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torsionflow import catalog
 from torsionflow.catalog import (
     FANO_TRIPLES,
     GeometrySpec,
@@ -15,7 +16,8 @@ from torsionflow.catalog import (
     sample_points,
     spec_from_config,
 )
-from torsionflow.geometry import GeometryError, christoffel_jets, curvature_jets
+from torsionflow.geometry import GeometryError, christoffel_jets, curvature_jets, point_max
+from torsionflow.jets import JetField, jet_einsum, jet_matrix_inverse
 
 SECTION_NAMES = {
     "harmonic",
@@ -175,6 +177,19 @@ def test_s6_torsion_is_nearly_kahler():
         psi = np.transpose(tor.xi1, (0, 2, 1))
         jjpsi = np.einsum("ax,by,abz->xyz", jf, jf, psi)
         assert np.abs(jjpsi + psi).max() < 1e-9 * scale
+
+
+def test_s6_j_is_the_pullback_through_the_metric():
+    # oracle: J = g^-1 D^T (p x) D; the evaluator reads the top rows of (p x) D
+    spec = s6_nearly_kahler()
+    pts = sample_points(spec, 6, seed=4)
+    x, w, d, g = catalog._s6_graph(pts, spec.degree)
+    embed = JetField(x.space, np.concatenate([x.data, w.data[..., None, :]], axis=-2))
+    cross_op = jet_einsum("abc,a->cb", JetField.constants(x.space, octonion_structure_constants()), embed)
+    dtmd = jet_einsum("ai,aj->ij", d, jet_einsum("cb,bj->cj", cross_op, d))
+    oracle = jet_einsum("ik,kj->ij", jet_matrix_inverse(g), dtmd)
+    gap = point_max(catalog._s6_j(pts, spec.degree).data - oracle.data, 1)
+    assert np.all(gap <= 1e-13 * (1.0 + point_max(oracle.data, 1))), gap
 
 
 def test_s6_is_einstein_with_factor_five():

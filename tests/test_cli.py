@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from torsionflow import diagnostics
 from torsionflow.catalog import build_structure, sample_points, spec_from_config
-from torsionflow.cli import MAX_POINTS, main, render_json
+from torsionflow.cli import MAX_POINTS, MAX_SEED, main, render_json
 from torsionflow.diagnostics import classify_gh, coderivative_xi, point_scale, star_ricci
 from torsionflow.flow import JGrid, grid_payload, random_grid
 
@@ -56,6 +56,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
         # refused before the structure is built or any point sampled
         {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"count": MAX_POINTS + 1}},
         {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"count": 10**12}},
+        # a seed's Halton digits cost time linear in its length
+        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"seed": MAX_SEED + 1}},
+        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"seed": 10**4000}},
     ]
     for idx, cfg in enumerate(bad):
         path = write_config(tmp_path, f"bad{idx}.json", cfg)
@@ -75,6 +78,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
         # --seed gets the same non-negative check as the config seed
         ["inspect", "--config", flat_path, "--seed", "-1"],
         ["flow", "--config", small_flow, "--seed", "-1"],
+        # and the same upper bound
+        ["inspect", "--config", flat_path, "--seed", str(MAX_SEED + 1)],
+        ["flow", "--config", small_flow, "--seed", str(MAX_SEED + 1)],
+        ["flow", "--config", write_config(tmp_path, "seed.json", {"schema": 1, "flow": {"n": 1, "seed": 10**4000}})],
     ]
     # grids above 2**24 float64 entries are refused before allocating
     for idx, flow in enumerate([{"n": 4, "m": 32}, {"n": 6, "m": 4}]):

@@ -31,7 +31,7 @@ from torsionflow.diagnostics import (
     star_ricci,
     w1w4_laplacian_residual,
 )
-from torsionflow.geometry import MIN_JET_DEGREE, GeometryError, rough_laplacian_jets
+from torsionflow.geometry import MIN_JET_DEGREE, GeometryError, cov_derivative_jets, rough_laplacian_jets
 from torsionflow.tensor import random_rotation
 from torsionflow.unstruct import random_curved_structure, random_structure
 
@@ -140,7 +140,7 @@ def test_lck_surface_laplacian_relations():
         np.testing.assert_allclose(theta, -sj.lee_frame, atol=1e-12)
         np.testing.assert_allclose(dstar_om, 2.0 * jf @ sj.lee_frame, atol=1e-12)
         lap = fp.to_frame(
-            rough_laplacian_jets(sj.omega, "dd", sj.gamma, sj.ginv).value, "dd"
+            rough_laplacian_jets(cov_derivative_jets(sj.omega, "dd", sj.gamma), "dd", sj.gamma, sj.ginv).value, "dd"
         )
         tsq = float(theta @ theta)
         np.testing.assert_allclose(lap, 2.0 * tsq * jf, atol=1e-12)

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import torsionflow
@@ -9,6 +10,7 @@ from torsionflow.flow import descend
 from torsionflow.unstruct import StructureJets
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(torsionflow.__file__).parent
 
 
 def test_every_exported_name_resolves():
@@ -19,6 +21,34 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
         assert missing == [], (name, missing)
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name a module reads: bare names, attributes and imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_names_kept_for_the_tests_are_exported_and_unused_by_the_package():
+    # a docstring's "Kept for the tests only" list must stay true: a name
+    # another module calls is production code and leaves the list
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    for stem, tree in trees.items():
+        _, found, tail = (ast.get_docstring(tree) or "").partition("Kept for the tests only")
+        if not found:
+            continue
+        kept = set(re.findall(r"``(\w+)``", tail.split("\n\n")[0]))
+        exported = importlib.import_module(f"torsionflow.{stem}").__all__
+        assert kept and kept <= set(exported), (stem, kept)
+        readers = {other: kept & _names_read(t) for other, t in trees.items() if other != stem}
+        assert not any(readers.values()), (stem, readers)
 
 
 def _reaches(path: Path) -> list[tuple[object, str]]:

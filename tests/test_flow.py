@@ -74,6 +74,16 @@ def test_random_grid_is_valid_and_energetic():
         assert energy(g) > 1.0
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", [3, 7])
+def test_random_grid_samples_the_random_structure(seed, n):
+    # the flow starts from the jet family's J, whatever jet degree reads it
+    g = random_grid(seed, n, 4, amplitude=0.5)
+    nodes = g.node_points().reshape(-1, g.dim)
+    j = random_structure(seed, n, amplitude=0.5).structure_jets(nodes).J.value
+    assert np.abs(g.values.reshape(j.shape) - j).max() <= 1e-15
+
+
 def test_energy_matches_roll_stencil():
     g = random_grid(7, 2, 8)
     h = g.spacing

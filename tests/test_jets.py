@@ -356,3 +356,22 @@ def test_storage_length_is_the_degree():
         f.partial((0, 0, 4))
     with pytest.raises(JetError):
         f.truncate(4)
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 5), (3, 3), (4, 2)])
+def test_pair_table_prefixes_are_the_truncated_products(dim, degree):
+    # table(d) is a prefix of one table: the pairs of |alpha| + |beta| <= d,
+    # grouped by output index, each group in (ia, ib) order
+    sp = jet_space(dim, degree)
+    idx = sp.multi_indices
+    for d in range(degree + 1):
+        want = [
+            (k, i, j)
+            for k in range(sp.nc_at(d))
+            for i, a in enumerate(idx)
+            for j, b in enumerate(idx)
+            if tuple(x + y for x, y in zip(a, b)) == idx[k]
+        ]
+        ia, ib, starts = sp.table(d)
+        assert list(zip(ia.tolist(), ib.tolist())) == [(i, j) for _, i, j in want]
+        assert starts.tolist() == [[k for k, _, _ in want].index(k) for k in range(sp.nc_at(d))]
