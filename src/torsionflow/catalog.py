@@ -1,9 +1,10 @@
 """Catalog of example geometries with documented expected diagnostics.
 
 Each factory returns a GeometrySpec: the data needed to rebuild the
-structure (metric kind, J kind, conformal factor, chart box) plus
-metadata recording what the diagnostics should find.  The test suite
-asserts the metadata, so the catalog is self-verifying.
+structure (metric and J evaluators, the chart box and an optional
+predicate on it) plus metadata recording what the diagnostics should
+find.  The test suite asserts the metadata, so the catalog is
+self-verifying.
 
 Charts:
   * ``flat`` and ``conformal`` live on R^{2n}; with ``periodic=True``
@@ -24,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
+from .diagnostics import SECTION_NAMES
 from .exprlang import EvalError, Expr, eval_expr, parse
 from .geometry import MIN_JET_DEGREE, GeometryError, MetricField, fail_first
 from .jets import MAX_DIM, JetField, jet_einsum, jet_space
@@ -95,23 +97,26 @@ def octonion_multiply(x, y) -> np.ndarray:
     return out
 
 
-_METRIC_KINDS = ("flat", "conformal", "s6_round")
-_J_KINDS = ("standard", "s6_cross")
+Evaluator = Callable[[np.ndarray, int], JetField]
 
 
 @dataclass(frozen=True)
 class GeometrySpec:
     """Recipe for one catalog geometry.
 
-    ``domain`` is a box of per-coordinate (lo, hi) bounds.  ``metadata``
+    ``metric(p, degree)`` and ``j(p, degree)`` return the jets of g and
+    of J at a block of points, to the given degree.  ``domain`` is a box
+    of per-coordinate (lo, hi) bounds; ``inside(p)``, when set, keeps
+    only the sample points of the box where it holds.  ``metadata``
     holds expected diagnostics: the class label and which section
     residuals should vanish or stay visibly nonzero.
     """
 
     name: str
     n: int
-    metric_kind: str
-    j_kind: str = "standard"
+    metric: Evaluator
+    j: Evaluator
+    inside: Callable[[np.ndarray], bool] | None = None
     conformal_factor: Expr | None = None
     domain: tuple[tuple[float, float], ...] = ()
     periodic: bool = False
@@ -119,14 +124,8 @@ class GeometrySpec:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.metric_kind not in _METRIC_KINDS:
-            raise GeometryError(f"unknown metric kind {self.metric_kind!r}")
-        if self.j_kind not in _J_KINDS:
-            raise GeometryError(f"unknown J kind {self.j_kind!r}")
         if self.n < 1:
             raise GeometryError("n must be at least 1")
-        if self.metric_kind == "conformal" and self.conformal_factor is None:
-            raise GeometryError("conformal geometries need a factor expression")
         if len(self.domain) != self.dim:
             raise GeometryError("domain box must have one (lo, hi) pair per coordinate")
         for lo, hi in self.domain:
@@ -176,53 +175,45 @@ def _halton_box(domain, count: int, start: int, predicate=None) -> np.ndarray:
     return np.array(pts)
 
 
-def _domain_predicate(spec: GeometrySpec):
-    if spec.metric_kind == "s6_round":
-        return lambda p: float(p @ p) < 0.88**2
-    if spec.name == "hopf":
-        return lambda p: 0.5 < np.sqrt(float(p @ p)) < 2.0
-    return None
-
-
 def sample_points(spec: GeometrySpec, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic low-discrepancy points inside the spec domain."""
     if count < 1:
         raise GeometryError("need at least one sample point")
-    return _halton_box(spec.domain, count, seed * 9973 + 1, _domain_predicate(spec))
+    return _halton_box(spec.domain, count, seed * 9973 + 1, spec.inside)
 
 
 # -- factories ---------------------------------------------------------------
 
-_ALL_SECTION_RESIDUALS = (
-    "harmonic",
-    "harmonic_map",
-    "vert_geodesic",
-    "horiz_geodesic",
-    "flatness",
-    "superflat",
-    "torsion_iv_a",
-    "torsion_iv_b",
-)
+_KAHLER_META = {
+    "expected_class": "Kähler",
+    "expected_zero": SECTION_NAMES,
+    "expected_nonzero": (),
+}
+
+
+def _constant(value: np.ndarray) -> Evaluator:
+    """The evaluator of a constant matrix field."""
+
+    def evaluate(p, degree):
+        space = jet_space(value.shape[-1], degree)
+        return JetField.constants(space, np.broadcast_to(value, p.shape[:-1] + value.shape))
+
+    return evaluate
 
 
 def flat_kahler(n: int, degree: int = MIN_JET_DEGREE) -> GeometrySpec:
     """Flat metric with the standard block J on R^{2n}."""
     if n < 1:
         raise GeometryError("flat_kahler needs n >= 1")
-    box = ((-np.pi, np.pi),) * (2 * n)
-    meta = {
-        "expected_class": "Kähler",
-        "expected_zero": _ALL_SECTION_RESIDUALS,
-        "expected_nonzero": (),
-    }
     return GeometrySpec(
         name="flat",
         n=n,
-        metric_kind="flat",
-        domain=box,
+        metric=_constant(np.eye(2 * n)),
+        j=_constant(standard_j(n)),
+        domain=((-np.pi, np.pi),) * (2 * n),
         periodic=True,
         degree=degree,
-        metadata=meta,
+        metadata=_KAHLER_META,
     )
 
 
@@ -267,21 +258,23 @@ def conformal(
         if (np.abs(moved - base) > 1e-9 * (1.0 + np.abs(base))).any():
             raise GeometryError("conformal factor is not 2 pi periodic in every coordinate")
     if grad_mag < 1e-12:
-        meta = {
-            "expected_class": "Kähler",
-            "expected_zero": _ALL_SECTION_RESIDUALS,
-            "expected_nonzero": (),
-        }
+        meta = _KAHLER_META
     else:
         meta = {
             "expected_class": "W4",
             "expected_zero": ("harmonic", "torsion_iv_a", "torsion_iv_b"),
             "expected_nonzero": (),
         }
+
+    def metric(p, degree):
+        fj = _eval_factor(expr, p, dim, degree)
+        return jet_einsum("ij,->ij", JetField.constants(jet_space(dim, degree), np.eye(dim)), jet_exp(fj))
+
     return GeometrySpec(
         name=name,
         n=n,
-        metric_kind="conformal",
+        metric=metric,
+        j=_constant(standard_j(n)),
         conformal_factor=expr,
         domain=box,
         periodic=periodic,
@@ -310,32 +303,8 @@ def hopf_chart(n: int, degree: int = MIN_JET_DEGREE) -> GeometrySpec:
         "expected_nonzero": ("vert_geodesic", "horiz_geodesic"),
         "sphere_curvature_k": 1.0,
     }
-    return replace(spec, metadata=meta)
+    return replace(spec, inside=lambda p: 0.5 < np.sqrt(float(p @ p)) < 2.0, metadata=meta)
 
-
-def s6_nearly_kahler(degree: int = MIN_JET_DEGREE) -> GeometrySpec:
-    """Round six-sphere with J from the octonion cross product."""
-    box = ((-0.35, 0.35),) * 6
-    meta = {
-        "expected_class": "W1",
-        "expected_zero": ("harmonic", "harmonic_map", "vert_geodesic"),
-        "expected_nonzero": ("flatness",),
-        "einstein_ricci_factor": 5.0,
-        "laplacian_omega_factor": 4.0,
-        "psi_norm_sq": 144.0,
-    }
-    return GeometrySpec(
-        name="s6",
-        n=3,
-        metric_kind="s6_round",
-        j_kind="s6_cross",
-        domain=box,
-        degree=degree,
-        metadata=meta,
-    )
-
-
-# -- structure assembly ------------------------------------------------------
 
 def _s6_graph(p, degree: int) -> tuple[JetField, JetField, JetField, JetField]:
     """Jets of the graph chart x -> (x, sqrt(1 - |x|^2)): x, the height w,
@@ -378,45 +347,38 @@ def _s6_j(p, degree: int) -> JetField:
     return jet_einsum("cb,bj->cj", cross_op, d)
 
 
+def s6_nearly_kahler(degree: int = MIN_JET_DEGREE) -> GeometrySpec:
+    """Round six-sphere with J from the octonion cross product."""
+    box = ((-0.35, 0.35),) * 6
+    meta = {
+        "expected_class": "W1",
+        "expected_zero": ("harmonic", "harmonic_map", "vert_geodesic"),
+        "expected_nonzero": ("flatness",),
+        "einstein_ricci_factor": 5.0,
+        "laplacian_omega_factor": 4.0,
+        "psi_norm_sq": 144.0,
+    }
+    return GeometrySpec(
+        name="s6",
+        n=3,
+        metric=lambda p, degree: _s6_graph(p, degree)[3],
+        j=_s6_j,
+        inside=lambda p: float(p @ p) < 0.88**2,
+        domain=box,
+        degree=degree,
+        metadata=meta,
+    )
+
+
+# -- structure assembly ------------------------------------------------------
+
+
 def build_structure(spec: GeometrySpec) -> AlmostHermitianStructure:
-    """Materialize a spec as metric and J evaluators of point blocks."""
-    dim = spec.dim
+    """Materialize a spec as metric and J evaluators of point blocks,
+    both at the spec's jet degree."""
     degree = spec.degree
-
-    def constant(p, value):
-        return JetField.constants(jet_space(dim, degree), np.broadcast_to(value, p.shape[:-1] + value.shape))
-
-    if spec.metric_kind == "flat":
-
-        def g_eval(p):
-            return constant(p, np.eye(dim))
-
-    elif spec.metric_kind == "conformal":
-        expr = spec.conformal_factor
-
-        def g_eval(p):
-            space = jet_space(dim, degree)
-            fj = _eval_factor(expr, p, dim, degree)
-            return jet_einsum("ij,->ij", JetField.constants(space, np.eye(dim)), jet_exp(fj))
-
-    else:
-
-        def g_eval(p):
-            return _s6_graph(p, degree)[3]
-
-    if spec.j_kind == "standard":
-        j0 = standard_j(spec.n)
-
-        def j_eval(p):
-            return constant(p, j0)
-
-    else:
-
-        def j_eval(p):
-            return _s6_j(p, degree)
-
-    metric = MetricField(dim, g_eval, degree=degree)
-    return AlmostHermitianStructure(metric, j_eval, name=spec.name)
+    metric = MetricField(spec.dim, lambda p: spec.metric(p, degree), degree=degree)
+    return AlmostHermitianStructure(metric, lambda p: spec.j(p, degree), name=spec.name)
 
 
 def spec_from_config(cfg: Mapping) -> GeometrySpec:

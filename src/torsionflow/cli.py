@@ -10,10 +10,11 @@ seed; every float is serialized with 17 significant digits.
 Exit codes: 0 pass, 1 residual failure, 2 config error (including
 undecodable JSON, a seed outside 0..MAX_SEED = 2^63 - 1, a points count
 above MAX_POINTS, a flow grid above MAX_GRID_ENTRIES, an --out outside
-an existing directory and a failed report or artifact write), 3 geometry
-error (including an expression nested deeper than exprlang.MAX_DEPTH and
-a metric whose diagnostics overflow float64 at a point), 4 flow stall, 5
-internal failure (a cross-route or convention check disagreed, a flow
+an existing directory and a failed report or artifact write, to --out or
+to stdout, a closed pipe included), 3 geometry error (including an
+expression nested deeper than exprlang.MAX_DEPTH and a metric whose
+diagnostics overflow float64 at a point), 4 flow stall, 5 internal
+failure (a cross-route or convention check disagreed, a flow
 step drifted past flow.DRIFT_TOL, or any other exception, report
 rendering included: a bug in the package, not a verdict on the geometry
 or the config).  An error exit writes one JSON error to stderr and
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import traceback
 import unicodedata
@@ -453,6 +455,20 @@ def _fail(error: str, code: int) -> int:
     return code
 
 
+def _drop_stdout() -> None:
+    """Point a failed stdout at the null device, so that the interpreter's
+    flush at exit has nothing left to fail on."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -483,7 +499,12 @@ def main(argv=None) -> int:
         origin = f"{Path(where.filename).name}:{where.lineno}"
         return _fail(f"internal error: {type(exc).__name__}: {exc} ({origin})", EXIT_INTERNAL)
 
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        _drop_stdout()
+        return _fail(f"cannot write output: {exc}", EXIT_CONFIG)
     return code
 
 

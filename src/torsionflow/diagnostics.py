@@ -148,8 +148,6 @@ class _PointData:
         self.ell = sj.lee_frame
         # rflat frame: RF[x, y, z, w] = <R(e_x, e_y) e_z, e_w>
         self.RF = self.fp.to_frame(sj.curv.rflat.value, "dddd")
-        # nabla xi frame: F[k, s, a, c] = <(nabla_{e_c} xi)_{e_s} e_a, e_k>
-        self.F = self.fp.to_frame(sj.nabla_xi.value, "uddd")
         self.scale = 1.0 + _fro(self.xiF) + _fro(self.RF)
         # an infinite scale would pass every residual
         sj.fail(~np.isfinite(self.scale), GeometryError, "torsion and curvature norms overflow float64")
@@ -157,6 +155,11 @@ class _PointData:
     def check_route(self, gap: np.ndarray, what: str) -> None:
         """Two routes to one quantity agree within ROUTE_TOL * scale."""
         self.sj.fail(gap > ROUTE_TOL * self.scale, InternalConventionError, what)
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        """nabla xi frame: F[k, s, a, c] = <(nabla_{e_c} xi)_{e_s} e_a, e_k>."""
+        return self.fp.to_frame(self.sj.nabla_xi.value, "uddd")
 
     @cached_property
     def minimal_xi(self) -> np.ndarray:
@@ -226,9 +229,9 @@ class _PointData:
         return lo
 
 
-def _point_data(structure: AlmostHermitianStructure, p, rotation=None) -> _PointData:
+def _point_data(structure: AlmostHermitianStructure, p) -> _PointData:
     """A chunk of the one point ``p``: the per-point functions read index 0."""
-    return _PointData(structure.structure_jets(np.asarray(p, dtype=float)[None], rotation))
+    return _PointData(structure.structure_jets(np.asarray(p, dtype=float)[None]))
 
 
 def _chunk_size(structure: AlmostHermitianStructure) -> int:
@@ -237,7 +240,7 @@ def _chunk_size(structure: AlmostHermitianStructure) -> int:
     return max(1, CHUNK_ENTRIES // (structure.dim**4 * ncoeff))
 
 
-def _chunked(structure: AlmostHermitianStructure, points: np.ndarray, rotation, evaluate) -> list:
+def _chunked(structure: AlmostHermitianStructure, points: np.ndarray, evaluate) -> list:
     """``evaluate`` on each chunk of points, results joined in point order.
 
     A chunk that fails is evaluated again one point at a time, so the
@@ -248,18 +251,18 @@ def _chunked(structure: AlmostHermitianStructure, points: np.ndarray, rotation, 
     for start in range(0, len(points), size):
         block = points[start : start + size]
         try:
-            out += evaluate(_PointData(structure.structure_jets(block, rotation)))
+            out += evaluate(_PointData(structure.structure_jets(block)))
         except Exception:
             if len(block) > 1:
                 for p in block:
-                    evaluate(_point_data(structure, p, rotation))
+                    evaluate(_point_data(structure, p))
             raise
     return out
 
 
-def point_scale(structure: AlmostHermitianStructure, p, rotation=None) -> float:
+def point_scale(structure: AlmostHermitianStructure, p) -> float:
     """1 + |xi| + |R| at the point; residual tolerances multiply this."""
-    return float(_point_data(structure, p, rotation).scale[0])
+    return float(_point_data(structure, p).scale[0])
 
 
 # -- coderivative ----------------------------------------------------------
@@ -285,9 +288,9 @@ class CoderivativeXi:
         return float(_fro(self.value, 0))
 
 
-def coderivative_xi(structure: AlmostHermitianStructure, p, rotation=None) -> CoderivativeXi:
+def coderivative_xi(structure: AlmostHermitianStructure, p) -> CoderivativeXi:
     """d*xi computed two ways with a built-in agreement check."""
-    pd = _point_data(structure, p, rotation)
+    pd = _point_data(structure, p)
     d1, gap, u_def = pd.coderivative
     return CoderivativeXi(
         point=pd.sj.points[0], value=d1[0], route_gap=float(gap[0]), uperp_defect=float(u_def[0])
@@ -341,7 +344,7 @@ def _section_residuals(pd: _PointData) -> dict[str, np.ndarray]:
     }
 
 
-def section_residuals(structure: AlmostHermitianStructure, p, rotation=None) -> dict[str, float]:
+def section_residuals(structure: AlmostHermitianStructure, p) -> dict[str, float]:
     """The eight named section residuals of the energy-critical theory.
 
     ``harmonic`` is |d*xi|; ``harmonic_map`` the sup of the one-form
@@ -351,7 +354,7 @@ def section_residuals(structure: AlmostHermitianStructure, p, rotation=None) -> 
     ``torsion_iv_{a,b}`` restate harmonicity through the torsion
     T(X,Y) = xi_X Y - xi_Y X of the minimal connection.
     """
-    return _first(_section_residuals(_point_data(structure, p, rotation)))
+    return _first(_section_residuals(_point_data(structure, p)))
 
 
 def _first(columns: dict[str, np.ndarray]) -> dict[str, float]:
@@ -401,9 +404,9 @@ def _star_ricci(pd: _PointData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ric, alt, gap
 
 
-def star_ricci(structure: AlmostHermitianStructure, p, rotation=None) -> StarRicci:
+def star_ricci(structure: AlmostHermitianStructure, p) -> StarRicci:
     """Ric* with the built-in cross-check on its skew part."""
-    pd = _point_data(structure, p, rotation)
+    pd = _point_data(structure, p)
     ric, alt, gap = _star_ricci(pd)
     return StarRicci(
         point=pd.sj.points[0],
@@ -411,7 +414,7 @@ def star_ricci(structure: AlmostHermitianStructure, p, rotation=None) -> StarRic
         s_star=float(np.trace(ric[0])),
         sym=0.5 * (ric[0] + ric[0].T),
         alt=alt[0],
-        frame=FramePack(pd.fp.g[0], rotation),
+        frame=FramePack(pd.fp.g[0], structure.rotation),
         route_gap=float(gap[0]),
     )
 
@@ -436,7 +439,7 @@ def _hermitian_harmonicity(pd: _PointData) -> dict[str, np.ndarray]:
     }
 
 
-def hermitian_harmonicity(structure: AlmostHermitianStructure, p, rotation=None) -> dict[str, float]:
+def hermitian_harmonicity(structure: AlmostHermitianStructure, p) -> dict[str, float]:
     """Laplacian-based harmonicity criteria.
 
     ``comm_JLapJ`` = |[J, nabla*nabla J]|, ``herm_defect`` measures
@@ -444,7 +447,7 @@ def hermitian_harmonicity(structure: AlmostHermitianStructure, p, rotation=None)
     defect of nabla*nabla omega(X,Y) = -4 omega(xi_{e_i} X, xi_{e_i} Y).
     The three vanish together, and exactly when |d*xi| does.
     """
-    return _first(_hermitian_harmonicity(_point_data(structure, p, rotation)))
+    return _first(_hermitian_harmonicity(_point_data(structure, p)))
 
 
 # -- tensor identities --------------------------------------------------------
@@ -544,11 +547,11 @@ def _star_ricci_divergence_defect(pd: _PointData) -> np.ndarray:
     return _divergence_pair(pd) - (t1 + t2 + t3)
 
 
-def identity_suite(structure: AlmostHermitianStructure, p, rotation=None) -> dict[str, float]:
+def identity_suite(structure: AlmostHermitianStructure, p) -> dict[str, float]:
     """Residuals of four tensor identities that hold on every almost
     Hermitian manifold; any sizeable value indicates an implementation
     bug, not a geometric property."""
-    return _first(_identity_suite(_point_data(structure, p, rotation)))
+    return _first(_identity_suite(_point_data(structure, p)))
 
 
 # -- classification-restricted criteria ---------------------------------------
@@ -572,13 +575,7 @@ def _class_requirements(label: str, n: int) -> tuple[tuple[int, ...], str | None
     return required[label], None
 
 
-def class_criteria(
-    structure: AlmostHermitianStructure,
-    p,
-    label: str,
-    rotation=None,
-    tol: float = 1e-6,
-) -> dict:
+def class_criteria(structure: AlmostHermitianStructure, p, label: str, tol: float = 1e-6) -> dict:
     """Harmonicity criterion restricted to a Gray-Hervella class.
 
     Returns the left-minus-right residual of the class equivalence
@@ -588,7 +585,7 @@ def class_criteria(
     criterion excludes the dimension) the record is marked
     inapplicable instead of passing silently.
     """
-    pd = _point_data(structure, p, rotation)
+    pd = _point_data(structure, p)
     n, ell, xiF = pd.n, pd.ell, pd.xiF
     must_vanish, reason = _class_requirements(label, n)
     norms = pd.component_norms[0]
@@ -643,15 +640,13 @@ def _divergence_pair(pd: _PointData) -> np.ndarray:
     return 2.0 * dstar_rt + ds
 
 
-def w1w4_laplacian_residual(
-    structure: AlmostHermitianStructure, p, rotation=None, tol: float = 1e-6
-) -> dict:
+def w1w4_laplacian_residual(structure: AlmostHermitianStructure, p, tol: float = 1e-6) -> dict:
     """Six-dimensional W1+W4 formula for the rough Laplacian of omega:
     nabla*nabla omega(X,Y) = 4 <X ,| Psi, JY ,| Psi> +
     (1/(4(n-1)^2)) d*omega ^ J d*omega (X,Y), with Psi the 3-form of
     the W1 part.  Requires dim 6, W1+W4 torsion, and a harmonic
     structure; otherwise marked inapplicable."""
-    pd = _point_data(structure, p, rotation)
+    pd = _point_data(structure, p)
     record = {"applicable": False, "reason": None, "residual": None}
     if pd.dim != 6:
         record["reason"] = "formula is specific to six dimensions"
@@ -682,9 +677,7 @@ def w1w4_laplacian_residual(
 # -- nearly Kahler suite -------------------------------------------------------
 
 
-def nearly_kahler_suite(
-    structure: AlmostHermitianStructure, p, rotation=None, tol: float = 1e-6
-) -> dict:
+def nearly_kahler_suite(structure: AlmostHermitianStructure, p, tol: float = 1e-6) -> dict:
     """Curvature identities specific to nearly Kahler manifolds.
 
     Inapplicable unless the torsion is pure W1 at the point.  Reports
@@ -694,7 +687,7 @@ def nearly_kahler_suite(
     calibrated norm of the torsion 3-form together with the residual
     of nabla*nabla omega = 4 alpha omega.
     """
-    pd = _point_data(structure, p, rotation)
+    pd = _point_data(structure, p)
     xiF, jf, RF, scale = pd.xiF[0], pd.jf[0], pd.RF[0], pd.scale[0]
     norms = pd.component_norms[0]
     impurity = float(np.sqrt(max(np.sum(norms[1:] ** 2), 0.0)))
@@ -745,7 +738,7 @@ def nearly_kahler_suite(
 
 
 def conformal_example_check(
-    n: int, f_src: str, p, structure: AlmostHermitianStructure | None = None, rotation=None
+    n: int, f_src: str, p, structure: AlmostHermitianStructure | None = None
 ) -> dict:
     """Harmonic-map one-form of a conformally flat structure against its
     closed form.
@@ -765,7 +758,7 @@ def conformal_example_check(
         from .catalog import build_structure, conformal
 
         structure = build_structure(conformal(n, f_src))
-    pd = _point_data(structure, p, rotation)
+    pd = _point_data(structure, p)
     if pd.n != n:
         raise ValueError("structure dimension does not match n")
     dim = pd.dim
@@ -811,9 +804,7 @@ def _norms_and_scale(pd: _PointData) -> list[np.ndarray]:
     return list(np.column_stack([pd.component_norms, pd.scale]))
 
 
-def classify_gh(
-    structure: AlmostHermitianStructure, points, tol: float = 1e-6, rotation=None
-) -> dict:
+def classify_gh(structure: AlmostHermitianStructure, points, tol: float = 1e-6) -> dict:
     """Gray-Hervella class label over a set of points.
 
     The label is ``gh_label`` of each component's largest
@@ -823,7 +814,7 @@ def classify_gh(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 1:
         raise ValueError("classification needs at least one point")
-    rows = np.array(_chunked(structure, points, rotation, _norms_and_scale))
+    rows = np.array(_chunked(structure, points, _norms_and_scale))
     raw = rows[:, :4].max(axis=0)
     normalized = (rows[:, :4] / rows[:, 4:]).max(axis=0)
     return {
@@ -913,16 +904,11 @@ def _point_records(pd: _PointData) -> list[PointRecord]:
     ]
 
 
-def run_diagnostics(
-    structure: AlmostHermitianStructure,
-    points,
-    tol: float = 1e-6,
-    rotation=None,
-) -> DiagnosticsReport:
+def run_diagnostics(structure: AlmostHermitianStructure, points, tol: float = 1e-6) -> DiagnosticsReport:
     """Evaluate sections, Laplacian criteria and identities pointwise,
     on chunks of points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    records: list[PointRecord] = _chunked(structure, points, rotation, _point_records)
+    records: list[PointRecord] = _chunked(structure, points, _point_records)
     rows = [r.residuals for r in records]
     names = list(rows[0])
     max_res = {k: max(r[k] for r in rows) for k in names}
@@ -933,7 +919,7 @@ def run_diagnostics(
     meta = {
         "jet_degree": structure.metric.degree,
         "sign_audit": "paper-convention",
-        "rotated_frame": rotation is not None,
+        "rotated_frame": structure.rotation is not None,
     }
     return DiagnosticsReport(
         geometry=structure.name,

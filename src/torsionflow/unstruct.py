@@ -87,21 +87,31 @@ class AlmostHermitianStructure:
     the jet field of J^i_j, shape ``(k, 2n, 2n)`` (or ``(2n, 2n)``),
     out.  Compatibility (J^2 = -Id and <JX, JY> = <X, Y>) is validated
     point by point every time J is read into a new :class:`StructureJets`.
+    ``rotation``, an orthogonal matrix, turns every orthonormal frame the
+    diagnostics measure in (see :class:`FramePack`); the residuals do not
+    depend on it.
     """
 
-    def __init__(self, metric: MetricField, j_evaluator: Callable[[np.ndarray], JetField], name: str = ""):
+    def __init__(
+        self,
+        metric: MetricField,
+        j_evaluator: Callable[[np.ndarray], JetField],
+        name: str = "",
+        rotation: np.ndarray | None = None,
+    ):
         if metric.dim % 2 != 0:
             raise GeometryError("almost Hermitian structures need even dimension")
         self.metric = metric
         self.j_evaluator = j_evaluator
         self.name = name
+        self.rotation = rotation
         self.dim = metric.dim
         self.n = metric.dim // 2
 
-    def structure_jets(self, p, rotation: np.ndarray | None = None) -> "StructureJets":
+    def structure_jets(self, p) -> "StructureJets":
         """A new :class:`StructureJets` at the point or block of points on
         every call; a caller holds that object to reuse the jets."""
-        return StructureJets(self, np.asarray(p, dtype=float), rotation)
+        return StructureJets(self, np.asarray(p, dtype=float))
 
 
 @dataclass
@@ -196,13 +206,13 @@ class StructureJets:
     couplings, diagnostics) reads from this object, so each quantity is
     computed once per block.  It is the only memo of jets; two
     instances never share them.  Every check compares against its own
-    point's scale and names the first failing point.
+    point's scale and names the first failing point.  The frames are
+    those of ``structure.rotation``.
     """
 
-    def __init__(self, structure: AlmostHermitianStructure, points: np.ndarray, rotation: np.ndarray | None = None):
+    def __init__(self, structure: AlmostHermitianStructure, points: np.ndarray):
         self.structure = structure
         self.points = points
-        self.rotation = rotation
         self.dim = structure.dim
         self.n = structure.n
 
@@ -241,7 +251,7 @@ class StructureJets:
 
     @cached_property
     def framepack(self) -> FramePack:
-        return FramePack(self.g.value, rotation=self.rotation)
+        return FramePack(self.g.value, rotation=self.structure.rotation)
 
     # -- J layer --------------------------------------------------------
 
@@ -250,14 +260,13 @@ class StructureJets:
         j = self.structure.j_evaluator(self.points)
         if not isinstance(j, JetField) or j.shape != self.points.shape + (self.dim,):
             raise GeometryError("J evaluator must return a square jet field per point")
-        space = j.space
-        nc1 = space.nc_at(min(1, j.deg))
-        jsq = jet_einsum("ik,kj->ij", j, j)
-        target = np.zeros((self.dim, self.dim, nc1))
-        target[..., 0] = -np.eye(self.dim)
-        self.fail(self._max(jsq.data[..., :nc1] - target) > 1e-10, GeometryError, "J^2 = -Id fails")
-        compat = jet_einsum("ki,kl->il", j, jet_einsum("kl,lj->kj", self.g, j))
-        cgap = self._max(compat.data[..., :nc1] - self.g.data[..., :nc1])
+        # both checks read the value and first derivatives only
+        j1, g1 = j.truncate(1), self.g.truncate(1)
+        jsq = jet_einsum("ik,kj->ij", j1, j1)
+        jsq.data[..., 0] += np.eye(self.dim)
+        self.fail(self._max(jsq.data) > 1e-10, GeometryError, "J^2 = -Id fails")
+        compat = jet_einsum("ki,kl->il", j1, jet_einsum("kl,lj->kj", g1, j1))
+        cgap = self._max(compat.data - g1.data)
         self.fail(cgap > 1e-10 * (1.0 + self._max(self.g.value)), GeometryError,
                    "J is not compatible with the metric")
         return j

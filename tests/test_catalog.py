@@ -270,14 +270,11 @@ def test_spec_from_config_strictness():
 
 
 def test_spec_validation_errors():
+    flat = flat_kahler(2)
     with pytest.raises(GeometryError):
-        GeometrySpec(name="x", n=2, metric_kind="hyperbolic", domain=((0, 1),) * 4)
+        GeometrySpec(name="x", n=2, metric=flat.metric, j=flat.j, domain=((0, 1),) * 3)
     with pytest.raises(GeometryError):
-        GeometrySpec(name="x", n=2, metric_kind="conformal", domain=((0, 1),) * 4)
-    with pytest.raises(GeometryError):
-        GeometrySpec(name="x", n=2, metric_kind="flat", domain=((0, 1),) * 3)
-    with pytest.raises(GeometryError):
-        GeometrySpec(name="x", n=2, metric_kind="flat", domain=((1, 0),) * 4)
+        GeometrySpec(name="x", n=2, metric=flat.metric, j=flat.j, domain=((1, 0),) * 4)
     with pytest.raises(GeometryError):
         flat_kahler(0)
     with pytest.raises(GeometryError):

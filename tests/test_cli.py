@@ -3,6 +3,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -330,6 +333,36 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys, monkeypatch, comma
     assert str(missing) in json.loads(err)["error"]
 
 
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_2(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, "flat.json", geometry_config({"type": "flat", "n": 2}, count=1))
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(["inspect", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "cannot write output: [Errno 32] Broken pipe"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
+def test_full_stdout_exits_2_with_one_error(tmp_path):
+    # the interpreter's flush at exit must not add a second error; it has
+    # something to flush only when stdout is buffered
+    path = write_config(tmp_path, "flat.json", geometry_config({"type": "flat", "n": 2}, count=1))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "torsionflow.cli", "inspect", "--config", path],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1
+    assert json.loads(done.stderr)["error"] == "cannot write output: [Errno 28] No space left on device"
+
+
 def test_failed_report_or_artifact_write_exits_2(tmp_path, capsys):
     # the report path is a directory; then the trace CSV's path is one
     path = write_config(tmp_path, "flow.json", SMALL_FLOW)
@@ -553,6 +586,7 @@ def test_flow_descends_and_writes_artifacts(tmp_path, capsys):
     values = np.asarray(payload["nodes"]).reshape((8, 8, 8, 8, 4, 4))
     grid = JGrid(payload["n"], payload["resolution"], values)
     assert grid.structure_defect() < 1e-10
+    assert_report_matches(report, json.loads((GOLDEN_DIR / "flow_m8.json").read_text()))
 
 
 def test_grid_artifact_renders_like_nested_lists():

@@ -33,7 +33,7 @@ from torsionflow.diagnostics import (
 )
 from torsionflow.geometry import MIN_JET_DEGREE, GeometryError, cov_derivative_jets, rough_laplacian_jets
 from torsionflow.tensor import random_rotation
-from torsionflow.unstruct import random_curved_structure, random_structure
+from torsionflow.unstruct import AlmostHermitianStructure, StructureJets, random_curved_structure, random_structure
 
 TOL = 1e-7
 
@@ -249,6 +249,11 @@ def test_conformal_one_form_matches_numeric_pairing_generically():
             assert rec["residual"] <= 1e-9 * rec["scale"], (f_src, rec["residual"])
 
 
+def in_rotated_frames(structure, rotation):
+    """The same metric and J, measured in frames turned by ``rotation``."""
+    return AlmostHermitianStructure(structure.metric, structure.j_evaluator, structure.name, rotation)
+
+
 def test_residuals_are_frame_rotation_invariant():
     rng = np.random.default_rng(11)
     cases = [
@@ -258,17 +263,17 @@ def test_residuals_are_frame_rotation_invariant():
     ]
     for structure, dim in cases:
         p = rng.uniform(-0.3, 0.3, dim)
-        rot = random_rotation(dim, rng)
+        rotated = in_rotated_frames(structure, random_rotation(dim, rng))
         plain = section_residuals(structure, p)
-        turned = section_residuals(structure, p, rotation=rot)
+        turned = section_residuals(rotated, p)
         for name in SECTION_NAMES:
             assert abs(plain[name] - turned[name]) <= 1e-9, name
         plain = identity_suite(structure, p)
-        turned = identity_suite(structure, p, rotation=rot)
+        turned = identity_suite(rotated, p)
         for name in IDENTITY_NAMES:
             assert abs(plain[name] - turned[name]) <= 1e-9, name
         plain = hermitian_harmonicity(structure, p)
-        turned = hermitian_harmonicity(structure, p, rotation=rot)
+        turned = hermitian_harmonicity(rotated, p)
         for name in plain:
             assert abs(plain[name] - turned[name]) <= 1e-9, name
 
@@ -360,6 +365,18 @@ def test_classify_gh_labels():
     rec = classify_gh(structure, [np.array([0.2, -0.1, 0.4, 0.3])])
     assert rec["label"] == "Kahler"
     assert set(rec["component_norms"]) == set(GH_LABELS)
+
+
+def test_classify_and_scale_never_build_nabla_xi(monkeypatch):
+    def forbidden(sj):
+        pytest.fail("nabla xi was built")
+
+    monkeypatch.setattr(StructureJets, "nabla_xi", property(forbidden))
+    spec = hopf_chart(2)
+    structure = build_structure(spec)
+    pts = sample_points(spec, diagnostics._chunk_size(structure) + 1, seed=2)
+    assert classify_gh(structure, pts)["label"] == "W4"
+    assert point_scale(structure, pts[0]) > 1.0
 
 
 def test_one_evaluation_per_point_and_no_hidden_memo():
@@ -482,15 +499,14 @@ def test_chunks_match_chunks_of_one(monkeypatch, rotated):
     cases.append((curved, rng.uniform(-np.pi, np.pi, (diagnostics._chunk_size(curved) + 1, 4))))
 
     for structure, pts in cases:
-        rotation = random_rotation(structure.dim, rng) if rotated else None
+        if rotated:
+            structure = in_rotated_frames(structure, random_rotation(structure.dim, rng))
         runs = {}
         for entries in (1, diagnostics.CHUNK_ENTRIES, 2**40):
             monkeypatch.setattr(diagnostics, "CHUNK_ENTRIES", entries)
-            runs[entries] = (
-                run_diagnostics(structure, pts, rotation=rotation),
-                classify_gh(structure, pts, rotation=rotation),
-            )
+            runs[entries] = (run_diagnostics(structure, pts), classify_gh(structure, pts))
         ref, ref_class = runs.pop(1)
+        assert ref.metadata["rotated_frame"] is rotated
         for got, got_class in runs.values():
             assert got.passes == ref.passes, structure.name
             assert got_class["label"] == ref_class["label"], structure.name
