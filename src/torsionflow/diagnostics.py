@@ -463,7 +463,7 @@ def _lee_dexterior_anti(pd: _PointData) -> np.ndarray:
     """dl(X, Y) - dl(JX, JY) in the frame, dl the exterior derivative of
     the Lee form."""
     sj = pd.sj
-    ell_flat = jet_einsum("ky,k->y", sj.g, sj.lee_field.truncate(1))
+    ell_flat = jet_einsum("ky,k->y", sj.g, sj.lee_field)
     dal = ell_flat.grad().value  # dal[c, x] = d_x (ell_flat)_c
     dl = pd.fp.to_frame(permute(dal, (1, 0)) - dal, "dd")
     return dl - np.einsum("...ax,...by,...ab->...xy", pd.jf, pd.jf, dl)
@@ -664,8 +664,7 @@ def w1w4_laplacian_residual(structure: AlmostHermitianStructure, p, tol: float =
     n, jf = pd.n, pd.jf[0]
     psi = np.transpose(pd.sj.gh_frame[0][0], (0, 2, 1))
     term1 = 4.0 * np.einsum("xbc,ay,abc->xy", psi, jf, psi)
-    nom = pd.fp.to_frame(pd.sj.nabla_omega.value, "ddd")[0]
-    dstar_om = -np.einsum("ixi->x", nom)
+    dstar_om = pd.sj.dstar_omega[0]
     j_dstar = -jf.T @ dstar_om
     term2 = wedge2(dstar_om, j_dstar) / (4.0 * (n - 1.0) ** 2)
     lo = pd.laplacian_omega[0]

@@ -18,7 +18,7 @@ the skew Laplacian from its inverse transform.  ``descend`` projects
 each trial before its Armijo test and reuses the accepted trial's
 transform as the next state's.
 
-Kept for the tests only: ``grid_torsion`` (converges to the jet torsion),
+Kept for the tests only: ``grid_torsion`` (one node's xi; converges to the jet torsion),
 ``hessian_form`` (second variation) and ``bracket_u_defect`` ([m, m] in u(n)).
 """
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .unstruct import InternalConventionError, TorsionTensor, _frame_gray_hervella, random_structure, standard_j
+from .unstruct import InternalConventionError, random_structure, standard_j
 
 __all__ = [
     "GridError",
@@ -272,8 +272,9 @@ def torsion_field(grid: JGrid) -> np.ndarray:
     return -0.5 * np.einsum("...km,...amy->...aky", j, dj)
 
 
-def grid_torsion(grid: JGrid, node: tuple[int, ...]) -> TorsionTensor:
-    """Intrinsic torsion at one node from 4th-order central differences."""
+def grid_torsion(grid: JGrid, node: tuple[int, ...]) -> np.ndarray:
+    """xi at one node from 4th-order central differences, laid out like
+    ``torsion_field``'s node entries."""
     node = tuple(int(i) for i in node)
     if len(node) != grid.dim:
         raise GridError("node index needs one entry per axis")
@@ -287,18 +288,7 @@ def grid_torsion(grid: JGrid, node: tuple[int, ...]) -> TorsionTensor:
             shifted[axis] = (node[axis] + off) % res
             dj[axis] += w * j[tuple(shifted)]
     dj /= 12.0 * h
-    jn = j[node]
-    xi = -0.5 * np.einsum("km,amy->aky", jn, dj)
-    xi1, xi2, xi3, xi4 = _frame_gray_hervella(xi, jn, grid.n, h * np.asarray(node, dtype=float))
-    return TorsionTensor(
-        xi=xi,
-        xi1=xi1,
-        xi2=xi2,
-        xi3=xi3,
-        xi4=xi4,
-        lee_vector=np.einsum("iki->k", xi),
-        j_frame=jn,
-    )
+    return -0.5 * np.einsum("km,amy->aky", j[node], dj)
 
 
 def energy(grid: JGrid) -> float:

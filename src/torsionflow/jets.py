@@ -178,13 +178,15 @@ def _series(name: str):
 
 @_series("sin")
 def _sin_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:
-    table = [np.sin(c), np.cos(c), -np.sin(c), -np.cos(c)]
+    s, co = np.sin(c), np.cos(c)
+    table = [s, co, -s, -co]
     return [table[k % 4] / math.factorial(k) for k in range(deg + 1)]
 
 
 @_series("cos")
 def _cos_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:
-    table = [np.cos(c), -np.sin(c), -np.cos(c), np.sin(c)]
+    s, co = np.sin(c), np.cos(c)
+    table = [co, -s, -co, s]
     return [table[k % 4] / math.factorial(k) for k in range(deg + 1)]
 
 

@@ -9,8 +9,9 @@ a one-form with values in the skew endomorphisms anti-commuting with J
 (the u(n)-perp part of so(2n)).  The minimal U(n)-connection is
 ``nabla + xi``; its coefficients Gamma + xi are ``minimal_gamma``, laid
 out like gamma.  This module computes xi, splits it into the four
-Gray-Hervella components, and differentiates tensors with the minimal
-connection.
+Gray-Hervella components once, on the coordinate jets
+(``StructureJets.gh_fields``; ``gh_frame`` holds their frame values),
+and differentiates tensors with the minimal connection.
 
 Layout conventions:
   * Coordinate jet fields: ``xi[k, x, y]`` is ``(xi_{d_x} d_y)^k``; the
@@ -119,9 +120,10 @@ class TorsionTensor:
     """Intrinsic torsion at a point, in orthonormal-frame components.
 
     ``xi[a]`` is the matrix of xi_{e_a}; the Gray-Hervella pieces have
-    the same layout and sum to ``xi`` exactly.  ``lee_vector`` holds the
-    frame components of xi_{e_i} e_i.  At a block of points every array
-    leads with the point axes.
+    the same layout and sum to ``xi`` up to roundoff: they are the frame
+    values of the jet split ``StructureJets.gh_fields``.  ``lee_vector``
+    holds the frame components of xi_{e_i} e_i.  At a block of points
+    every array leads with the point axes.
     """
 
     xi: np.ndarray
@@ -140,61 +142,6 @@ class TorsionTensor:
         """Euclidean norms of (xi1, xi2, xi3, xi4) in frame components,
         along a last axis after the point axes."""
         return np.stack([np.sqrt(np.sum(c * c, axis=(-3, -2, -1))) for c in self.components], axis=-1)
-
-
-def _frame_xi4(xi_frame: np.ndarray, j_frame: np.ndarray, n: int, points: np.ndarray) -> np.ndarray:
-    """xi4 from the codifferential of omega, with a mandatory cross-check.
-
-    Primary route: <xi4_X Y, JZ> = -(X_flat ^ d*omega (Y,Z)
-    - JX_flat ^ J d*omega (Y,Z)) / (4(n-1)), evaluated on the frame with
-    J theta (X) = -theta(JX).  Cross-check: 2(n-1) xi4_X Y =
-    <X,Y> l - <l,Y> X - <JX,Y> Jl + <Jl,Y> JX with l the Lee vector.
-    """
-    m = 2 * n
-    if n == 1:
-        return np.zeros(xi_frame.shape)
-    ell = np.einsum("...aka->...k", xi_frame)
-    jell = np.einsum("...km,...m->...k", j_frame, ell)
-    # d*omega in the frame follows from 2 l = -J (d*omega)^sharp
-    theta = 2.0 * jell
-    jtheta = -np.einsum("...m,...mk->...k", theta, j_frame)  # (J theta)(e_a) = -theta(J e_a)
-    eye = np.eye(m)
-    b3 = -(
-        np.einsum("xy,...z->...xyz", eye, theta)
-        - np.einsum("xz,...y->...xyz", eye, theta)
-        - np.einsum("...yx,...z->...xyz", j_frame, jtheta)
-        + np.einsum("...zx,...y->...xyz", j_frame, jtheta)
-    ) / (4.0 * (n - 1))
-    c3 = -np.einsum("...xyz,...zw->...xyw", b3, j_frame)
-    xi4 = permute(c3, (0, 2, 1))
-
-    alt = (
-        np.einsum("am,...k->...akm", eye, ell)
-        - np.einsum("...m,ak->...akm", ell, eye)
-        - np.einsum("...ma,...k->...akm", j_frame, jell)
-        + np.einsum("...m,...ka->...akm", jell, j_frame)
-    ) / (2.0 * (n - 1))
-    lead = xi_frame.ndim - 3
-    scale = 1.0 + point_max(xi_frame, lead)
-    fail_first(point_max(xi4 - alt, lead) > CHECK_TOL * scale, points, InternalConventionError,
-               "xi4 routes disagree (torsion formula vs Lee-vector expression)")
-    return xi4
-
-
-def _frame_gray_hervella(xi_frame: np.ndarray, j_frame: np.ndarray, n: int, points: np.ndarray):
-    if n == 1:
-        z = np.zeros(xi_frame.shape)
-        return z, z.copy(), z.copy(), z.copy()
-    p_xi = np.einsum("...ba,...bkc,...cm->...akm", j_frame, xi_frame, j_frame)
-    a_part = 0.5 * (xi_frame - p_xi)
-    b_part = xi_frame - a_part
-    t3 = permute(a_part, (0, 2, 1))  # t3[x, y, z] = <a_{e_x} e_y, e_z>
-    psi = (t3 + permute(t3, (1, 2, 0)) + permute(t3, (2, 0, 1))) / 3.0
-    xi1 = permute(psi, (0, 2, 1))
-    xi2 = a_part - xi1
-    xi4 = _frame_xi4(xi_frame, j_frame, n, points)
-    xi3 = b_part - xi4
-    return xi1, xi2, xi3, xi4
 
 
 class StructureJets:
@@ -314,13 +261,17 @@ class StructureJets:
 
     @cached_property
     def lee_field(self) -> JetField:
-        """Lee vector field xi_{e_i} e_i = g^{xy} xi[., x, y]."""
-        return jet_einsum("xy,kxy->k", self.ginv, self.xi)
+        """Lee vector field xi_{e_i} e_i = g^{xy} xi[., x, y], to first
+        order: its readers differentiate it once and keep the value."""
+        return jet_einsum("xy,kxy->k", self.ginv, self.xi.truncate(1))
 
     @cached_property
     def gh_fields(self) -> tuple[JetField, JetField, JetField, JetField]:
-        """Gray-Hervella components as coordinate jet fields, to first order:
-        their reader differentiates them once and keeps the value."""
+        """The Gray-Hervella split of xi, as coordinate jet fields to first
+        order, laid out like ``xi``: the package's only split.  Their
+        values are ``gh_frame``; the identity suite also differentiates
+        them once.  xi4 is the Lee-vector formula
+        2(n-1) xi4_X Y = <X,Y> l - <l,Y> X - <JX,Y> Jl + <Jl,Y> JX."""
         space = self.g.space
         xi = self.xi.truncate(1)
         if self.n == 1:
@@ -335,15 +286,14 @@ class StructureJets:
         xi1 = jet_einsum("kz,xyz->kxy", self.ginv, psi)
         xi2 = a_part - xi1
 
-        ell = self.lee_field.truncate(1)
+        ell = self.lee_field
         jell = jet_einsum("km,m->k", self.J, ell)
         ell_flat = jet_einsum("ky,k->y", self.g, ell)
         jell_flat = jet_einsum("ky,k->y", self.g, jell)
         eye = JetField.constants(space, np.eye(self.dim))
-        jg = jet_einsum("ym,mx->yx", self.g, self.J)  # <J d_x, d_y>
         t_a = jet_einsum("xy,k->kxy", self.g, ell)
         t_b = jet_einsum("y,kx->kxy", ell_flat, eye)
-        t_c = jet_einsum("yx,k->kxy", jg, jell)
+        t_c = jet_einsum("yx,k->kxy", self.omega, jell)  # omega[y, x] = <J d_x, d_y>
         t_d = jet_einsum("y,kx->kxy", jell_flat, self.J)
         xi4 = (t_a - t_b - t_c + t_d) * (1.0 / (2.0 * (self.n - 1)))
         xi3 = b_part - xi4
@@ -361,16 +311,42 @@ class StructureJets:
         return permute(self.framepack.to_frame(self.xi.value, "udd"), (1, 0, 2))
 
     @cached_property
+    def dstar_omega(self) -> np.ndarray:
+        """Frame components of d*omega = -(nabla_{e_i} omega)(e_i, .)."""
+        nom = self.framepack.to_frame(self.nabla_omega.value, "ddd")
+        return -np.einsum("...iai->...a", nom)
+
+    @cached_property
     def gh_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return _frame_gray_hervella(self.xi_frame, self.j_frame, self.n, self.points)
+        """The values of ``gh_fields`` in the frame, laid out like ``xi_frame``.
+
+        Cross-check: xi4 (the Lee-vector formula in coordinates) against
+        <xi4_X Y, JZ> = -(X_flat ^ d*omega (Y,Z) - JX_flat ^ J d*omega (Y,Z))
+        / (4(n-1)), evaluated on the frame with J theta (X) = -theta(JX).
+        """
+        comps = tuple(permute(self.framepack.to_frame(c.value, "udd"), (1, 0, 2)) for c in self.gh_fields)
+        if self.n == 1:
+            return comps
+        jf, theta = self.j_frame, self.dstar_omega
+        jtheta = -np.einsum("...m,...mk->...k", theta, jf)
+        eye = np.eye(self.dim)
+        b3 = -(
+            np.einsum("xy,...z->...xyz", eye, theta)
+            - np.einsum("xz,...y->...xyz", eye, theta)
+            - np.einsum("...yx,...z->...xyz", jf, jtheta)
+            + np.einsum("...zx,...y->...xyz", jf, jtheta)
+        ) / (4.0 * (self.n - 1))
+        xi4 = permute(-np.einsum("...xyz,...zw->...xyw", b3, jf), (0, 2, 1))
+        scale = 1.0 + self._max(self.xi_frame)
+        self.fail(self._max(xi4 - comps[3]) > CHECK_TOL * scale, InternalConventionError,
+                   "xi4 routes disagree (torsion formula vs Lee-vector expression)")
+        return comps
 
     @cached_property
     def lee_frame(self) -> np.ndarray:
         ell = np.einsum("...aka->...k", self.xi_frame)
         # independent route: 2 xi_{e_i} e_i = -J (d*omega)^sharp
-        nom = self.framepack.to_frame(self.nabla_omega.value, "ddd")
-        dstar = -np.einsum("...iai->...a", nom)
-        alt = -0.5 * np.einsum("...km,...m->...k", self.j_frame, dstar)
+        alt = -0.5 * np.einsum("...km,...m->...k", self.j_frame, self.dstar_omega)
         scale = 1.0 + self._max(ell)
         self.fail(self._max(ell - alt) > CHECK_TOL * scale, InternalConventionError,
                    "Lee vector routes disagree (frame trace vs d*omega)")

@@ -397,7 +397,7 @@ def test_grid_torsion_refines_at_fourth_order(start16):
     def rms_error(grid, mult):
         num = den = 0.0
         for node in nodes16:
-            diff = grid_torsion(grid, tuple(mult * i for i in node)).xi - xi_ref[node]
+            diff = grid_torsion(grid, tuple(mult * i for i in node)) - xi_ref[node]
             num += float(np.sum(diff**2))
             den += float(np.sum(xi_ref[node] ** 2))
         return float(np.sqrt(num / den))

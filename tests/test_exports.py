@@ -51,6 +51,16 @@ def test_names_kept_for_the_tests_are_exported_and_unused_by_the_package():
         assert not any(readers.values()), (stem, readers)
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a name another module needs is that module's API and carries no underscore
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("torsionflow")):
+                private += [(path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")]
+    assert private == []
+
+
 def _reaches(path: Path) -> list[tuple[object, str]]:
     """(owner, attribute) for every package name a perfbench script reads."""
     tree = ast.parse(path.read_text())

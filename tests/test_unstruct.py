@@ -4,9 +4,11 @@ from helpers import conformal_metric_field, trig_scalar
 
 from torsionflow.geometry import GeometryError, MetricField
 from torsionflow.jets import JetField, jet_space
-from torsionflow.tensor import random_rotation
+from torsionflow.tensor import permute, random_rotation
 from torsionflow.unstruct import (
     AlmostHermitianStructure,
+    InternalConventionError,
+    StructureJets,
     minimal_derivative_jets,
     random_curved_structure,
     random_structure,
@@ -188,14 +190,74 @@ def test_minimal_connection_equals_levi_civita_when_kahler():
     assert np.abs(nabla_u - partials).max() < 1e-13
 
 
-def test_gh_fields_match_frame_decomposition():
-    s = random_curved_structure(8, 3, amplitude=0.2)
-    p = np.array([0.2, 0.1, -0.3, 0.4, 0.0, -0.1])
-    sj = s.structure_jets(p)
-    frame_comps = sj.gh_frame
-    for field, frame_arr in zip(sj.gh_fields, frame_comps):
-        converted = np.transpose(sj.framepack.to_frame(field.value, "udd"), (1, 0, 2))
-        assert np.abs(converted - frame_arr).max() < 1e-9
+def _gh_membership_gaps(sj):
+    """Largest defect, per point, of each condition that puts a piece of
+    the split in its Gray-Hervella class."""
+    xi1, xi2, xi3, xi4 = sj.gh_frame
+    jf, ell, n = sj.j_frame, sj.lee_frame, sj.n
+    lead = sj.points.ndim - 1
+
+    def gap(a):
+        return np.abs(a).max(axis=tuple(range(lead, a.ndim)))
+
+    def three_form(c):  # <c_{e_x} e_y, e_z>
+        return permute(c, (0, 2, 1))
+
+    def j_commutator(c):  # c_{JX} - J c_X
+        return np.einsum("...ba,...bkm->...akm", jf, c) - np.einsum("...kl,...alm->...akm", jf, c)
+
+    t1, t2 = three_form(xi1), three_form(xi2)
+    jell = np.einsum("...km,...m->...k", jf, ell)
+    eye = np.eye(sj.dim)
+    lee4 = (
+        np.einsum("am,...k->...akm", eye, ell)
+        - np.einsum("...m,ak->...akm", ell, eye)
+        - np.einsum("...ma,...k->...akm", jf, jell)
+        + np.einsum("...m,...ka->...akm", jell, jf)
+    ) / (2.0 * (n - 1))
+    return {
+        "sum": gap(xi1 + xi2 + xi3 + xi4 - sj.xi_frame),
+        "xi1 totally skew": np.maximum(gap(t1 + permute(t1, (1, 0, 2))), gap(t1 + permute(t1, (0, 2, 1)))),
+        "xi2 cyclic sum": gap(t2 + permute(t2, (1, 2, 0)) + permute(t2, (2, 0, 1))),
+        "xi3 commutes with J": gap(j_commutator(xi3)),
+        "xi4 commutes with J": gap(j_commutator(xi4)),
+        "xi4 Lee expression": gap(xi4 - lee4),
+        "xi3 Lee trace": gap(np.einsum("...aka->...k", xi3)),
+    }
+
+
+GH_BLOCK = np.array([[0.2, 0.1, -0.3, 0.4, 0.0, -0.1], [0.5, -0.25, 0.125, 0.375, 0.0, -0.5]])
+
+
+def test_gh_split_membership_at_a_point_and_a_block():
+    # the frame values of the one jet split must land in the four classes
+    s = random_curved_structure(8, 3)
+    for points in (GH_BLOCK[0], GH_BLOCK):
+        sj = s.structure_jets(points)
+        sizes = [np.abs(c).max() for c in sj.gh_frame]
+        assert min(sizes) > 1e-3, sizes
+        for name, gaps in _gh_membership_gaps(sj).items():
+            assert gaps.shape == points.shape[:-1]
+            assert (gaps < 1e-12).all(), (name, gaps)
+
+
+def test_perturbed_xi4_fails_the_cross_route_check(monkeypatch):
+    s = random_curved_structure(8, 3)
+    split = StructureJets.gh_fields.func
+
+    def perturbed(sj):
+        *rest, xi4 = split(sj)
+        data = xi4.data.copy()
+        data[1, ..., 0] += 1e-6
+        return (*rest, JetField(xi4.space, data))
+
+    monkeypatch.setattr(StructureJets, "gh_fields", property(perturbed))
+    with pytest.raises(
+        InternalConventionError,
+        match=r"xi4 routes disagree \(torsion formula vs Lee-vector expression\) at point "
+        r"\(0.5, -0.25, 0.125, 0.375, 0, -0.5\)",
+    ):
+        s.structure_jets(GH_BLOCK).torsion()
 
 
 def test_torsion_norm_frame_invariant():
