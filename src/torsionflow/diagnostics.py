@@ -38,7 +38,7 @@ import numpy as np
 from .exprlang import eval_expr, parse
 from .geometry import GeometryError, cov_derivative_jets, point_max, rough_laplacian_jets
 from .jets import JetField, jet_einsum, jet_space
-from .tensor import FramePack, PointTensor, permute, wedge2
+from .tensor import FramePack, permute, wedge2
 from .unstruct import (
     AlmostHermitianStructure,
     InternalConventionError,
@@ -170,7 +170,7 @@ class _PointData:
 
     @cached_property
     def component_norms(self) -> np.ndarray:
-        return self.sj.torsion().component_norms()
+        return np.stack([_fro(c) for c in self.sj.gh_frame], axis=-1)
 
     @cached_property
     def coderivative(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -278,7 +278,6 @@ class CoderivativeXi:
     the size of the J-commuting (u(n)) part; both must be tiny.
     """
 
-    point: np.ndarray
     value: np.ndarray
     route_gap: float
     uperp_defect: float
@@ -292,9 +291,7 @@ def coderivative_xi(structure: AlmostHermitianStructure, p) -> CoderivativeXi:
     """d*xi computed two ways with a built-in agreement check."""
     pd = _point_data(structure, p)
     d1, gap, u_def = pd.coderivative
-    return CoderivativeXi(
-        point=pd.sj.points[0], value=d1[0], route_gap=float(gap[0]), uperp_defect=float(u_def[0])
-    )
+    return CoderivativeXi(value=d1[0], route_gap=float(gap[0]), uperp_defect=float(u_def[0]))
 
 
 # -- section residuals ------------------------------------------------------
@@ -369,14 +366,14 @@ def _first(columns: dict[str, np.ndarray]) -> dict[str, float]:
 class StarRicci:
     """The *-Ricci tensor Ric*(X,Y) = <R(X, e_i) JY, Je_i> at a point.
 
-    ``ric_star`` holds coordinate components; ``sym``/``alt`` are the
-    symmetric (Hermitian) and skew (anti-Hermitian) parts in the frame.
+    ``ric_star`` is the ``(dim, dim)`` array of covariant coordinate
+    components; ``sym``/``alt`` are the symmetric (Hermitian) and skew
+    (anti-Hermitian) parts in the frame.
     ``route_gap`` is the checked disagreement between the curvature
     contraction and the torsion expression for the skew part.
     """
 
-    point: np.ndarray
-    ric_star: PointTensor
+    ric_star: np.ndarray
     s_star: float
     sym: np.ndarray
     alt: np.ndarray
@@ -409,8 +406,7 @@ def star_ricci(structure: AlmostHermitianStructure, p) -> StarRicci:
     pd = _point_data(structure, p)
     ric, alt, gap = _star_ricci(pd)
     return StarRicci(
-        point=pd.sj.points[0],
-        ric_star=PointTensor(data=pd.fp.from_frame(ric, "dd")[0], variance="dd"),
+        ric_star=pd.fp.from_frame(ric, "dd")[0],
         s_star=float(np.trace(ric[0])),
         sym=0.5 * (ric[0] + ric[0].T),
         alt=alt[0],
@@ -842,8 +838,9 @@ class PointRecord:
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """All per-point records for one geometry, with global summaries.
+    """All per-point records for one geometry, with two summaries.
 
+    ``max_residuals[name]`` is the largest residual over the points;
     ``passes[name]`` is true when the residual stays below
     ``tol * scale`` at every point.  The points are evaluated in chunks
     of a size set by CHUNK_ENTRIES, each a block with a leading point
@@ -856,7 +853,6 @@ class DiagnosticsReport:
     records: tuple[PointRecord, ...]
     tol: float
     max_residuals: dict
-    mean_residuals: dict
     passes: dict
     metadata: dict
 
@@ -867,19 +863,6 @@ class DiagnosticsReport:
     @property
     def scales(self) -> tuple[float, ...]:
         return tuple(r.scale for r in self.records)
-
-    def to_dict(self) -> dict:
-        return {
-            "geometry": self.geometry,
-            "points": [list(map(float, p)) for p in self.points],
-            "residuals": [dict(r) for r in self.residuals],
-            "scales": list(self.scales),
-            "tol": self.tol,
-            "max_residuals": dict(self.max_residuals),
-            "mean_residuals": dict(self.mean_residuals),
-            "passes": dict(self.passes),
-            "metadata": dict(self.metadata),
-        }
 
 
 def _point_records(pd: _PointData) -> list[PointRecord]:
@@ -911,7 +894,6 @@ def run_diagnostics(structure: AlmostHermitianStructure, points, tol: float = 1e
     rows = [r.residuals for r in records]
     names = list(rows[0])
     max_res = {k: max(r[k] for r in rows) for k in names}
-    mean_res = {k: float(np.mean([r[k] for r in rows])) for k in names}
     passes = {
         k: all(r.residuals[k] < tol * r.scale for r in records) for k in names
     }
@@ -926,7 +908,6 @@ def run_diagnostics(structure: AlmostHermitianStructure, points, tol: float = 1e
         records=tuple(records),
         tol=tol,
         max_residuals=max_res,
-        mean_residuals=mean_res,
         passes=passes,
         metadata=meta,
     )

@@ -1,10 +1,11 @@
 """Pointwise tensor algebra over a fixed metric.
 
-A tensor at a point is a numpy array tagged with a variance string, one
-character per axis: ``'u'`` for a contravariant (vector) slot, ``'d'``
-for a covariant (form) slot.  A :class:`FramePack` carries the metric
-together with a g-orthonormal frame; expressing tensors in that frame
-turns metric contractions and frame traces into plain component sums.
+A tensor at a point is a plain numpy array; a variance string, passed
+alongside it as an argument, names each axis: ``'u'`` for a
+contravariant (vector) slot, ``'d'`` for a covariant (form) slot.  A
+:class:`FramePack` carries the metric together with a g-orthonormal
+frame; expressing tensors in that frame turns metric contractions and
+frame traces into plain component sums.
 A FramePack may hold a block of points: then its arrays, and the
 tensors it converts, lead with the point axes.
 
@@ -13,12 +14,9 @@ Kept for the tests only: ``random_rotation`` (frame invariance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "PointTensor",
     "FramePack",
     "permute",
     "wedge2",
@@ -31,18 +29,6 @@ def _check_variance(variance: str, ndim: int):
         raise ValueError(
             f"variance {variance!r} does not match a rank-{ndim} tensor"
         )
-
-
-@dataclass(frozen=True)
-class PointTensor:
-    """A tensor at a point: components plus a variance tag per axis."""
-
-    data: np.ndarray
-    variance: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
-        _check_variance(self.variance, self.data.ndim)
 
 
 def permute(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -101,13 +87,8 @@ class FramePack:
                 raise ValueError("frame rotation must be orthogonal")
             frame = frame @ rotation
         self.g = g
-        self.ginv = frame @ np.swapaxes(frame, -1, -2)
         self.frame = frame
         self.coframe = np.linalg.inv(frame)
-
-    @property
-    def dim(self) -> int:
-        return self.g.shape[-1]
 
     def _apply(self, data, variance: str, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
         """Contract each slot's axis with ``upper`` or ``lower`` on the right."""
@@ -130,19 +111,3 @@ class FramePack:
     def from_frame(self, data, variance: str) -> np.ndarray:
         """Back from frame components to coordinate components."""
         return self._apply(data, variance, np.swapaxes(self.frame, -1, -2), self.coframe)
-
-    def inner(self, a, b, variance: str) -> np.ndarray:
-        """Extended inner product, one value per point: all slots paired
-        through the metric.
-
-        In frame components this is the plain sum of products, which is
-        how it is computed.
-        """
-        af = self.to_frame(a, variance)
-        bf = self.to_frame(b, variance)
-        if af.shape != bf.shape:
-            raise ValueError("tensors must have the same shape")
-        return np.sum(af * bf, axis=tuple(range(self.g.ndim - 2, af.ndim)))
-
-    def norm(self, a, variance: str) -> np.ndarray:
-        return np.sqrt(np.maximum(self.inner(a, a, variance), 0.0))

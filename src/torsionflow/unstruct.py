@@ -33,7 +33,6 @@ whose invariants hold exactly as jets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -56,7 +55,6 @@ from .tensor import FramePack, permute
 __all__ = [
     "InternalConventionError",
     "AlmostHermitianStructure",
-    "TorsionTensor",
     "StructureJets",
     "minimal_derivative_jets",
     "random_structure",
@@ -113,35 +111,6 @@ class AlmostHermitianStructure:
         """A new :class:`StructureJets` at the point or block of points on
         every call; a caller holds that object to reuse the jets."""
         return StructureJets(self, np.asarray(p, dtype=float))
-
-
-@dataclass
-class TorsionTensor:
-    """Intrinsic torsion at a point, in orthonormal-frame components.
-
-    ``xi[a]`` is the matrix of xi_{e_a}; the Gray-Hervella pieces have
-    the same layout and sum to ``xi`` up to roundoff: they are the frame
-    values of the jet split ``StructureJets.gh_fields``.  ``lee_vector``
-    holds the frame components of xi_{e_i} e_i.  At a block of points
-    every array leads with the point axes.
-    """
-
-    xi: np.ndarray
-    xi1: np.ndarray
-    xi2: np.ndarray
-    xi3: np.ndarray
-    xi4: np.ndarray
-    lee_vector: np.ndarray
-    j_frame: np.ndarray
-
-    @property
-    def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.xi1, self.xi2, self.xi3, self.xi4)
-
-    def component_norms(self) -> np.ndarray:
-        """Euclidean norms of (xi1, xi2, xi3, xi4) in frame components,
-        along a last axis after the point axes."""
-        return np.stack([np.sqrt(np.sum(c * c, axis=(-3, -2, -1))) for c in self.components], axis=-1)
 
 
 class StructureJets:
@@ -361,18 +330,6 @@ class StructureJets:
             self.fail(self._max(nabla_u.data) > CHECK_TOL * (1.0 + self._max(t.data)),
                        InternalConventionError, "minimal connection does not stabilise the structure tensors")
         return True
-
-    def torsion(self) -> TorsionTensor:
-        xi1, xi2, xi3, xi4 = self.gh_frame
-        return TorsionTensor(
-            xi=self.xi_frame,
-            xi1=xi1,
-            xi2=xi2,
-            xi3=xi3,
-            xi4=xi4,
-            lee_vector=self.lee_frame,
-            j_frame=self.j_frame,
-        )
 
 
 def minimal_derivative_jets(t: JetField, variance: str, sj: StructureJets) -> JetField:

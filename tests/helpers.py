@@ -108,3 +108,9 @@ def random_tensor_evaluator(seed, n, shape, degree=4, amp=1.0):
         return JetField(space, data)
 
     return evaluator
+
+
+def gh_norms(sj):
+    """Euclidean norms of the four Gray-Hervella components of
+    ``sj.gh_frame``, along a last axis after any point axes."""
+    return np.stack([np.sqrt(np.sum(c * c, axis=(-3, -2, -1))) for c in sj.gh_frame], axis=-1)

@@ -390,7 +390,7 @@ def test_grid_torsion_refines_at_fourth_order(start16):
     structure = random_structure(7, 2, amplitude=0.3)
     nodes16 = [(1, 2, 3, 4), (3, 1, 0, 2), (5, 7, 2, 6), (0, 4, 1, 3), (7, 3, 6, 1), (2, 6, 5, 0)]
     xi_ref = {
-        node: structure.structure_jets((2.0 * np.pi / 16.0) * np.asarray(node, dtype=float)).torsion().xi
+        node: structure.structure_jets((2.0 * np.pi / 16.0) * np.asarray(node, dtype=float)).xi_frame
         for node in nodes16
     }
 

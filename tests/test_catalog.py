@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import gh_norms
 
 from torsionflow import catalog
 from torsionflow.catalog import (
@@ -88,8 +89,7 @@ def test_flat_spec_builds_kahler():
     assert spec.metadata["expected_class"] == "Kähler"
     structure = build_structure(spec)
     p = sample_points(spec, 1, seed=4)[0]
-    tor = structure.structure_jets(p).torsion()
-    assert np.abs(tor.xi).max() < 1e-12
+    assert np.abs(structure.structure_jets(p).xi_frame).max() < 1e-12
 
 
 def test_conformal_periodicity_probe():
@@ -112,8 +112,7 @@ def test_conformal_constant_factor_stays_kahler():
     assert spec.metadata["expected_class"] == "Kähler"
     structure = build_structure(spec)
     p = sample_points(spec, 1, seed=0)[0]
-    tor = structure.structure_jets(p).torsion()
-    assert np.abs(tor.xi).max() < 1e-12
+    assert np.abs(structure.structure_jets(p).xi_frame).max() < 1e-12
 
 
 def test_hopf_box_stays_in_annulus():
@@ -159,22 +158,22 @@ def test_s6_torsion_is_nearly_kahler():
     structure = build_structure(spec)
     for p in sample_points(spec, 3, seed=2):
         sj = structure.structure_jets(p)
-        tor = sj.torsion()
-        scale = 1.0 + np.abs(tor.xi).max()
+        xi = sj.xi_frame
+        scale = 1.0 + np.abs(xi).max()
         # xi_X Y = -xi_Y X: swap direction and argument slots
-        assert np.abs(tor.xi + np.transpose(tor.xi, (2, 1, 0))).max() < 1e-9 * scale
-        norms = tor.component_norms()
+        assert np.abs(xi + np.transpose(xi, (2, 1, 0))).max() < 1e-9 * scale
+        norms = gh_norms(sj)
         assert norms[0] > 1e-2
         assert norms[1] < 1e-9 * scale
         assert norms[2] < 1e-9 * scale
         assert norms[3] < 1e-9 * scale
-        assert np.abs(tor.lee_vector).max() < 1e-9 * scale
-        jf = tor.j_frame
+        assert np.abs(sj.lee_frame).max() < 1e-9 * scale
+        jf = sj.j_frame
         # xi_{JX} JY = -xi_X Y
-        twisted = np.einsum("ax,by,akb->xky", jf, jf, tor.xi)
-        assert np.abs(twisted + tor.xi).max() < 1e-9 * scale
+        twisted = np.einsum("ax,by,akb->xky", jf, jf, xi)
+        assert np.abs(twisted + xi).max() < 1e-9 * scale
         # the three-form psi changes sign under J on two slots
-        psi = np.transpose(tor.xi1, (0, 2, 1))
+        psi = np.transpose(sj.gh_frame[0], (0, 2, 1))
         jjpsi = np.einsum("ax,by,abz->xyz", jf, jf, psi)
         assert np.abs(jjpsi + psi).max() < 1e-9 * scale
 
@@ -215,11 +214,12 @@ def test_catalog_self_verification():
         structure = build_structure(spec)
         for p in sample_points(spec, 50, seed=3):
             sj = structure.structure_jets(p)
-            tor = sj.torsion()
-            scale = 1.0 + np.abs(tor.xi).max()
-            recomposed = tor.xi1 + tor.xi2 + tor.xi3 + tor.xi4
-            assert np.abs(recomposed - tor.xi).max() < 1e-9 * scale
-            norms = tor.component_norms()
+            xi = sj.xi_frame
+            scale = 1.0 + np.abs(xi).max()
+            comps = sj.gh_frame
+            recomposed = comps[0] + comps[1] + comps[2] + comps[3]
+            assert np.abs(recomposed - xi).max() < 1e-9 * scale
+            norms = gh_norms(sj)
             label = spec.metadata["expected_class"]
             if label == "Kähler":
                 assert norms.max() < 1e-9 * scale

@@ -147,7 +147,7 @@ def test_grid_torsion_matches_jets_at_fourth_order():
     errs8, errs16, scales = [], [], []
     for nd in nodes:
         p = 2 * np.pi * np.asarray(nd) / 8.0
-        ref = st.structure_jets(p).torsion().xi
+        ref = st.structure_jets(p).xi_frame
         scales.append(np.sqrt(np.sum(ref**2)))
         errs8.append(np.sqrt(np.sum((grid_torsion(g8, nd) - ref) ** 2)))
         nd16 = tuple(2 * i for i in nd)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import conformal_metric_field, trig_scalar
+from helpers import conformal_metric_field, gh_norms, trig_scalar
 
 from torsionflow.geometry import GeometryError, MetricField
 from torsionflow.jets import JetField, jet_space
@@ -66,9 +66,9 @@ def test_kahler_form_compatibility_properties():
 
 def test_flat_kahler_torsion_vanishes():
     s = flat_kahler(2)
-    t = s.structure_jets(np.array([0.3, -0.2, 0.5, 0.1])).torsion()
-    assert np.abs(t.xi).max() < 1e-14
-    assert np.abs(t.lee_vector).max() < 1e-14
+    sj = s.structure_jets(np.array([0.3, -0.2, 0.5, 0.1]))
+    assert np.abs(sj.xi_frame).max() < 1e-14
+    assert np.abs(sj.lee_frame).max() < 1e-14
 
 
 def test_random_structure_invariants():
@@ -79,17 +79,17 @@ def test_random_structure_invariants():
         sj = s.structure_jets(p)
         jv = sj.J.value
         assert np.abs(jv @ jv + np.eye(2 * n)).max() < 1e-12
-        t = sj.torsion()
+        xi = sj.xi_frame
         m = 2 * n
         # each xi_{e_a} is skew and anti-commutes with J (frame rep)
-        jf = t.j_frame
+        jf = sj.j_frame
         for a in range(m):
-            assert np.abs(t.xi[a] + t.xi[a].T).max() < 1e-10
-            assert np.abs(t.xi[a] @ jf + jf @ t.xi[a]).max() < 1e-10
-        total = t.xi1 + t.xi2 + t.xi3 + t.xi4
-        assert np.abs(total - t.xi).max() < 1e-12
-        comps = t.components
-        scale = 1.0 + np.abs(t.xi).max() ** 2
+            assert np.abs(xi[a] + xi[a].T).max() < 1e-10
+            assert np.abs(xi[a] @ jf + jf @ xi[a]).max() < 1e-10
+        comps = sj.gh_frame
+        total = comps[0] + comps[1] + comps[2] + comps[3]
+        assert np.abs(total - xi).max() < 1e-12
+        scale = 1.0 + np.abs(xi).max() ** 2
         for i in range(4):
             for j in range(i + 1, 4):
                 assert abs(np.sum(comps[i] * comps[j])) < 1e-9 * scale
@@ -99,23 +99,22 @@ def test_n2_has_no_w1_w3():
     for seed in range(3):
         s = random_structure(seed, 2)
         p = np.random.default_rng(seed).uniform(-0.6, 0.6, size=4)
-        t = s.structure_jets(p).torsion()
-        norms = t.component_norms()
+        norms = gh_norms(s.structure_jets(p))
         assert norms[0] < 1e-9
         assert norms[2] < 1e-9
 
 
 def test_generic_n3_has_all_components():
     s = random_structure(7, 3)
-    t = s.structure_jets(np.array([0.3, -0.1, 0.45, 0.2, -0.5, 0.15])).torsion()
-    assert (t.component_norms() > 1e-3).all()
+    sj = s.structure_jets(np.array([0.3, -0.1, 0.45, 0.2, -0.5, 0.15]))
+    assert (gh_norms(sj) > 1e-3).all()
 
 
 def test_amplitude_zero_is_flat_kahler():
     s = random_structure(5, 2, amplitude=0.0)
     p = np.array([0.2, 0.4, -0.3, 0.6])
     assert np.abs(s.structure_jets(p).J.value - standard_j(2)).max() < 1e-14
-    assert np.abs(s.structure_jets(p).torsion().xi).max() < 1e-13
+    assert np.abs(s.structure_jets(p).xi_frame).max() < 1e-13
 
 
 def test_curved_structure_invariants():
@@ -136,16 +135,16 @@ def test_conformal_structure_is_pure_w4():
     rng = np.random.default_rng(4)
     for _ in range(2):
         p = rng.uniform(-0.5, 0.5, size=6)
-        t = s.structure_jets(p).torsion()
-        norms = t.component_norms()
+        sj = s.structure_jets(p)
+        norms = gh_norms(sj)
         assert norms[0] < 1e-9
         assert norms[1] < 1e-9
         assert norms[2] < 1e-9
         assert norms[3] > 1e-3
         # W3+W4 characterisation: xi_{JX} JY = xi_X Y
-        jf = t.j_frame
-        pxi = np.einsum("ba,bkc,cm->akm", jf, t.xi, jf)
-        assert np.abs(pxi - t.xi).max() < 1e-9
+        jf = sj.j_frame
+        pxi = np.einsum("ba,bkc,cm->akm", jf, sj.xi_frame, jf)
+        assert np.abs(pxi - sj.xi_frame).max() < 1e-9
 
 
 def test_conformal_lee_vector_closed_form():
@@ -257,29 +256,28 @@ def test_perturbed_xi4_fails_the_cross_route_check(monkeypatch):
         match=r"xi4 routes disagree \(torsion formula vs Lee-vector expression\) at point "
         r"\(0.5, -0.25, 0.125, 0.375, 0, -0.5\)",
     ):
-        s.structure_jets(GH_BLOCK).torsion()
+        s.structure_jets(GH_BLOCK).gh_frame
 
 
 def test_torsion_norm_frame_invariant():
     s = random_structure(13, 3)
     p = np.array([0.4, -0.2, 0.1, 0.3, 0.6, -0.5])
-    base = s.structure_jets(p).torsion()
-    norm0 = np.sum(base.xi * base.xi)
-    comp0 = base.component_norms()
+    base = s.structure_jets(p)
+    norm0 = np.sum(base.xi_frame * base.xi_frame)
+    comp0 = gh_norms(base)
     for seed in range(2):
         q = random_rotation(6, np.random.default_rng(seed))
         turned = AlmostHermitianStructure(s.metric, s.j_evaluator, s.name, rotation=q)
-        t = turned.structure_jets(p).torsion()
-        assert np.sum(t.xi * t.xi) == pytest.approx(norm0, rel=1e-9)
-        assert np.allclose(t.component_norms(), comp0, rtol=1e-8, atol=1e-10)
+        sj = turned.structure_jets(p)
+        assert np.sum(sj.xi_frame * sj.xi_frame) == pytest.approx(norm0, rel=1e-9)
+        assert np.allclose(gh_norms(sj), comp0, rtol=1e-8, atol=1e-10)
 
 
 def test_extended_norm_matches_coordinate_contraction():
     s = random_curved_structure(14, 2)
     p = np.array([0.3, 0.2, -0.1, 0.5])
     sj = s.structure_jets(p)
-    t = sj.torsion()
-    frame_norm = np.sum(t.xi * t.xi)
+    frame_norm = np.sum(sj.xi_frame * sj.xi_frame)
     g = sj.g.value
     ginv = np.linalg.inv(g)
     xi = sj.xi.value
