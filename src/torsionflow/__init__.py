@@ -7,11 +7,12 @@ its Gray-Hervella components (``unstruct``), and evaluates harmonicity
 criteria and identity suites at sampled points (``diagnostics``).  A worked
 set of chart geometries lives in ``catalog``, a discrete total-bending
 gradient flow on flat tori in ``flow``, and a JSON-driven command line in
-``cli``.
+``cli``.  The top level exports the jet type, ``JetField``, and its index
+tables, ``jet_space``.
 """
 
-from .jets import Jet, jet_constant, jet_variable, jet_space
+from .jets import JetField, jet_space
 
 __version__ = "0.1.0"
 
-__all__ = ["Jet", "jet_constant", "jet_variable", "jet_space", "__version__"]
+__all__ = ["JetField", "jet_space", "__version__"]

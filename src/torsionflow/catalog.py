@@ -33,7 +33,6 @@ from .diagnostics import SECTION_NAMES
 from .exprlang import EvalError, Expr, eval_expr, parse
 from .geometry import MIN_JET_DEGREE, GeometryError, MetricField, fail_first
 from .jets import MAX_DIM, JetField, jet_einsum, jet_space
-from .jets import exp as jet_exp
 from .unstruct import AlmostHermitianStructure, standard_j
 
 __all__ = [
@@ -268,7 +267,7 @@ def conformal(
 
     def metric(p, degree):
         fj = _eval_factor(expr, p, dim, degree)
-        return jet_einsum("ij,->ij", JetField.constants(jet_space(dim, degree), np.eye(dim)), jet_exp(fj))
+        return jet_einsum("ij,->ij", JetField.constants(jet_space(dim, degree), np.eye(dim)), fj.fn("exp"))
 
     return GeometrySpec(
         name=name,

@@ -9,16 +9,17 @@ seed; every float is serialized with 17 significant digits.
 
 Exit codes: 0 pass, 1 residual failure, 2 config error (including
 undecodable JSON, a seed outside 0..MAX_SEED = 2^63 - 1, a points count
-above MAX_POINTS, a flow grid above MAX_GRID_ENTRIES, an --out outside
-an existing directory and a failed report or artifact write, to --out or
-to stdout, a closed pipe included), 3 geometry error (including an
-expression nested deeper than exprlang.MAX_DEPTH and a metric whose
-diagnostics overflow float64 at a point), 4 flow stall, 5 internal
-failure (a cross-route or convention check disagreed, a flow
-step drifted past flow.DRIFT_TOL, or any other exception, report
-rendering included: a bug in the package, not a verdict on the geometry
-or the config).  An error exit writes one JSON error to stderr and
-nothing to stdout.
+above MAX_POINTS, a flow grid above MAX_GRID_ENTRIES, a flow max_iter
+above MAX_ITER, an --out outside an existing directory and a failed
+report or artifact write, to --out or to stdout, a closed pipe
+included), 3 geometry error (including an expression nested deeper than
+exprlang.MAX_DEPTH and a metric whose diagnostics overflow float64 at a
+point), 4 flow stall, 5 internal failure (a cross-route or convention
+check disagreed, a flow step drifted past flow.DRIFT_TOL or its polar
+projection did not converge, or any other exception, report rendering
+included: a bug in the package, not a verdict on the geometry or the
+config). An error exit writes one JSON error to stderr and nothing to
+stdout.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ MAX_SEED = 2**63 - 1
 # float64 entries in one (m^(2n), 2n, 2n) flow array: 128 MiB.  The
 # descent holds about ten such arrays at once.
 MAX_GRID_ENTRIES = 2**24
+
+# descent iterations; descend keeps one trace row per iteration
+MAX_ITER = 10**5
 
 _TOP_KEYS = {
     "inspect": ("schema", "command", "geometry", "points", "tol"),
@@ -364,7 +368,7 @@ def _run_flow(cfg: dict, tol: float, seed_override, out) -> tuple[dict, int]:
     n = _int_field(section, "n", default=2, minimum=1)
     m = _int_field(section, "m", default=None)
     amplitude = _float_field(section, "amplitude", 0.3)
-    max_iter = _int_field(section, "max_iter", default=5000, minimum=1)
+    max_iter = _int_field(section, "max_iter", default=5000, minimum=1, maximum=MAX_ITER)
     tol_grad = _float_field(section, "tol_grad", 1e-5)
     if not tol_grad > 0:
         raise ConfigError("field 'tol_grad' must be positive")

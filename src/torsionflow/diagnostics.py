@@ -849,9 +849,7 @@ class DiagnosticsReport:
     """
 
     geometry: str
-    points: np.ndarray
     records: tuple[PointRecord, ...]
-    tol: float
     max_residuals: dict
     passes: dict
     metadata: dict
@@ -904,9 +902,7 @@ def run_diagnostics(structure: AlmostHermitianStructure, points, tol: float = 1e
     }
     return DiagnosticsReport(
         geometry=structure.name,
-        points=points,
         records=tuple(records),
-        tol=tol,
         max_residuals=max_res,
         passes=passes,
         metadata=meta,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import JetField, jet_constant, jet_variable
+from .jets import JetField, jet_space
 
 __all__ = [
     "ParseError",
@@ -310,16 +310,18 @@ def eval_expr(expr: Expr, point, dim: int, degree: int) -> JetField:
     point = np.asarray(point, dtype=float)
     if point.shape[-1:] != (dim,):
         raise EvalError(f"point must have {dim} coordinates", 0)
+    space = jet_space(dim, degree)
+    x = JetField.variables(space, point)
 
     def rec(e: Expr) -> JetField:
         if isinstance(e, Num):
-            return jet_constant(e.value, dim, degree)
+            return JetField.constants(space, e.value)
         if isinstance(e, Var):
             if not 1 <= e.index <= dim:
                 raise EvalError(
                     f"variable x{e.index} out of range for dimension {dim}", e.pos
                 )
-            return jet_variable(e.index - 1, point[..., e.index - 1], dim, degree)
+            return x.entry(e.index - 1)
         if isinstance(e, Neg):
             return -rec(e.arg)
         if isinstance(e, Call):

@@ -167,7 +167,8 @@ def _nearest_structure(values: np.ndarray) -> tuple[np.ndarray, float]:
 
     Returns the corrected field and the structure defect it removed.
     Quadratic convergence needs values near orthogonal, which grid
-    validation guarantees for every caller.  The first gram a^T a is
+    validation guarantees for every caller, so a failure to converge is
+    a kernel fault (``InternalConventionError``).  The first gram a^T a is
     -(a @ a), bit for bit, because a = (v - v^T)/2 is exactly skew (each
     term of the dot product only changes sign); a swept a is skew only
     to roundoff, so later grams take a contiguous copy of a^T.
@@ -182,7 +183,7 @@ def _nearest_structure(values: np.ndarray) -> tuple[np.ndarray, float]:
             return a, drift
         a = a @ (1.5 * eye - 0.5 * gram)
         gram = np.ascontiguousarray(np.swapaxes(a, -1, -2)) @ a
-    raise GridError("polar projection did not converge")
+    raise InternalConventionError("polar projection did not converge")
 
 
 @dataclass
@@ -378,6 +379,9 @@ def calibrate_sign(grid: JGrid, seed: int = 0, eps: float = 1e-4) -> float:
 
     One directional-derivative probe pins the bundle-identification
     sign relating the reported d*xi to the L2 gradient of the energy.
+    A critical grid is the caller's misuse (``GridError``); a probe that
+    matches neither sign is a fault of the package
+    (``InternalConventionError``).
     """
     phi = random_uperp_field(grid, seed)
     rec = directional_check(grid, phi, eps)
@@ -385,7 +389,7 @@ def calibrate_sign(grid: JGrid, seed: int = 0, eps: float = 1e-4) -> float:
         raise GridError("sign calibration needs a non-critical grid")
     s = -1.0 if rec["slope"] * rec["pairing"] > 0 else 1.0
     if abs(rec["slope"] + s * rec["pairing"]) > 1e-3 * abs(rec["pairing"]):
-        raise GridError("directional derivative disagrees with the gradient pairing")
+        raise InternalConventionError("directional derivative disagrees with the gradient pairing")
     return s
 
 

@@ -12,9 +12,10 @@ order K (no finite-difference error; the only noise is roundoff).
 
 One type lives here: ``JetField``, a dense tensor whose entries are jets,
 stored as a single ndarray with a trailing coefficient axis.  A shape-()
-field is a scalar jet (``Jet`` names the same class), which is what the
-expression evaluator and ``jet_constant``/``jet_variable`` produce.  Chart
-geometry (metrics, Christoffel symbols, curvature) is built on fields;
+field is a scalar jet.  ``JetField.constants`` and ``JetField.variables``
+build constant and coordinate jets, and ``field.fn(name)`` applies sin,
+cos, exp, log, sqrt or the reciprocal entrywise.  Chart geometry
+(metrics, Christoffel symbols, curvature) is built on fields;
 ``jet_einsum`` contracts tensor axes while convolving coefficient axes.
 It is the one product kernel: an entrywise product (``*``, and each
 Horner step of the elementary functions) is its contraction ``",->"``.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -45,14 +46,6 @@ __all__ = [
     "JetDomainError",
     "JetSpace",
     "jet_space",
-    "Jet",
-    "jet_constant",
-    "jet_variable",
-    "sin",
-    "cos",
-    "exp",
-    "log",
-    "sqrt",
     "JetField",
     "jet_einsum",
 ]
@@ -165,38 +158,23 @@ def _diff_data(space: JetSpace, a: np.ndarray, c: int | slice, new_deg: int) -> 
     return a[..., space._diff_idx[c, :nc]] * space._diff_coef[c, :nc]
 
 
-_SERIES_FNS: dict[str, Callable[[np.ndarray, int], list[np.ndarray]]] = {}
-
-
-def _series(name: str):
-    def deco(fn):
-        _SERIES_FNS[name] = fn
-        return fn
-
-    return deco
-
-
-@_series("sin")
 def _sin_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:
     s, co = np.sin(c), np.cos(c)
     table = [s, co, -s, -co]
     return [table[k % 4] / math.factorial(k) for k in range(deg + 1)]
 
 
-@_series("cos")
 def _cos_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:
     s, co = np.sin(c), np.cos(c)
     table = [co, -s, -co, s]
     return [table[k % 4] / math.factorial(k) for k in range(deg + 1)]
 
 
-@_series("exp")
 def _exp_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:
     e = np.exp(c)
     return [e / math.factorial(k) for k in range(deg + 1)]
 
 
-@_series("log")
 def _log_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:
     if np.any(c <= 0.0):
         raise JetDomainError("log of a jet with non-positive constant term")
@@ -206,7 +184,6 @@ def _log_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:
     return out
 
 
-@_series("sqrt")
 def _sqrt_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:
     if np.any(c <= 0.0):
         raise JetDomainError("sqrt of a jet with non-positive constant term")
@@ -216,24 +193,21 @@ def _sqrt_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:
     return out
 
 
-@_series("reciprocal")
 def _recip_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:
     if np.any(c == 0.0):
         raise JetDomainError("division by a jet with zero constant term")
     return [(-1.0) ** k / c ** (k + 1) for k in range(deg + 1)]
 
 
-def _apply_series(field: "JetField", name: str) -> "JetField":
-    """Compose an analytic function with a jet via the Taylor series at the
-    constant term, evaluated in Horner form on the nilpotent part."""
-    coeffs = _SERIES_FNS[name](field.data[..., 0], field.deg)
-    h = JetField(field.space, field.data.copy())
-    h.data[..., 0] = 0.0
-    out = JetField.constants(field.space, coeffs[field.deg], field.deg)
-    for k in range(field.deg - 1, -1, -1):
-        out = out * h
-        out.data[..., 0] += coeffs[k]
-    return out
+# the Taylor coefficients of each function at the constant term c
+_TAYLOR_COEFFS = {
+    "sin": _sin_coeffs,
+    "cos": _cos_coeffs,
+    "exp": _exp_coeffs,
+    "log": _log_coeffs,
+    "sqrt": _sqrt_coeffs,
+    "reciprocal": _recip_coeffs,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -432,51 +406,17 @@ class JetField:
         return JetField(self.space, np.transpose(self.data, full))
 
     def fn(self, name: str) -> "JetField":
-        """Apply an elementary analytic function entrywise."""
-        return _apply_series(self, name)
-
-
-# the scalar jet is the shape-() field
-Jet = JetField
-
-
-# ---------------------------------------------------------------------------
-# scalar jets
-# ---------------------------------------------------------------------------
-
-
-def jet_constant(value: float, dim: int, degree: int) -> JetField:
-    return JetField.constants(jet_space(dim, degree), value)
-
-
-def jet_variable(i: int, value, dim: int, degree: int) -> JetField:
-    """The coordinate jet x_i expanded at x_i = ``value``; an array of
-    values gives a field of that shape."""
-    space = jet_space(dim, degree)
-    if not 0 <= i < dim:
-        raise JetError(f"variable index {i} out of range for dimension {dim}")
-    value = np.asarray(value, dtype=float)
-    data = np.zeros(value.shape + (space.ncoeff,))
-    data[..., 0] = value
-    if degree >= 1:
-        data[..., space.index[tuple(int(k == i) for k in range(dim))]] = 1.0
-    return JetField(space, data)
-
-
-def _unary(name: str):
-    def fn(jet: JetField) -> JetField:
-        return jet.fn(name)
-
-    fn.__name__ = name
-    fn.__doc__ = f"Elementwise {name} of a jet."
-    return fn
-
-
-sin = _unary("sin")
-cos = _unary("cos")
-exp = _unary("exp")
-log = _unary("log")
-sqrt = _unary("sqrt")
+        """Apply ``name`` (sin, cos, exp, log, sqrt or reciprocal) entrywise:
+        its Taylor series at the constant term, evaluated in Horner form on
+        the nilpotent part."""
+        coeffs = _TAYLOR_COEFFS[name](self.data[..., 0], self.deg)
+        h = JetField(self.space, self.data.copy())
+        h.data[..., 0] = 0.0
+        out = JetField.constants(self.space, coeffs[self.deg], self.deg)
+        for k in range(self.deg - 1, -1, -1):
+            out = out * h
+            out.data[..., 0] += coeffs[k]
+        return out
 
 
 @functools.lru_cache(maxsize=None)

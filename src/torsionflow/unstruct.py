@@ -19,7 +19,7 @@ Layout conventions:
   * Frame arrays (plain numpy at a point): ``xi_frame[a, k, m]`` is
     ``<xi_{e_a} e_m, e_k>``, so ``xi_frame[a]`` is the matrix of the
     skew endomorphism ``xi_{e_a}`` in the orthonormal frame.
-  * Jet fields and frame arrays of a block of points lead with the
+  * ``JetField``s and frame arrays of a block of points lead with the
     block's point axes; the layouts above are those of the trailing axes.
   * The Kahler form is ``omega(X, Y) = <X, JY>``; with the standard flat
     structure (J e_1 = e_2) this makes ``omega(e_1, e_2) = -1``.
@@ -353,18 +353,15 @@ def _givens_product(space, point, pairs, params, amplitude) -> JetField:
     Each angle is amplitude * sum of unit-frequency sine terms, so the
     rotation field is 2 pi periodic and exactly orthogonal as jets.
     """
-    from .jets import cos as jcos
-    from .jets import sin as jsin
-
     m = space.dim
     x = JetField.variables(space, point)
     q = JetField.constants(space, np.eye(m))
     for (i, j), (coefs, phases) in zip(pairs, params):
         theta = None
         for k in range(m):
-            term = jsin(x.entry(k) + float(phases[k])) * float(coefs[k] * amplitude)
+            term = (x.entry(k) + float(phases[k])).fn("sin") * float(coefs[k] * amplitude)
             theta = term if theta is None else theta + term
-        c, s = jcos(theta), jsin(theta)
+        c, s = theta.fn("cos"), theta.fn("sin")
         zero = theta * 0.0
         entries = [[zero] * m for _ in range(m)]
         for r in range(m):
@@ -430,9 +427,6 @@ def random_curved_structure(
     exponentials, so curvature is generically nonzero while all the
     structure invariants still hold exactly as jets.
     """
-    from .jets import exp as jexp
-    from .jets import sin as jsin
-
     if n < 1:
         raise ValueError("n must be at least 1")
     m = 2 * n
@@ -449,9 +443,9 @@ def random_curved_structure(
         for i in range(m):
             mu = None
             for k in range(m):
-                term = jsin(x.entry(k) + float(mu_phases[i, k])) * float(mu_coefs[i, k])
+                term = (x.entry(k) + float(mu_phases[i, k])).fn("sin") * float(mu_coefs[i, k])
                 mu = term if mu is None else mu + term
-            diag.append(jexp(mu))
+            diag.append(mu.fn("exp"))
         rows = [[diag[i] if i == j else diag[i] * 0.0 for j in range(m)] for i in range(m)]
         return jet_einsum("ik,kj->ij", q, _pack_jets(space, rows))
 

@@ -13,14 +13,12 @@ from torsionflow.jets import JetField, jet_space
 
 def trig_scalar(space, point, freq, phase, coef):
     """coef * sin(freq . x + phase) as a scalar jet at the point."""
-    from torsionflow.jets import sin
-
     x = JetField.variables(space, point)
     arg = None
     for k in range(space.dim):
         term = x.entry(k) * float(freq[k])
         arg = term if arg is None else arg + term
-    return sin(arg + float(phase)) * float(coef)
+    return (arg + float(phase)).fn("sin") * float(coef)
 
 
 def pack_scalar_matrix(space, entries):
@@ -61,11 +59,9 @@ def flat_metric_field(n, degree=4):
 
 def conformal_metric_field(n, f_of_x, degree=4):
     """g = e^f * identity, with f built from scalar jets by the caller."""
-    from torsionflow.jets import exp
-
     def evaluator(p):
         space = jet_space(n, degree)
-        ef = exp(f_of_x(space, p))
+        ef = f_of_x(space, p).fn("exp")
         entries = [[ef * (1.0 if i == j else 0.0) for j in range(n)]
                    for i in range(n)]
         return pack_scalar_matrix(space, entries)
@@ -75,8 +71,6 @@ def conformal_metric_field(n, f_of_x, degree=4):
 
 def sphere6_metric_field(degree=4):
     """Round unit 6-sphere in the graph chart x -> (x, sqrt(1 - |x|^2))."""
-    from torsionflow.jets import sqrt
-
     def evaluator(p):
         space = jet_space(6, degree)
         x = JetField.variables(space, p)

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from torsionflow import diagnostics
 from torsionflow.catalog import build_structure, sample_points, spec_from_config
-from torsionflow.cli import MAX_POINTS, MAX_SEED, main, render_json
+from torsionflow.cli import MAX_ITER, MAX_POINTS, MAX_SEED, main, render_json
 from torsionflow.diagnostics import classify_gh, coderivative_xi, point_scale, star_ricci
 from torsionflow.flow import JGrid, grid_payload, random_grid
 
@@ -85,6 +86,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ["inspect", "--config", flat_path, "--seed", str(MAX_SEED + 1)],
         ["flow", "--config", small_flow, "--seed", str(MAX_SEED + 1)],
         ["flow", "--config", write_config(tmp_path, "seed.json", {"schema": 1, "flow": {"n": 1, "seed": 10**4000}})],
+        # descend keeps one trace row per iteration
+        ["flow", "--config", write_config(tmp_path, "iter.json", {"schema": 1, "flow": {"n": 1, "m": 4, "max_iter": MAX_ITER + 1}})],
     ]
     # grids above 2**24 float64 entries are refused before allocating
     for idx, flow in enumerate([{"n": 4, "m": 32}, {"n": 6, "m": 4}]):
@@ -297,6 +300,28 @@ def test_flow_drift_exits_5(tmp_path, capsys, monkeypatch):
 
 
 SMALL_FLOW = {"schema": 1, "command": "flow", "flow": {"seed": 7, "n": 2, "m": 4, "max_iter": 2}}
+
+
+@pytest.mark.parametrize(
+    "name, scale, message",
+    [
+        ("gradient", 2.0, "directional derivative disagrees with the gradient pairing"),
+        ("_cayley", 2.5, "polar projection did not converge"),
+    ],
+    ids=["gradient", "polar"],
+)
+def test_flow_kernel_faults_exit_5(tmp_path, capsys, monkeypatch, name, scale, message):
+    # a gradient off the energy's slope, or a step too far from the
+    # constraint set to project back, is a kernel bug, not a config error
+    from torsionflow import flow
+
+    kernel = getattr(flow, name)
+    monkeypatch.setattr(flow, name, lambda *args: scale * kernel(*args))
+    path = write_config(tmp_path, "fault.json", SMALL_FLOW)
+    code, out, err = run(["flow", "--config", path], capsys)
+    assert (code, out) == (5, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"internal check failed: {message}"
 
 
 def test_flow_stall_exits_4(tmp_path, capsys, monkeypatch):
@@ -666,3 +691,59 @@ def test_reports_match_golden_files(tmp_path, capsys, name, command, geometry, c
     assert got_code == code, err
     want = json.loads((GOLDEN_DIR / name).read_text())
     assert_report_matches(json.loads(out), want)
+
+
+# the edge sweep: conformal factors k*sin(x1) from a finite report to a
+# metric whose jets overflow float64, every n, periodicity and seed
+SWEEP = [
+    (command, k, n, periodic, seed)
+    for command in ("inspect", "verify", "classify")
+    for k in (250, 350, 700, 709)
+    for n in (1, 2, 3)
+    for periodic in (False, True)
+    for seed in range(6)
+]
+_NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
+
+
+def run_sweep():
+    """Each sweep case as [command, k, n, periodic, seed, exit code, error
+    text or None], run through ``main`` in this process."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        for command, k, n, periodic, seed in SWEEP:
+            geo = {"type": "conformal", "n": n, "f": f"{k}*sin(x1)", "periodic": periodic}
+            path.write_text(json.dumps(geometry_config(geo, count=3, seed=seed, command=command)))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path)])
+            if code in (0, 1):
+                assert err.getvalue() == "" and json.loads(out.getvalue())["schema"] == 1
+                rows.append([command, k, n, periodic, seed, code, None])
+            else:
+                assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+                rows.append([command, k, n, periodic, seed, code, json.loads(err.getvalue())["error"]])
+    return rows
+
+
+def test_sin_sweep_matches_golden_file():
+    want = json.loads((GOLDEN_DIR / "sin_sweep.json").read_text())
+    got = run_sweep()
+    assert len(got) == len(want) == 432
+    for g, w in zip(got, want):
+        # the exit code fixes whether there is an error text
+        assert g[:6] == w[:6], (g, w)
+        if w[6] is not None:
+            # the text exactly, the point coordinates in it as report floats
+            g_parts, w_parts = _NUMBER.split(g[6]), _NUMBER.split(w[6])
+            assert g_parts[::2] == w_parts[::2], (g, w)
+            assert_report_matches([float(v) for v in g_parts[1::2]], [float(v) for v in w_parts[1::2]], str(w[:5]))
+
+
+if __name__ == "__main__":
+    # writes the golden file from the code on the path:
+    # PYTHONPATH=src python tests/test_cli.py
+    rows = run_sweep()
+    text = "[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n"
+    (GOLDEN_DIR / "sin_sweep.json").write_text(text)

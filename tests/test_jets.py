@@ -7,17 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionflow import jets
 from torsionflow.jets import (
-    Jet,
     JetDomainError,
     JetError,
     JetField,
-    jet_constant,
     jet_einsum,
     jet_matrix_inverse,
     jet_space,
-    jet_variable,
 )
 
 
@@ -45,19 +41,20 @@ def fd_partial(f, x, alpha, h=1e-2):
 
 
 def jet_inputs(dim, degree, point):
-    return [jet_variable(i, point[i], dim, degree) for i in range(dim)]
+    x = JetField.variables(jet_space(dim, degree), point)
+    return [x.entry(i) for i in range(dim)]
 
 
 CASES = [
     ("poly", lambda x: x[0] * x[0] * x[1] + 3.0 * x[1] - 2.0,
      lambda p: p[0] ** 2 * p[1] + 3 * p[1] - 2),
-    ("trig", lambda x: jets.sin(x[0]) * jets.cos(x[1]),
+    ("trig", lambda x: x[0].fn("sin") * x[1].fn("cos"),
      lambda p: np.sin(p[0]) * np.cos(p[1])),
-    ("expquot", lambda x: jets.exp(x[0]) / (x[1] + 2.0),
+    ("expquot", lambda x: x[0].fn("exp") / (x[1] + 2.0),
      lambda p: np.exp(p[0]) / (p[1] + 2.0)),
-    ("logsqrt", lambda x: jets.log(x[0] + 3.0) + jets.sqrt(x[1] + 2.5),
+    ("logsqrt", lambda x: (x[0] + 3.0).fn("log") + (x[1] + 2.5).fn("sqrt"),
      lambda p: np.log(p[0] + 3.0) + np.sqrt(p[1] + 2.5)),
-    ("nested", lambda x: jets.exp(jets.sin(x[0]) + x[1] ** 2),
+    ("nested", lambda x: (x[0].fn("sin") + x[1] ** 2).fn("exp"),
      lambda p: np.exp(np.sin(p[0]) + p[1] ** 2)),
 ]
 
@@ -80,8 +77,8 @@ def test_jets_match_finite_differences(name, jf, nf):
 
 def test_hand_series_exp_sin():
     # exp(sin x) = 1 + x + x^2/2 + 0*x^3 - x^4/8 + ...
-    x = jet_variable(0, 0.0, 1, 4)
-    j = jets.exp(jets.sin(x))
+    x = JetField.variables(jet_space(1, 4), [0.0]).entry(0)
+    j = x.fn("sin").fn("exp")
     assert j.coeff((0,)) == pytest.approx(1.0, abs=1e-15)
     assert j.coeff((1,)) == pytest.approx(1.0, abs=1e-15)
     assert j.coeff((2,)) == pytest.approx(0.5, abs=1e-15)
@@ -91,18 +88,18 @@ def test_hand_series_exp_sin():
 
 def test_hand_series_geometric():
     # 1/(1-x) = 1 + x + x^2 + x^3 + x^4
-    x = jet_variable(0, 0.0, 1, 4)
+    x = JetField.variables(jet_space(1, 4), [0.0]).entry(0)
     j = 1.0 / (1.0 - x)
     for k in range(5):
         assert j.coeff((k,)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_variable_and_constant_layout():
-    j = jet_variable(0, 2.0, 2, 3)
+    j = JetField.variables(jet_space(2, 3), [2.0, 0.0]).entry(0)
     assert j.coeff((0, 0)) == 2.0
     assert j.coeff((1, 0)) == 1.0
     assert all(j.coeff(a) == 0.0 for a in j.space.multi_indices if a not in {(0, 0), (1, 0)})
-    c = jet_constant(5.5, 2, 3)
+    c = JetField.constants(jet_space(2, 3), 5.5)
     assert c.value == 5.5
     assert c.coeff((0, 1)) == 0.0
 
@@ -110,7 +107,7 @@ def test_variable_and_constant_layout():
 def test_dense_storage_every_multi_index():
     sp = jet_space(3, 4)
     assert sp.ncoeff == math.comb(3 + 4, 4)
-    j = jet_constant(1.0, 3, 4)
+    j = JetField.constants(sp, 1.0)
     assert j.data.shape == (sp.ncoeff,)
     # graded order: truncation to lower degree is a prefix slice
     orders = [sum(a) for a in sp.multi_indices]
@@ -118,9 +115,9 @@ def test_dense_storage_every_multi_index():
 
 
 def test_mixed_space_arithmetic_rejected():
-    a = jet_variable(0, 1.0, 2, 3)
-    b = jet_variable(0, 1.0, 2, 4)
-    c = jet_variable(0, 1.0, 3, 3)
+    a = JetField.variables(jet_space(2, 3), [1.0, 0.0]).entry(0)
+    b = JetField.variables(jet_space(2, 4), [1.0, 0.0]).entry(0)
+    c = JetField.variables(jet_space(3, 3), [1.0, 0.0, 0.0]).entry(0)
     with pytest.raises(JetError):
         a + b
     with pytest.raises(JetError):
@@ -128,19 +125,19 @@ def test_mixed_space_arithmetic_rejected():
 
 
 def test_domain_errors():
-    x = jet_variable(0, -1.0, 1, 3)
+    sp = jet_space(1, 3)
+    x = JetField.variables(sp, [-1.0]).entry(0)
     with pytest.raises(JetDomainError):
-        jets.log(x)
+        x.fn("log")
     with pytest.raises(JetDomainError):
-        jets.sqrt(x)
-    zero = jet_constant(0.0, 1, 3)
+        x.fn("sqrt")
+    zero = JetField.constants(sp, 0.0)
     with pytest.raises(JetDomainError):
-        jet_variable(0, 1.0, 1, 3) / zero
+        JetField.variables(sp, [1.0]).entry(0) / zero
 
 
 def test_integer_pow_matches_repeated_mul():
-    x = jet_variable(0, 0.7, 2, 4)
-    y = jet_variable(1, -0.3, 2, 4)
+    x, y = (JetField.variables(jet_space(2, 4), [0.7, -0.3]).entry(i) for i in range(2))
     base = 1.0 + x * y
     assert np.allclose((base**3).data, (base * base * base).data, atol=1e-14)
     inv = base**-2
@@ -157,9 +154,9 @@ finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 @given(st.lists(finite, min_size=3, max_size=3), st.lists(finite, min_size=3, max_size=3))
 def test_ring_axioms(avals, bvals):
     sp = jet_space(1, 2)
-    a = Jet(sp, np.array(avals))
-    b = Jet(sp, np.array(bvals))
-    x = jet_variable(0, 0.5, 1, 2)
+    a = JetField(sp, np.array(avals))
+    b = JetField(sp, np.array(bvals))
+    x = JetField.variables(sp, [0.5]).entry(0)
     assert np.allclose((a + b).data, (b + a).data)
     assert np.allclose((a * b).data, (b * a).data, atol=1e-9)
     assert np.allclose(((a + b) * x).data, (a * x + b * x).data, atol=1e-9)
@@ -170,8 +167,9 @@ def test_trig_identity_as_jets():
     rng = np.random.default_rng(7)
     for _ in range(10):
         p = rng.uniform(-2, 2, size=2)
-        u = jet_variable(0, p[0], 2, 4) * jet_variable(1, p[1], 2, 4)
-        lhs = jets.sin(u) * jets.sin(u) + jets.cos(u) * jets.cos(u)
+        x = JetField.variables(jet_space(2, 4), p)
+        u = x.entry(0) * x.entry(1)
+        lhs = u.fn("sin") * u.fn("sin") + u.fn("cos") * u.fn("cos")
         want = np.zeros(u.space.ncoeff)
         want[0] = 1.0
         assert np.allclose(lhs.data, want, atol=1e-12)
@@ -181,8 +179,8 @@ def test_division_roundtrip():
     rng = np.random.default_rng(3)
     sp = jet_space(2, 4)
     for _ in range(10):
-        a = Jet(sp, rng.normal(size=sp.ncoeff))
-        b = Jet(sp, rng.normal(size=sp.ncoeff))
+        a = JetField(sp, rng.normal(size=sp.ncoeff))
+        b = JetField(sp, rng.normal(size=sp.ncoeff))
         b = b + (3.0 + abs(b.value))  # keep the constant term away from zero
         assert np.allclose(((a / b) * b).data, a.data, atol=1e-10)
 
@@ -202,9 +200,9 @@ def test_field_matches_scalar_jets():
     A = rng.normal(size=(3, 3, sp.ncoeff))
     B = rng.normal(size=(3, 3, sp.ncoeff))
     prod = jet_einsum("ij,jk->ik", JetField(sp, A), JetField(sp, B))
-    want = Jet(sp, np.zeros(sp.ncoeff))
+    want = JetField(sp, np.zeros(sp.ncoeff))
     for j in range(3):
-        want = want + Jet(sp, A[0, j]) * Jet(sp, B[j, 2])
+        want = want + JetField(sp, A[0, j]) * JetField(sp, B[j, 2])
     assert np.allclose(prod.data[0, 2], want.data, atol=1e-12)
 
 
@@ -228,7 +226,7 @@ def test_field_fn_matches_scalar():
     sp = jet_space(2, 4)
     x = JetField.variables(sp, np.array([0.4, 0.9]))
     f = entry(x, 1).fn("log")
-    want = jets.log(jet_variable(1, 0.9, 2, 4))
+    want = JetField.variables(sp, [0.0, 0.9]).entry(1).fn("log")
     assert np.allclose(f.data, want.data, atol=1e-14)
 
 
