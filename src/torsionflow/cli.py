@@ -489,7 +489,6 @@ def main(argv=None) -> int:
             if args.out:
                 Path(args.out).write_text(text + "\n")
     except InternalConventionError as exc:
-        # before GridError: flow.DriftError is both
         return _fail(f"internal check failed: {exc}", EXIT_INTERNAL)
     except (ConfigError, GridError) as exc:
         return _fail(str(exc), EXIT_CONFIG)

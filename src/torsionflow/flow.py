@@ -14,9 +14,11 @@ The start, ``random_grid``, is ``unstruct.random_structure``'s J at the nodes.
 Every field differentiated here is skew, so one spectral path,
 ``_dirichlet_modes``, transforms only the strict upper triangle of the
 skew part (6 of 16 entries at n = 2) and ``_skew_laplacian`` rebuilds
-the skew Laplacian from its inverse transform.  ``descend`` projects
-each trial before its Armijo test and reuses the accepted trial's
-transform as the next state's.
+the skew Laplacian from its inverse transform.  Three kernels,
+``_energy``, ``_gradient`` and ``_retract`` (Cayley step, polar
+projection, drift check), are all of ``descend``'s arithmetic, and
+``energy``, ``gradient`` and ``variation`` call them too: the CLI's
+probe ``calibrate_sign`` checks the descent's own code.
 
 Kept for the tests only: ``grid_torsion`` (one node's xi; converges to the jet torsion),
 ``hessian_form`` (second variation) and ``bracket_u_defect`` ([m, m] in u(n)).
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .unstruct import InternalConventionError, random_structure, standard_j
+from .unstruct import InternalConventionError, random_structure
 
 __all__ = [
     "GridError",
@@ -59,6 +61,7 @@ __all__ = [
 
 PROJECTION_TOL = 1e-10
 DRIFT_TOL = 1e-8
+PROBE_EPS = 1e-4  # step of directional_check's symmetric difference
 
 # Armijo search of descend: each rejected trial halves the step, a trial
 # must lower the energy by ARMIJO_DECREASE * step * slope, and a step
@@ -72,10 +75,10 @@ _STENCIL = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
 
 
 class GridError(ValueError):
-    """Invalid grid data, resolution, or a violated step invariant."""
+    """Invalid grid data or resolution, or a critical grid where a probe needs slope."""
 
 
-class DriftError(GridError, InternalConventionError):
+class DriftError(InternalConventionError):
     """A step drifted past DRIFT_TOL: a fault of the retraction kernels."""
 
 
@@ -204,9 +207,8 @@ class JGrid:
             raise GridError("n must be at least 1")
         if self.resolution < 4:
             raise GridError("grid resolution must be at least 4")
-        dim = 2 * self.n
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.resolution,) * dim + (dim, dim):
+        if self.values.shape != (self.resolution,) * self.dim + (self.dim, self.dim):
             raise GridError("grid values have the wrong shape")
         self.validate()
 
@@ -243,16 +245,10 @@ class JGrid:
         values, drift = _nearest_structure(self.values)
         return JGrid(self.n, self.resolution, values), drift
 
-    @classmethod
-    def constant(cls, n: int, resolution: int) -> "JGrid":
-        j0 = standard_j(n)
-        values = np.broadcast_to(j0, (resolution,) * (2 * n) + j0.shape).copy()
-        return cls(n, resolution, values)
-
 
 def random_grid(seed: int, n: int, resolution: int, amplitude: float = 0.3) -> JGrid:
-    """The 2pi-periodic ``random_structure(seed, n, amplitude)`` sampled
-    onto a grid: the values of its degree-0 J jets at every node."""
+    """The 2pi-periodic ``random_structure(seed, n, amplitude)`` sampled onto a
+    grid: its degree-0 J jets at every node; amplitude 0 gives J_0 everywhere."""
     if resolution < 4:
         raise GridError("grid resolution must be at least 4")
     ticks = 2.0 * np.pi * np.arange(resolution) / resolution
@@ -292,6 +288,18 @@ def grid_torsion(grid: JGrid, node: tuple[int, ...]) -> np.ndarray:
     return -0.5 * np.einsum("km,amy->aky", j[node], dj)
 
 
+def _energy(values: np.ndarray, modes: tuple[np.ndarray, ...], vol: float) -> tuple[float, np.ndarray]:
+    """⅛ h^dim sum_nodes sum_x |D_x J|^2 and the packed transform it read."""
+    deriv_sq, fhat = _dirichlet_modes(values, modes)
+    return 0.125 * vol * deriv_sq, fhat
+
+
+def _gradient(values: np.ndarray, fhat: np.ndarray, modes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """[J, lap J] / 4 from the packed transform of J."""
+    lap = _skew_laplacian(fhat, modes)
+    return 0.25 * (values @ lap - lap @ values)
+
+
 def energy(grid: JGrid) -> float:
     """Total bending ½ sum_nodes |xi|^2 h^dim over the flat volume.
 
@@ -299,12 +307,11 @@ def energy(grid: JGrid) -> float:
     grid sum is evaluated through Parseval for the identical stencil.
     """
     modes = _mode_weights(grid.resolution, grid.dim, grid.spacing)
-    deriv_sq, _ = _dirichlet_modes(grid.values, modes)
-    return 0.125 * grid.spacing**grid.dim * deriv_sq
+    return _energy(grid.values, modes, grid.spacing**grid.dim)[0]
 
 
 def gradient(grid: JGrid) -> np.ndarray:
-    """The discrete d*xi field, shape grid + (dim, dim).
+    """The discrete d*xi field, shape grid + (dim, dim): the descent's own.
 
     [J, lap J] / 4 with the composed central-difference Laplacian; this
     is the exact L2 gradient of ``energy`` for variations
@@ -312,10 +319,8 @@ def gradient(grid: JGrid) -> np.ndarray:
     ``calibrate_sign``.  Each node value is skew and anticommutes with
     J, so the field is u(n)-perp valued by construction.
     """
-    j = grid.values
     modes = _mode_weights(grid.resolution, grid.dim, grid.spacing)
-    lap = _skew_laplacian(_dirichlet_modes(j, modes)[1], modes)
-    return 0.25 * (j @ lap - lap @ j)
+    return _gradient(grid.values, _dirichlet_modes(grid.values, modes)[1], modes)
 
 
 def l2_norm(grid: JGrid, field: np.ndarray) -> float:
@@ -357,24 +362,31 @@ def _cayley(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rhs.reshape(d * d, -1).T).reshape(a.shape)
 
 
+def _retract(values: np.ndarray, g: np.ndarray, step: float) -> tuple[np.ndarray, float]:
+    """q J q^T for the Cayley factor q of step * g, polar-projected, and the drift removed (at most
+    DRIFT_TOL).  step * g and q^T die right after use: kept alive, they made glibc re-fault the heap."""
+    q = _cayley(step * g)
+    values, drift = _nearest_structure(q @ values @ np.ascontiguousarray(np.swapaxes(q, -1, -2)))
+    if drift > DRIFT_TOL:
+        raise DriftError(f"per-step drift {drift:.3e} exceeds {DRIFT_TOL}")
+    return values, drift
+
+
 def variation(grid: JGrid, phi: np.ndarray, eps: float) -> JGrid:
-    """The varied grid q J q^T through the descent's retraction q = _cayley(eps phi):
-    exactly orthogonal and exp(eps phi) + O(eps^3), so both variations are exp's."""
-    q = _cayley(eps * phi)
-    values = q @ grid.values @ np.swapaxes(q, -1, -2)
-    return JGrid(grid.n, grid.resolution, values)
+    """The descent's step along ``phi`` of size ``eps``, bit for bit: its Cayley factor is
+    exp(eps phi) + O(eps^3), so both variations are exp's up to the projection's roundoff."""
+    return JGrid(grid.n, grid.resolution, _retract(grid.values, phi, eps)[0])
 
 
-def directional_check(grid: JGrid, phi: np.ndarray, eps: float = 1e-4) -> dict:
+def directional_check(grid: JGrid, phi: np.ndarray) -> dict:
     """Symmetric-difference slope of the energy against the gradient pairing."""
-    slope = (energy(variation(grid, phi, eps)) - energy(variation(grid, phi, -eps))) / (
-        2.0 * eps
-    )
+    e_plus, e_minus = (energy(variation(grid, phi, eps)) for eps in (PROBE_EPS, -PROBE_EPS))
+    slope = (e_plus - e_minus) / (2.0 * PROBE_EPS)
     pairing = float(grid.spacing**grid.dim * np.sum(gradient(grid) * phi))
     return {"slope": slope, "pairing": pairing}
 
 
-def calibrate_sign(grid: JGrid, seed: int = 0, eps: float = 1e-4) -> float:
+def calibrate_sign(grid: JGrid) -> float:
     """The global sign s with slope = -s * pairing, fixed empirically.
 
     One directional-derivative probe pins the bundle-identification
@@ -383,8 +395,7 @@ def calibrate_sign(grid: JGrid, seed: int = 0, eps: float = 1e-4) -> float:
     matches neither sign is a fault of the package
     (``InternalConventionError``).
     """
-    phi = random_uperp_field(grid, seed)
-    rec = directional_check(grid, phi, eps)
+    rec = directional_check(grid, random_uperp_field(grid, 0))
     if abs(rec["pairing"]) < 1e-14:
         raise GridError("sign calibration needs a non-critical grid")
     s = -1.0 if rec["slope"] * rec["pairing"] > 0 else 1.0
@@ -393,13 +404,13 @@ def calibrate_sign(grid: JGrid, seed: int = 0, eps: float = 1e-4) -> float:
     return s
 
 
-def random_uperp_field(grid: JGrid, seed: int, terms: int = 3) -> np.ndarray:
-    """A smooth per-node u(n)-perp direction field for variation tests."""
+def random_uperp_field(grid: JGrid, seed: int) -> np.ndarray:
+    """A smooth per-node u(n)-perp direction field: three sine profiles."""
     rng = np.random.default_rng(seed)
     dim = grid.dim
     pts = grid.node_points()
     out = np.zeros(pts.shape[:-1] + (dim, dim))
-    for _ in range(terms):
+    for _ in range(3):
         a = rng.standard_normal((dim, dim))
         a = 0.5 * (a - a.T)
         coefs = rng.uniform(-1.0, 1.0, dim)
@@ -458,10 +469,10 @@ def descend(
 ) -> FlowResult:
     """Armijo-backtracked gradient descent of the total bending.
 
-    Each iteration recomputes d*xi, steps along it through the Cayley
-    retraction (exactly structure preserving), and re-projects every
-    trial before its Armijo test; the drift removed by re-projection
-    must stay below DRIFT_TOL.  The accepted trial is therefore exactly
+    Each iteration recomputes d*xi (``_gradient``), steps along it by
+    ``_retract`` (the exactly orthogonal Cayley step, re-projected with
+    drift below DRIFT_TOL; ``variation`` is this step) and Armijo-tests
+    the trial's ``_energy``.  The accepted trial is therefore exactly
     the next state, and its skew-packed transform and energy carry over:
     an accepted step costs one forward and one inverse transform.  A
     step shrinking past STEP_FLOOR reports a stall instead of
@@ -473,16 +484,13 @@ def descend(
     converged = stalled = False
     message = ""
     max_drift = 0.0
-    res, dim, h = grid.resolution, grid.dim, grid.spacing
-    vol = h**dim
-    modes = _mode_weights(res, dim, h)
+    vol = grid.spacing**grid.dim
+    modes = _mode_weights(grid.resolution, grid.dim, grid.spacing)
     vals = grid.values
-    deriv_sq, fhat = _dirichlet_modes(vals, modes)
-    e = 0.125 * vol * deriv_sq
+    e, fhat = _energy(vals, modes, vol)
 
     for iteration in range(max_iter + 1):
-        lap = _skew_laplacian(fhat, modes)
-        g = 0.25 * (vals @ lap - lap @ vals)
+        g = _gradient(vals, fhat, modes)
         g_sq = float(np.sum(g * g))
         gnorm = float(np.sqrt(vol * g_sq))
         millis = 1e3 * (time.perf_counter() - t0)
@@ -498,13 +506,8 @@ def descend(
         slope = vol * g_sq
         step = step0
         while True:
-            q = _cayley(step * g)
-            qt = np.ascontiguousarray(np.swapaxes(q, -1, -2))
-            trial, drift = _nearest_structure(q @ vals @ qt)
-            if drift > DRIFT_TOL:
-                raise DriftError(f"per-step drift {drift:.3e} exceeds {DRIFT_TOL}")
-            trial_sq, trial_hat = _dirichlet_modes(trial, modes)
-            trial_e = 0.125 * vol * trial_sq
+            trial, drift = _retract(vals, g, step)
+            trial_e, trial_hat = _energy(trial, modes, vol)
             if trial_e <= e - ARMIJO_DECREASE * step * slope:
                 break
             step *= ARMIJO_SHRINK
@@ -520,7 +523,7 @@ def descend(
         vals, fhat, e = trial, trial_hat, trial_e
 
     # the last g is the gradient of vals: the same transform of the same values
-    grid = JGrid(grid.n, res, vals)
+    grid = JGrid(grid.n, grid.resolution, vals)
     return FlowResult(
         grid=grid,
         trace=trace,
@@ -533,15 +536,15 @@ def descend(
     )
 
 
-def hessian_form(grid: JGrid, phi: np.ndarray, tol_grad: float = 1e-5) -> dict:
+def hessian_form(grid: JGrid, phi: np.ndarray) -> dict:
     """Second variation sum (|grad phi|^2 - 2 |[xi, phi]|^2) h^dim.
 
     Only meaningful at a critical grid (the locally symmetric form of
-    the second-variation formula), so a gradient norm at or above
-    10 * tol_grad yields an inapplicable marker instead of a value.
+    the second-variation formula), so a gradient norm at or above 1e-4
+    yields an inapplicable marker instead of a value.
     """
     gnorm = l2_norm(grid, gradient(grid))
-    if gnorm >= 10.0 * tol_grad:
+    if gnorm >= 1e-4:
         return {
             "applicable": False,
             "reason": f"grid is not critical: grad norm {gnorm:.3e}",

@@ -341,12 +341,6 @@ def minimal_derivative_jets(t: JetField, variance: str, sj: StructureJets) -> Je
 # -- structure factories ---------------------------------------------------
 
 
-def _pack_jets(space, entries) -> JetField:
-    """A matrix field from rows of equally shaped scalar fields."""
-    rows = [np.stack([e.data for e in row], axis=-2) for row in entries]
-    return JetField(space, np.stack(rows, axis=-3))
-
-
 def _givens_product(space, point, pairs, params, amplitude) -> JetField:
     """Product of Givens rotations with trigonometric angle fields.
 
@@ -362,15 +356,11 @@ def _givens_product(space, point, pairs, params, amplitude) -> JetField:
             term = (x.entry(k) + float(phases[k])).fn("sin") * float(coefs[k] * amplitude)
             theta = term if theta is None else theta + term
         c, s = theta.fn("cos"), theta.fn("sin")
-        zero = theta * 0.0
-        entries = [[zero] * m for _ in range(m)]
-        for r in range(m):
-            entries[r][r] = zero + 1.0
-        entries[i][i] = c
-        entries[j][j] = c
-        entries[i][j] = s * (-1.0)
-        entries[j][i] = s
-        q = jet_einsum("ik,kj->ij", q, _pack_jets(space, entries))
+        factor = JetField.constants(space, np.broadcast_to(np.eye(m), theta.shape + (m, m)))
+        factor.data[..., i, i, :] = factor.data[..., j, j, :] = c.data
+        factor.data[..., i, j, :] = -s.data
+        factor.data[..., j, i, :] = s.data
+        q = jet_einsum("ik,kj->ij", q, factor)
     return q
 
 
@@ -439,15 +429,14 @@ def random_curved_structure(
     def a_jets(space, p):
         q = _givens_product(space, p, pairs, params, amplitude)
         x = JetField.variables(space, p)
-        diag = []
+        diag = JetField.zeros(space, q.shape)
         for i in range(m):
             mu = None
             for k in range(m):
                 term = (x.entry(k) + float(mu_phases[i, k])).fn("sin") * float(mu_coefs[i, k])
                 mu = term if mu is None else mu + term
-            diag.append(mu.fn("exp"))
-        rows = [[diag[i] if i == j else diag[i] * 0.0 for j in range(m)] for i in range(m)]
-        return jet_einsum("ik,kj->ij", q, _pack_jets(space, rows))
+            diag.data[..., i, i, :] = mu.fn("exp").data
+        return jet_einsum("ik,kj->ij", q, diag)
 
     def g_evaluator(p):
         space = jet_space(m, degree)

@@ -306,9 +306,11 @@ SMALL_FLOW = {"schema": 1, "command": "flow", "flow": {"seed": 7, "n": 2, "m": 4
     "name, scale, message",
     [
         ("gradient", 2.0, "directional derivative disagrees with the gradient pairing"),
+        # the descent's own gradient kernel, which the probe shares
+        ("_gradient", 2.0, "directional derivative disagrees with the gradient pairing"),
         ("_cayley", 2.5, "polar projection did not converge"),
     ],
-    ids=["gradient", "polar"],
+    ids=["gradient", "loop_gradient", "polar"],
 )
 def test_flow_kernel_faults_exit_5(tmp_path, capsys, monkeypatch, name, scale, message):
     # a gradient off the energy's slope, or a step too far from the
@@ -649,6 +651,7 @@ def test_seed_override_moves_sample_points(tmp_path, capsys):
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # (golden file, command, geometry, count, seed, exit code)
+CONF3 = {"type": "conformal", "n": 3, "f": "sin(x1)*cos(x2)", "periodic": True}
 GOLDEN_RUNS = [
     ("inspect_s6.json", "inspect", {"type": "s6"}, 3, 1, 0),
     ("verify_hopf.json", "verify", {"type": "hopf", "n": 2}, 6, 1, 0),
@@ -660,6 +663,24 @@ GOLDEN_RUNS = [
         1,
         0,
     ),
+    # the parity configs: jet-kernel, per-point and conformal paths
+    ("inspect_s6_8.json", "inspect", {"type": "s6"}, 8, 1, 0),
+    ("verify_hopf_72.json", "verify", {"type": "hopf", "n": 2}, 72, 11, 0),
+    ("classify_hopf_72.json", "classify", {"type": "hopf", "n": 2}, 72, 11, 0),
+    ("verify_s6.json", "verify", {"type": "s6"}, 4, 3, 0),
+    ("classify_s6.json", "classify", {"type": "s6"}, 5, 2, 0),
+    ("inspect_conf3.json", "inspect", CONF3, 3, 2, 0),
+    ("classify_conf3.json", "classify", CONF3, 3, 2, 0),
+    (
+        "verify_conf2_70.json",
+        "verify",
+        {"type": "conformal", "n": 2, "f": "sin(x1)", "periodic": True},
+        70,
+        1,
+        0,
+    ),
+    ("inspect_flat1.json", "inspect", {"type": "flat", "n": 1}, 3, 0, 0),
+    ("inspect_flat2.json", "inspect", {"type": "flat", "n": 2}, 3, 0, 0),
 ]
 
 

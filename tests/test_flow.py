@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from torsionflow.flow import (
+    DriftError,
     GridError,
     JGrid,
     bracket_u_defect,
@@ -37,9 +38,9 @@ QUAD_ENERGY = 125.3631136398
 
 def test_jgrid_validation():
     with pytest.raises(GridError):
-        JGrid.constant(2, 2)
+        JGrid(2, 2, np.zeros((2, 2, 2, 2, 4, 4)))
     with pytest.raises(GridError):
-        JGrid.constant(0, 8)
+        JGrid(0, 8, np.zeros(0))
     with pytest.raises(GridError):
         JGrid(2, 8, np.zeros((8, 8, 8, 8, 4, 4)))
     values = np.broadcast_to(np.eye(4), (8, 8, 8, 8, 4, 4)).copy()
@@ -50,7 +51,7 @@ def test_jgrid_validation():
 
 
 def test_grid_geometry_accessors():
-    g = JGrid.constant(1, 6)
+    g = random_grid(0, 1, 6, 0.0)
     assert g.dim == 2
     assert g.node_count() == 36
     assert abs(g.spacing - np.pi / 3) < 1e-15
@@ -61,7 +62,7 @@ def test_grid_geometry_accessors():
 
 
 def test_constant_grid_is_critical():
-    g = JGrid.constant(2, 8)
+    g = random_grid(0, 2, 8, 0.0)
     assert energy(g) == 0.0
     assert np.abs(gradient(g)).max() == 0.0
     assert np.abs(torsion_field(g)).max() == 0.0
@@ -185,7 +186,7 @@ def test_directional_derivative_matches_pairing():
         rec = directional_check(g, phi)
         assert abs(rec["slope"] + rec["pairing"]) < 1e-6 * abs(rec["pairing"])
     with pytest.raises(GridError):
-        calibrate_sign(JGrid.constant(2, 8))
+        calibrate_sign(random_grid(0, 2, 8, 0.0))
 
 
 def test_uperp_projection_and_bracket_closure():
@@ -222,7 +223,7 @@ def test_reprojection_removes_drift():
 
 
 def test_descend_from_kahler_terminates_immediately():
-    result = descend(JGrid.constant(2, 8))
+    result = descend(random_grid(0, 2, 8, 0.0))
     assert result.converged and not result.stalled
     assert len(result.trace) == 1
     assert result.trace[0].energy == 0.0
@@ -262,8 +263,18 @@ def test_descend_rejects_drift_above_tolerance(monkeypatch):
 
     cayley = flow._cayley
     monkeypatch.setattr(flow, "_cayley", lambda a: (1.0 + 1e-6) * cayley(a))
-    with pytest.raises(GridError, match="drift"):
+    with pytest.raises(DriftError, match="drift"):
         descend(random_grid(7, 2, 6), max_iter=2)
+
+
+def test_variation_is_the_descent_step():
+    # the probe's step is the descent's: the same Cayley factor, the same
+    # contiguous transpose and the same polar projection, bit for bit
+    grid = random_grid(7, 2, 8)
+    result = descend(grid, max_iter=1)
+    step = result.trace[0].step
+    assert step == 0.01
+    assert result.grid.values.tobytes() == variation(grid, gradient(grid), step).values.tobytes()
 
 
 def _solve_cayley(a):
@@ -378,7 +389,7 @@ def test_structure_defect_measures_jt_j_not_j_jt():
     # J = S J0 S^-1 with S not orthogonal: J^2 = -Id to roundoff, but
     # J^T J and J J^T miss Id by different amounts (8.90587e-3 and
     # 8.90591e-3), so a transposition slip in the defect shows
-    j0 = JGrid.constant(2, 4).values
+    j0 = random_grid(0, 2, 4, 0.0).values
     s = np.eye(4) + 1e-3 * np.random.default_rng(0).standard_normal(j0.shape)
     j = s @ j0 @ np.linalg.inv(s)
     eye = np.eye(4)
@@ -396,7 +407,7 @@ def test_terminal_gradient_is_the_loop_gradient():
     for grid, kwargs in (
         (random_grid(3, 2, 8), {"max_iter": 3}),
         (random_grid(5, 3, 4), {"max_iter": 4}),
-        (JGrid.constant(2, 8), {}),
+        (random_grid(0, 2, 8, 0.0), {}),
     ):
         result = descend(grid, **kwargs)
         terminal = gradient(result.grid)
@@ -414,7 +425,7 @@ def test_descend_reports_budget_exhaustion():
 
 
 def test_l2_norm_and_pointwise_norms():
-    g = JGrid.constant(2, 8)
+    g = random_grid(0, 2, 8, 0.0)
     field = np.ones(g.values.shape)
     # sum field^2 = N * 16, L2 norm = 4 sqrt(N h^4) = 4 (2 pi)^2
     assert abs(l2_norm(g, field) - 16.0 * np.pi**2) < 1e-10
@@ -430,7 +441,7 @@ def test_hessian_requires_a_critical_grid():
 
 
 def test_hessian_at_kahler_matches_second_difference():
-    k = JGrid.constant(2, 8)
+    k = random_grid(0, 2, 8, 0.0)
     phi = random_uperp_field(k, 5)
     rec = hessian_form(k, phi)
     assert rec["applicable"] is True
