@@ -200,7 +200,7 @@ def _constant(value: np.ndarray) -> Evaluator:
     return evaluate
 
 
-def flat_kahler(n: int, degree: int = MIN_JET_DEGREE) -> GeometrySpec:
+def flat_kahler(n: int) -> GeometrySpec:
     """Flat metric with the standard block J on R^{2n}."""
     if n < 1:
         raise GeometryError("flat_kahler needs n >= 1")
@@ -211,7 +211,6 @@ def flat_kahler(n: int, degree: int = MIN_JET_DEGREE) -> GeometrySpec:
         j=_constant(standard_j(n)),
         domain=((-np.pi, np.pi),) * (2 * n),
         periodic=True,
-        degree=degree,
         metadata=_KAHLER_META,
     )
 

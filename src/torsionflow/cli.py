@@ -1,11 +1,13 @@
 """Batch front end: JSON configs in, machine-readable reports out.
 
-Four commands share one strict config schema.  ``inspect`` runs the
-full residual suite over sampled points, ``verify`` checks the tensor
-identities and the harmonicity verdict coupling, ``classify`` reports
-the Gray-Hervella label, and ``flow`` descends the discrete energy and
-writes its trace.  Reports are deterministic for a fixed config and
-seed; every float is serialized with 17 significant digits.
+Four commands share one strict config schema, each section checked by
+``_fields``.  ``inspect`` runs the full residual suite over sampled
+points, ``verify`` checks the tensor identities and the harmonicity
+verdict coupling, ``classify`` reports the Gray-Hervella label (the
+three build one report layout, ``_report``), and ``flow`` probes its
+gradient, descends the discrete energy and writes its trace.  Reports
+are deterministic for a fixed config and seed; every float is
+serialized with 17 significant digits.
 
 Exit codes: 0 pass, 1 residual failure, 2 config error (including
 undecodable JSON, a seed outside 0..MAX_SEED = 2^63 - 1, a points count
@@ -38,7 +40,9 @@ import numpy as np
 from .catalog import build_structure, sample_points, spec_from_config
 from .diagnostics import IDENTITY_NAMES, ROUTE_NAMES, classify_gh, gh_label, run_diagnostics
 from .exprlang import EvalError, ParseError
-from .flow import GridError, calibrate_sign, descend, grid_payload, random_grid, write_trace_csv
+from .flow import (
+    GridError, calibrate_sign, descend, gradient, grid_payload, l2_norm, random_grid, write_trace_csv,
+)
 from .geometry import GeometryError
 from .unstruct import InternalConventionError
 
@@ -65,12 +69,8 @@ MAX_GRID_ENTRIES = 2**24
 # descent iterations; descend keeps one trace row per iteration
 MAX_ITER = 10**5
 
-_TOP_KEYS = {
-    "inspect": ("schema", "command", "geometry", "points", "tol"),
-    "verify": ("schema", "command", "geometry", "points", "tol"),
-    "classify": ("schema", "command", "geometry", "points", "tol"),
-    "flow": ("schema", "command", "flow", "tol"),
-}
+# top-level fields besides the command's sections
+_TOP_KEYS = ("schema", "command", "tol")
 _POINT_KEYS = ("count", "seed")
 _FLOW_KEYS = ("seed", "n", "m", "amplitude", "max_iter", "tol_grad")
 
@@ -108,22 +108,27 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _check_schema(cfg: dict, command: str) -> None:
-    allowed = _TOP_KEYS[command]
-    unknown = [k for k in cfg if k not in allowed]
+def _fields(section, name: str, allowed) -> dict:
+    """``section``, checked to be an object with only ``allowed`` fields."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"\"{name}\" must be an object")
+    unknown = [k for k in section if k not in allowed]
     if unknown:
-        raise ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown {name} fields: {', '.join(sorted(unknown))}")
+    return section
+
+
+def _check_schema(cfg: dict, command: str) -> None:
+    sections = ("flow",) if command == "flow" else ("geometry", "points")
+    _fields(cfg, "config", _TOP_KEYS + sections)
     if cfg.get("schema") != 1:
         raise ConfigError("config needs \"schema\": 1")
     if "command" in cfg and cfg["command"] != command:
         raise ConfigError(
             f"config is for command {cfg['command']!r}, not {command!r}"
         )
-    if command == "flow":
-        if "flow" not in cfg:
-            raise ConfigError("flow command needs a \"flow\" section")
-    elif "geometry" not in cfg:
-        raise ConfigError(f"{command} command needs a \"geometry\" section")
+    if sections[0] not in cfg:
+        raise ConfigError(f"{command} command needs a \"{sections[0]}\" section")
 
 
 def _is_finite_number(value) -> bool:
@@ -174,12 +179,7 @@ def _float_field(section: dict, key: str, default):
 
 def _resolve_points(cfg: dict, seed_override) -> tuple[int, int]:
     """The points count and seed, checked before any work is done."""
-    section = cfg.get("points", {})
-    if not isinstance(section, dict):
-        raise ConfigError("\"points\" must be an object")
-    unknown = [k for k in section if k not in _POINT_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown points fields: {', '.join(sorted(unknown))}")
+    section = _fields(cfg.get("points", {}), "points", _POINT_KEYS)
     count = _int_field(section, "count", default=20, minimum=1, maximum=MAX_POINTS)
     return count, _resolve_seed(section, seed_override)
 
@@ -226,15 +226,30 @@ def render_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _ascii(label: str) -> str:
-    return unicodedata.normalize("NFKD", label).encode("ascii", "ignore").decode()
-
-
-def _geometry_echo(cfg: dict) -> dict:
-    return dict(cfg["geometry"])
-
-
 # -- commands ---------------------------------------------------------------
+
+
+def _class_match(spec, label: str) -> tuple:
+    """The spec's expected class and whether ``label`` is it, or two Nones."""
+    expected = spec.metadata.get("expected_class")
+    if expected is None:
+        return None, None
+    ascii_label = unicodedata.normalize("NFKD", str(expected)).encode("ascii", "ignore").decode()
+    return expected, ascii_label == label
+
+
+def _report(cfg: dict, command: str, tol: float, count: int, body: dict, summary: dict, ok: bool):
+    """The payload every diagnostics command writes, and its exit code:
+    ``body``'s keys follow the geometry, ``summary``'s the count."""
+    payload = {
+        "schema": 1,
+        "geometry": dict(cfg["geometry"]),
+        "sign_audit": "paper-convention",
+        **body,
+        "summary": {"command": command, "tol": tol, "count": count, **summary},
+        "pass": ok,
+    }
+    return payload, EXIT_PASS if ok else EXIT_RESIDUAL
 
 
 def _run_inspect(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
@@ -251,36 +266,19 @@ def _run_inspect(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
         for p, rec, norms in zip(pts, report.records, normalized)
     ]
     label = gh_label(np.max(normalized, axis=0), tol)
-
-    expected_zero = tuple(spec.metadata.get("expected_zero", ()))
-    expected_class = spec.metadata.get("expected_class")
-    checked = list(IDENTITY_NAMES) + [k for k in expected_zero]
-    ok = all(report.passes[k] for k in checked)
-    class_match = None
-    if expected_class is not None:
-        class_match = _ascii(str(expected_class)) == label
-        ok = ok and class_match
-
-    payload = {
-        "schema": 1,
-        "geometry": _geometry_echo(cfg),
-        "sign_audit": "paper-convention",
-        "points": point_rows,
-        "summary": {
-            "command": "inspect",
-            "tol": tol,
-            "count": len(point_rows),
-            "label": label,
-            "expected_class": expected_class,
-            "class_match": class_match,
-            "checked": checked,
-            "max_residuals": dict(report.max_residuals),
-            "passes": dict(report.passes),
-            "metadata": dict(report.metadata),
-        },
-        "pass": ok,
+    expected_class, class_match = _class_match(spec, label)
+    checked = list(IDENTITY_NAMES) + list(spec.metadata.get("expected_zero", ()))
+    ok = all(report.passes[k] for k in checked) and class_match is not False
+    summary = {
+        "label": label,
+        "expected_class": expected_class,
+        "class_match": class_match,
+        "checked": checked,
+        "max_residuals": dict(report.max_residuals),
+        "passes": dict(report.passes),
+        "metadata": dict(report.metadata),
     }
-    return payload, EXIT_PASS if ok else EXIT_RESIDUAL
+    return _report(cfg, "inspect", tol, len(pts), {"points": point_rows}, summary, ok)
 
 
 def _run_verify(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
@@ -315,55 +313,20 @@ def _run_verify(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
         checks.append({"name": name, "value": value, "pass": value < tol})
 
     ok = all(c["pass"] for c in checks)
-    payload = {
-        "schema": 1,
-        "geometry": _geometry_echo(cfg),
-        "sign_audit": "paper-convention",
-        "checks": checks,
-        "summary": {
-            "command": "verify",
-            "tol": tol,
-            "count": len(pts),
-            "coupled_residuals": list(_COUPLED),
-        },
-        "pass": ok,
-    }
-    return payload, EXIT_PASS if ok else EXIT_RESIDUAL
+    summary = {"coupled_residuals": list(_COUPLED)}
+    return _report(cfg, "verify", tol, len(pts), {"checks": checks}, summary, ok)
 
 
 def _run_classify(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
     spec, structure, pts = _prepare(cfg, seed_override)
     verdict = classify_gh(structure, pts, tol)
-    expected = spec.metadata.get("expected_class")
-    match = None
-    if expected is not None:
-        match = _ascii(str(expected)) == verdict["label"]
-    ok = match is not False
-    payload = {
-        "schema": 1,
-        "geometry": _geometry_echo(cfg),
-        "sign_audit": "paper-convention",
-        "label": verdict["label"],
-        "component_norms": verdict["component_norms"],
-        "summary": {
-            "command": "classify",
-            "tol": tol,
-            "count": len(pts),
-            "expected_class": expected,
-            "class_match": match,
-        },
-        "pass": ok,
-    }
-    return payload, EXIT_PASS if ok else EXIT_RESIDUAL
+    expected, match = _class_match(spec, verdict["label"])
+    summary = {"expected_class": expected, "class_match": match}
+    return _report(cfg, "classify", tol, len(pts), verdict, summary, match is not False)
 
 
 def _run_flow(cfg: dict, tol: float, seed_override, out) -> tuple[dict, int]:
-    section = cfg["flow"]
-    if not isinstance(section, dict):
-        raise ConfigError("\"flow\" must be an object")
-    unknown = [k for k in section if k not in _FLOW_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown flow fields: {', '.join(sorted(unknown))}")
+    section = _fields(cfg["flow"], "flow", _FLOW_KEYS)
     seed = _resolve_seed(section, seed_override)
     n = _int_field(section, "n", default=2, minimum=1)
     m = _int_field(section, "m", default=None)
@@ -380,9 +343,11 @@ def _run_flow(cfg: dict, tol: float, seed_override, out) -> tuple[dict, int]:
         )
 
     grid = random_grid(seed, n, m, amplitude)
+    # the probe first, so a gradient off the energy's slope stops the run
+    # before the descent; the norm is the one of the trace's first row
+    sign = calibrate_sign(grid) if l2_norm(grid, gradient(grid)) > 1e-10 else None
     result = descend(grid, max_iter=max_iter, tol_grad=tol_grad)
     start = result.trace[0]  # the starting grid's energy and gradient norm
-    sign = calibrate_sign(grid) if start.grad_norm > 1e-10 else None
     energies = [row.energy for row in result.trace]
     monotone = all(b <= a for a, b in zip(energies, energies[1:]))
 

@@ -18,10 +18,11 @@ Conventions follow the rest of the package: R(X,Y) = nabla_[X,Y] -
 [nabla_X, nabla_Y], omega(X,Y) = <X, JY>, xi_X = -1/2 J (nabla_X J),
 and tensor inner products contract every slot in an orthonormal frame.
 
-``run_diagnostics`` and ``classify_gh`` evaluate the points in chunks,
-each one ``StructureJets`` on a block of points (CHUNK_ENTRIES bounds
-its memory); the suites return one value per point, and the per-point
-functions below are chunks of one point.
+``run_diagnostics`` and ``classify_gh`` evaluate the points in chunks
+(CHUNK_ENTRIES bounds their memory).  Each chunk is one object, a
+``StructureJets`` of a block of points that also memoizes the frame
+arrays the suites share; the suites return one value per point, and
+the per-point functions below are chunks of one point.
 
 Kept for the tests only: the theorem checks ``class_criteria``,
 ``w1w4_laplacian_residual``, ``nearly_kahler_suite`` and
@@ -74,6 +75,9 @@ __all__ = [
 
 # Independent computation routes must agree this closely (times scale).
 ROUTE_TOL = 1e-8
+
+# The theorem checks' hypotheses and verdicts hold within this (times scale).
+THEOREM_TOL = 1e-6
 
 # Points evaluated together: about this many entries of a rank-4 jet
 # (dim^4 entries of ncoeff coefficients) per chunk.  At MIN_JET_DEGREE
@@ -128,49 +132,45 @@ def _fro(a: np.ndarray, lead: int = 1) -> np.ndarray:
     return np.sqrt(np.sum(a**2, axis=tuple(range(lead, a.ndim))))
 
 
-class _PointData:
-    """Frame-component arrays shared by the diagnostics on a chunk of points.
+class _PointData(StructureJets):
+    """The jets of a chunk of points with the diagnostics' frame arrays.
 
-    Everything here is plain numpy in the orthonormal frames of the
-    structure's FramePack, one leading axis over the chunk's points, so
-    residual norms are frame-rotation invariant by construction.  Each
-    derived quantity is built once, on first use, like the jets of
-    ``StructureJets``; the suites return one value per point.
+    Everything added here is plain numpy in the orthonormal frames of
+    ``framepack``, one leading axis over the chunk's points, so residual
+    norms are frame-rotation invariant by construction.  Each derived
+    quantity is built once, on first use, like the jets; the suites
+    return one value per point.
     """
 
-    def __init__(self, sj: StructureJets):
-        self.sj = sj
-        self.n = sj.n
-        self.dim = sj.dim
-        self.fp: FramePack = sj.framepack
-        self.jf = sj.j_frame
-        self.xiF = sj.xi_frame
-        self.ell = sj.lee_frame
+    def __init__(self, structure: AlmostHermitianStructure, points: np.ndarray):
+        super().__init__(structure, points)
+        # the frame layer's checks run before the curvature's
+        self.j_frame, self.xi_frame, self.lee_frame
         # rflat frame: RF[x, y, z, w] = <R(e_x, e_y) e_z, e_w>
-        self.RF = self.fp.to_frame(sj.curv.rflat.value, "dddd")
-        self.scale = 1.0 + _fro(self.xiF) + _fro(self.RF)
+        self.RF = self.framepack.to_frame(self.curv.rflat.value, "dddd")
+        self.scale = 1.0 + _fro(self.xi_frame) + _fro(self.RF)
         # an infinite scale would pass every residual
-        sj.fail(~np.isfinite(self.scale), GeometryError, "torsion and curvature norms overflow float64")
+        self.fail(~np.isfinite(self.scale), GeometryError, "torsion and curvature norms overflow float64")
 
     def check_route(self, gap: np.ndarray, what: str) -> None:
         """Two routes to one quantity agree within ROUTE_TOL * scale."""
-        self.sj.fail(gap > ROUTE_TOL * self.scale, InternalConventionError, what)
+        self.fail(gap > ROUTE_TOL * self.scale, InternalConventionError, what)
 
     @cached_property
     def F(self) -> np.ndarray:
         """nabla xi frame: F[k, s, a, c] = <(nabla_{e_c} xi)_{e_s} e_a, e_k>."""
-        return self.fp.to_frame(self.sj.nabla_xi.value, "uddd")
+        return self.framepack.to_frame(self.nabla_xi.value, "uddd")
 
     @cached_property
     def minimal_xi(self) -> np.ndarray:
         """G[k, s, a, c] = <(nabla^{U(n)}_{e_c} xi)_{e_s} e_a, e_k>."""
         # only the value is read, so xi to first order suffices
-        jets = minimal_derivative_jets(self.sj.xi.truncate(1), "udd", self.sj)
-        return self.fp.to_frame(jets.value, "uddd")
+        jets = minimal_derivative_jets(self.xi.truncate(1), "udd", self)
+        return self.framepack.to_frame(jets.value, "uddd")
 
     @cached_property
     def component_norms(self) -> np.ndarray:
-        return np.stack([_fro(c) for c in self.sj.gh_frame], axis=-1)
+        return np.stack([_fro(c) for c in self.gh_frame], axis=-1)
 
     @cached_property
     def coderivative(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,49 +181,47 @@ class _PointData:
         gap = point_max(d1 - d2, 1)
         self.check_route(gap, "d*xi routes disagree")
         # membership in u(n)-perp: the J-commuting half must vanish
-        u_def = point_max(0.5 * (d1 - self.jf @ d1 @ self.jf), 1)
+        u_def = point_max(0.5 * (d1 - self.j_frame @ d1 @ self.j_frame), 1)
         self.check_route(u_def, "d*xi has a u(n) component")
         return d1, gap, u_def
 
     @cached_property
     def harmonic_map_form(self) -> np.ndarray:
         """Frame components of the one-form <xi_{e_i}, R(e_i, X)>."""
-        return np.einsum("...ikm,...ixmk->...x", self.xiF, self.RF)
+        return np.einsum("...ikm,...ixmk->...x", self.xi_frame, self.RF)
 
     @cached_property
     def rperp(self) -> np.ndarray:
         """u(n)-perp part of the curvature endomorphisms R(e_x, e_y)."""
         # endo matrix of R(e_x, e_y): entries [k, m] = <R e_m, e_k>
         rend = permute(self.RF, (0, 1, 3, 2))
-        return 0.5 * (rend + np.einsum("...ka,...xyab,...bm->...xykm", self.jf, rend, self.jf))
+        return 0.5 * (rend + np.einsum("...ka,...xyab,...bm->...xykm", self.j_frame, rend, self.j_frame))
 
     @cached_property
     def star_ricci_frame(self) -> np.ndarray:
         """Ric* by contracting the frame curvature."""
-        return np.einsum("...xicd,...cy,...di->...xy", self.RF, self.jf, self.jf)
+        return np.einsum("...xicd,...cy,...di->...xy", self.RF, self.j_frame, self.j_frame)
 
     @cached_property
     def star_ricci_field(self) -> JetField:
         """Ric* as a coordinate jet field (degree limited by curvature)."""
-        sj = self.sj
-        t1 = jet_einsum("xacd,cy->xayd", sj.curv.rflat, sj.J)
-        t2 = jet_einsum("xayd,db->xayb", t1, sj.J)
-        return jet_einsum("ab,xayb->xy", sj.ginv, t2)
+        t1 = jet_einsum("xacd,cy->xayd", self.curv.rflat, self.J)
+        t2 = jet_einsum("xayd,db->xayb", t1, self.J)
+        return jet_einsum("ab,xayb->xy", self.ginv, t2)
 
     def lee_endo(self) -> np.ndarray:
         """Matrix of xi_{xi_{e_i} e_i} in the frame."""
-        return np.einsum("...a,...akm->...km", self.ell, self.xiF)
+        return np.einsum("...a,...akm->...km", self.lee_frame, self.xi_frame)
 
     @cached_property
     def laplacian_j(self) -> np.ndarray:
-        sj = self.sj
-        return self.fp.to_frame(rough_laplacian_jets(sj.nabla_J, "ud", sj.gamma, sj.ginv).value, "ud")
+        lap_j = rough_laplacian_jets(self.nabla_J, "ud", self.gamma, self.ginv)
+        return self.framepack.to_frame(lap_j.value, "ud")
 
     @cached_property
     def laplacian_omega(self) -> np.ndarray:
-        sj = self.sj
-        lap_om = rough_laplacian_jets(sj.nabla_omega, "dd", sj.gamma, sj.ginv)
-        lo = self.fp.to_frame(lap_om.value, "dd")
+        lap_om = rough_laplacian_jets(self.nabla_omega, "dd", self.gamma, self.ginv)
+        lo = self.framepack.to_frame(lap_om.value, "dd")
         # (nabla*nabla omega)(X, Y) = <X, (nabla*nabla J) Y>
         self.check_route(point_max(lo - self.laplacian_j, 1), "rough Laplacians of omega and J disagree")
         return lo
@@ -231,7 +229,7 @@ class _PointData:
 
 def _point_data(structure: AlmostHermitianStructure, p) -> _PointData:
     """A chunk of the one point ``p``: the per-point functions read index 0."""
-    return _PointData(structure.structure_jets(np.asarray(p, dtype=float)[None]))
+    return _PointData(structure, np.asarray(p, dtype=float)[None])
 
 
 def _chunk_size(structure: AlmostHermitianStructure) -> int:
@@ -251,7 +249,7 @@ def _chunked(structure: AlmostHermitianStructure, points: np.ndarray, evaluate) 
     for start in range(0, len(points), size):
         block = points[start : start + size]
         try:
-            out += evaluate(_PointData(structure.structure_jets(block)))
+            out += evaluate(_PointData(structure, block))
         except Exception:
             if len(block) > 1:
                 for p in block:
@@ -298,7 +296,7 @@ def coderivative_xi(structure: AlmostHermitianStructure, p) -> CoderivativeXi:
 
 
 def _section_residuals(pd: _PointData) -> dict[str, np.ndarray]:
-    xiF, RF, F = pd.xiF, pd.RF, pd.F
+    xiF, RF, F = pd.xi_frame, pd.RF, pd.F
 
     harmonic = _fro(pd.coderivative[0])
 
@@ -384,7 +382,7 @@ class StarRicci:
 def _star_ricci(pd: _PointData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ric* in the frame, its skew part and the skew part's route gap."""
     ric = pd.star_ricci_frame
-    jf, xiF = pd.jf, pd.xiF
+    jf, xiF = pd.j_frame, pd.xi_frame
     # Hermitian symmetry Ric*(JX, JY) = Ric*(Y, X) is a theorem; treat
     # violation as an internal layout bug.
     twisted = np.einsum("...ax,...by,...ab->...xy", jf, jf, ric)
@@ -392,7 +390,7 @@ def _star_ricci(pd: _PointData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     alt = 0.5 * (ric - permute(ric, (1, 0)))
 
     # independent route for the skew part through the minimal connection
-    jell = np.einsum("...km,...m->...k", jf, pd.ell)
+    jell = np.einsum("...km,...m->...k", jf, pd.lee_frame)
     m1 = np.einsum("...a,...akm->...km", jell, xiF)
     term1 = -np.einsum("...ym,...mx->...xy", m1, jf)
     term2 = np.einsum("...si,...ax,...ysai->...xy", jf, jf, pd.minimal_xi)
@@ -406,11 +404,11 @@ def star_ricci(structure: AlmostHermitianStructure, p) -> StarRicci:
     pd = _point_data(structure, p)
     ric, alt, gap = _star_ricci(pd)
     return StarRicci(
-        ric_star=pd.fp.from_frame(ric, "dd")[0],
+        ric_star=pd.framepack.from_frame(ric, "dd")[0],
         s_star=float(np.trace(ric[0])),
         sym=0.5 * (ric[0] + ric[0].T),
         alt=alt[0],
-        frame=FramePack(pd.fp.g[0], structure.rotation),
+        frame=FramePack(pd.framepack.g[0], structure.rotation),
         route_gap=float(gap[0]),
     )
 
@@ -419,7 +417,7 @@ def star_ricci(structure: AlmostHermitianStructure, p) -> StarRicci:
 
 
 def _hermitian_harmonicity(pd: _PointData) -> dict[str, np.ndarray]:
-    jf, xiF = pd.jf, pd.xiF
+    jf, xiF = pd.j_frame, pd.xi_frame
     lo, lj = pd.laplacian_omega, pd.laplacian_j
     comm = jf @ lj - lj @ jf
 
@@ -458,31 +456,30 @@ def _act_on_form(endo: np.ndarray, form: np.ndarray) -> np.ndarray:
 def _lee_dexterior_anti(pd: _PointData) -> np.ndarray:
     """dl(X, Y) - dl(JX, JY) in the frame, dl the exterior derivative of
     the Lee form."""
-    sj = pd.sj
-    ell_flat = jet_einsum("ky,k->y", sj.g, sj.lee_field)
+    ell_flat = jet_einsum("ky,k->y", pd.g, pd.lee_field)
     dal = ell_flat.grad().value  # dal[c, x] = d_x (ell_flat)_c
-    dl = pd.fp.to_frame(permute(dal, (1, 0)) - dal, "dd")
-    return dl - np.einsum("...ax,...by,...ab->...xy", pd.jf, pd.jf, dl)
+    dl = pd.framepack.to_frame(permute(dal, (1, 0)) - dal, "dd")
+    return dl - np.einsum("...ax,...by,...ab->...xy", pd.j_frame, pd.j_frame, dl)
 
 
 def _gh_trace_terms(pd: _PointData) -> list[np.ndarray]:
     """A_k[x, y] = <(nabla^{U(n)}_{e_i} xi_{(k)})_{e_i} e_x, e_y> for
     k = 1, 3, 4, the components the identities read."""
-    xi1, _, xi3, xi4 = pd.sj.gh_fields
+    xi1, _, xi3, xi4 = pd.gh_fields
     out = []
     for comp in (xi1, xi3, xi4):
-        gk = pd.fp.to_frame(minimal_derivative_jets(comp, "udd", pd.sj).value, "uddd")
+        gk = pd.framepack.to_frame(minimal_derivative_jets(comp, "udd", pd).value, "uddd")
         out.append(np.einsum("...yixi->...xy", gk))
     return out
 
 
 def _identity_suite(pd: _PointData) -> dict[str, np.ndarray]:
-    n, xiF, ell = pd.n, pd.xiF, pd.ell
+    n, xiF, ell = pd.n, pd.xi_frame, pd.lee_frame
     if n == 1:
         # xi vanishes identically in complex dimension one
         return {name: np.zeros(pd.scale.shape) for name in IDENTITY_NAMES}
 
-    xi1F, xi2F, xi3F, xi4F = pd.sj.gh_frame
+    xi1F, xi2F, xi3F, xi4F = pd.gh_frame
     a1, a3, a4 = _gh_trace_terms(pd)
 
     # (a) the ten-term combination forced by d^2 omega = 0
@@ -513,7 +510,7 @@ def _identity_suite(pd: _PointData) -> dict[str, np.ndarray]:
 
     # (c) rough Laplacian of omega through the minimal connection
     lo = pd.laplacian_omega
-    omf = pd.jf  # omega(e_x, e_y) = <e_x, J e_y> is the frame matrix of J
+    omf = pd.j_frame  # omega(e_x, e_y) = <e_x, J e_y> is the frame matrix of J
     d_endo = np.einsum("...kimi->...km", pd.minimal_xi)
     rhs = _act_on_form(d_endo, omf) + _act_on_form(pd.lee_endo(), omf)
     for i in range(pd.dim):
@@ -532,13 +529,13 @@ def _identity_suite(pd: _PointData) -> dict[str, np.ndarray]:
 
 
 def _star_ricci_divergence_defect(pd: _PointData) -> np.ndarray:
-    jf, xiF = pd.jf, pd.xiF
-    ric = pd.fp.to_frame(pd.star_ricci_field.value, "dd")
+    jf, xiF = pd.j_frame, pd.xi_frame
+    ric = pd.framepack.to_frame(pd.star_ricci_field.value, "dd")
     pd.check_route(point_max(ric - pd.star_ricci_frame, 1), "Ric* jet field disagrees with frame route")
 
     k = np.einsum("...ai,...akb,...bm->...ikm", jf, xiF, jf)
     t1 = 2.0 * np.einsum("...ixmk,...ikm->...x", pd.RF, k)
-    t2 = -4.0 * np.einsum("...xy,...y->...x", ric, pd.ell)
+    t2 = -4.0 * np.einsum("...xy,...y->...x", ric, pd.lee_frame)
     t3 = 4.0 * np.einsum("...ib,...xbi->...x", ric, xiF)
     return _divergence_pair(pd) - (t1 + t2 + t3)
 
@@ -571,7 +568,7 @@ def _class_requirements(label: str, n: int) -> tuple[tuple[int, ...], str | None
     return required[label], None
 
 
-def class_criteria(structure: AlmostHermitianStructure, p, label: str, tol: float = 1e-6) -> dict:
+def class_criteria(structure: AlmostHermitianStructure, p, label: str) -> dict:
     """Harmonicity criterion restricted to a Gray-Hervella class.
 
     Returns the left-minus-right residual of the class equivalence
@@ -582,11 +579,11 @@ def class_criteria(structure: AlmostHermitianStructure, p, label: str, tol: floa
     inapplicable instead of passing silently.
     """
     pd = _point_data(structure, p)
-    n, ell, xiF = pd.n, pd.ell, pd.xiF
+    n, ell, xiF = pd.n, pd.lee_frame, pd.xi_frame
     must_vanish, reason = _class_requirements(label, n)
     norms = pd.component_norms[0]
     if reason is None:
-        bad = [GH_LABELS[i] for i in must_vanish if norms[i] > tol * pd.scale[0]]
+        bad = [GH_LABELS[i] for i in must_vanish if norms[i] > THEOREM_TOL * pd.scale[0]]
         if bad:
             reason = f"structure has {'+'.join(bad)} torsion above tolerance"
     record = {
@@ -601,10 +598,10 @@ def class_criteria(structure: AlmostHermitianStructure, p, label: str, tol: floa
         return record
 
     _, alt, _ = _star_ricci(pd)
-    xi1F = pd.sj.gh_frame[0]
+    xi1F = pd.gh_frame[0]
     cf = np.einsum("...a,...ayx->...xy", ell, xiF)
     c1f = np.einsum("...a,...ayx->...xy", ell, xi1F)
-    c2f = np.einsum("...a,...ayx->...xy", ell, pd.sj.gh_frame[1])
+    c2f = np.einsum("...a,...ayx->...xy", ell, pd.gh_frame[1])
 
     if label == "W1+W2+W4":
         dl_anti = _lee_dexterior_anti(pd)
@@ -627,16 +624,16 @@ def class_criteria(structure: AlmostHermitianStructure, p, label: str, tol: floa
 def _divergence_pair(pd: _PointData) -> np.ndarray:
     """Frame components of 2 d*(Ric*^t) + ds*."""
     ric_field = pd.star_ricci_field.truncate(1)  # only first derivatives are read
-    nt = pd.fp.to_frame(
-        cov_derivative_jets(ric_field.transpose((1, 0)), "dd", pd.sj.gamma).value, "ddd"
+    nt = pd.framepack.to_frame(
+        cov_derivative_jets(ric_field.transpose((1, 0)), "dd", pd.gamma).value, "ddd"
     )
     dstar_rt = -np.einsum("...ixi->...x", nt)
-    s_field = jet_einsum("xy,xy->", pd.sj.ginv, ric_field)
-    ds = pd.fp.to_frame(s_field.grad().value, "d")
+    s_field = jet_einsum("xy,xy->", pd.ginv, ric_field)
+    ds = pd.framepack.to_frame(s_field.grad().value, "d")
     return 2.0 * dstar_rt + ds
 
 
-def w1w4_laplacian_residual(structure: AlmostHermitianStructure, p, tol: float = 1e-6) -> dict:
+def w1w4_laplacian_residual(structure: AlmostHermitianStructure, p) -> dict:
     """Six-dimensional W1+W4 formula for the rough Laplacian of omega:
     nabla*nabla omega(X,Y) = 4 <X ,| Psi, JY ,| Psi> +
     (1/(4(n-1)^2)) d*omega ^ J d*omega (X,Y), with Psi the 3-form of
@@ -648,19 +645,19 @@ def w1w4_laplacian_residual(structure: AlmostHermitianStructure, p, tol: float =
         record["reason"] = "formula is specific to six dimensions"
         return record
     norms, scale = pd.component_norms[0], pd.scale[0]
-    bad = [GH_LABELS[i] for i in (1, 2) if norms[i] > tol * scale]
+    bad = [GH_LABELS[i] for i in (1, 2) if norms[i] > THEOREM_TOL * scale]
     if bad:
         record["reason"] = f"structure has {'+'.join(bad)} torsion above tolerance"
         return record
     harmonic = _fro(pd.coderivative[0])[0]
-    if harmonic > tol * scale:
+    if harmonic > THEOREM_TOL * scale:
         record["reason"] = "structure is not harmonic at the point"
         return record
 
-    n, jf = pd.n, pd.jf[0]
-    psi = np.transpose(pd.sj.gh_frame[0][0], (0, 2, 1))
+    n, jf = pd.n, pd.j_frame[0]
+    psi = np.transpose(pd.gh_frame[0][0], (0, 2, 1))
     term1 = 4.0 * np.einsum("xbc,ay,abc->xy", psi, jf, psi)
-    dstar_om = pd.sj.dstar_omega[0]
+    dstar_om = pd.dstar_omega[0]
     j_dstar = -jf.T @ dstar_om
     term2 = wedge2(dstar_om, j_dstar) / (4.0 * (n - 1.0) ** 2)
     lo = pd.laplacian_omega[0]
@@ -672,7 +669,7 @@ def w1w4_laplacian_residual(structure: AlmostHermitianStructure, p, tol: float =
 # -- nearly Kahler suite -------------------------------------------------------
 
 
-def nearly_kahler_suite(structure: AlmostHermitianStructure, p, tol: float = 1e-6) -> dict:
+def nearly_kahler_suite(structure: AlmostHermitianStructure, p) -> dict:
     """Curvature identities specific to nearly Kahler manifolds.
 
     Inapplicable unless the torsion is pure W1 at the point.  Reports
@@ -683,10 +680,10 @@ def nearly_kahler_suite(structure: AlmostHermitianStructure, p, tol: float = 1e-
     of nabla*nabla omega = 4 alpha omega.
     """
     pd = _point_data(structure, p)
-    xiF, jf, RF, scale = pd.xiF[0], pd.jf[0], pd.RF[0], pd.scale[0]
+    xiF, jf, RF, scale = pd.xi_frame[0], pd.j_frame[0], pd.RF[0], pd.scale[0]
     norms = pd.component_norms[0]
     impurity = float(np.sqrt(max(np.sum(norms[1:] ** 2), 0.0)))
-    record: dict = {"applicable": bool(impurity < tol * scale), "reason": None}
+    record: dict = {"applicable": bool(impurity < THEOREM_TOL * scale), "reason": None}
     if not record["applicable"]:
         record["reason"] = "torsion is not pure W1 at the point"
         return record
@@ -714,15 +711,13 @@ def nearly_kahler_suite(structure: AlmostHermitianStructure, p, tol: float = 1e-
     xi_norm = float(_fro(xiF, 0))
     record["flatness"] = flatness
     record["xi_norm"] = xi_norm
-    record["flat_implies_kahler"] = bool(
-        flatness >= tol * scale or xi_norm < tol * scale
-    )
+    record["flat_implies_kahler"] = bool(flatness >= THEOREM_TOL * scale or xi_norm < THEOREM_TOL * scale)
 
     plain = float(np.sum(xiF**2))
     record["psi_norm_sq_plain"] = plain
     record["psi_norm_sq"] = PSI_NORM_CALIBRATION * plain
 
-    alpha = float(pd.sj.curv.scalar.value[0]) / (5.0 * pd.dim)
+    alpha = float(pd.curv.scalar.value[0]) / (5.0 * pd.dim)
     record["einstein_alpha"] = alpha
     lo = pd.laplacian_omega[0]
     record["laplacian_collinear"] = float(_fro(lo - 4.0 * alpha * jf, 0))
@@ -759,7 +754,7 @@ def conformal_example_check(
     dim = pd.dim
     p = np.asarray(p, dtype=float)
 
-    numeric_raw = pd.fp.from_frame(pd.harmonic_map_form, "d")[0]
+    numeric_raw = pd.framepack.from_frame(pd.harmonic_map_form, "d")[0]
     numeric = numeric_raw / HARMONIC_MAP_FORM_CALIBRATION
 
     ff = eval_expr(parse(f_src), p, dim, degree=3)
@@ -872,7 +867,7 @@ def _point_records(pd: _PointData) -> list[PointRecord]:
     columns["star_ricci_alt_norm"] = _fro(alt)
     gaps = (*pd.coderivative[1:], star_gap)
     finite = np.isfinite(np.column_stack([*columns.values(), *gaps])).all(axis=1)
-    pd.sj.fail(~finite, GeometryError, "residuals overflow float64")
+    pd.fail(~finite, GeometryError, "residuals overflow float64")
     return [
         PointRecord(
             {name: float(values[i]) for name, values in columns.items()},

@@ -189,6 +189,14 @@ def _nearest_structure(values: np.ndarray) -> tuple[np.ndarray, float]:
     raise InternalConventionError("polar projection did not converge")
 
 
+def _check_size(n: int, resolution: int) -> None:
+    """The complex dimension and resolution every grid needs."""
+    if n < 1:
+        raise GridError("n must be at least 1")
+    if resolution < 4:
+        raise GridError("grid resolution must be at least 4")
+
+
 @dataclass
 class JGrid:
     """Per-node almost complex structure on the flat torus [0, 2pi)^dim.
@@ -203,10 +211,7 @@ class JGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GridError("n must be at least 1")
-        if self.resolution < 4:
-            raise GridError("grid resolution must be at least 4")
+        _check_size(self.n, self.resolution)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.resolution,) * self.dim + (self.dim, self.dim):
             raise GridError("grid values have the wrong shape")
@@ -249,8 +254,7 @@ class JGrid:
 def random_grid(seed: int, n: int, resolution: int, amplitude: float = 0.3) -> JGrid:
     """The 2pi-periodic ``random_structure(seed, n, amplitude)`` sampled onto a
     grid: its degree-0 J jets at every node; amplitude 0 gives J_0 everywhere."""
-    if resolution < 4:
-        raise GridError("grid resolution must be at least 4")
+    _check_size(n, resolution)
     ticks = 2.0 * np.pi * np.arange(resolution) / resolution
     mesh = np.meshgrid(*([ticks] * (2 * n)), indexing="ij")
     points = np.stack(mesh, axis=-1)

@@ -47,64 +47,72 @@ def run(args, capsys):
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
+    flat = {"type": "flat", "n": 2}
+    seed_max = "field 'seed' must be at most 9223372036854775807"
     bad = [
-        {"schema": 2, "geometry": {"type": "flat", "n": 2}},
-        {"geometry": {"type": "flat", "n": 2}},
-        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "bogus": 1},
-        {"schema": 1, "command": "verify", "geometry": {"type": "flat", "n": 2}},
-        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "tol": -1.0},
-        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"n": 2}},
-        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"count": 0}},
-        {"schema": 1},
-        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "tol": float("inf")},
+        ({"schema": 2, "geometry": flat}, 'config needs "schema": 1'),
+        ({"geometry": flat}, 'config needs "schema": 1'),
+        ({"schema": 1, "geometry": flat, "bogus": 1}, "unknown config fields: bogus"),
+        ({"schema": 1, "geometry": flat, "flow": {"n": 1}}, "unknown config fields: flow"),
+        ({"schema": 1, "command": "verify", "geometry": flat}, "config is for command 'verify', not 'inspect'"),
+        ({"schema": 1, "geometry": flat, "tol": -1.0}, "tol must be a positive finite number"),
+        ({"schema": 1, "geometry": flat, "points": {"n": 2}}, "unknown points fields: n"),
+        ({"schema": 1, "geometry": flat, "points": []}, '"points" must be an object'),
+        ({"schema": 1, "geometry": flat, "points": {"count": 0}}, "field 'count' must be at least 1"),
+        ({"schema": 1}, 'inspect command needs a "geometry" section'),
+        ({"schema": 1, "geometry": flat, "tol": float("inf")}, "tol must be a positive finite number"),
         # refused before the structure is built or any point sampled
-        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"count": MAX_POINTS + 1}},
-        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"count": 10**12}},
+        ({"schema": 1, "geometry": flat, "points": {"count": MAX_POINTS + 1}}, "field 'count' must be at most 4096"),
+        ({"schema": 1, "geometry": flat, "points": {"count": 10**12}}, "field 'count' must be at most 4096"),
         # a seed's Halton digits cost time linear in its length
-        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"seed": MAX_SEED + 1}},
-        {"schema": 1, "geometry": {"type": "flat", "n": 2}, "points": {"seed": 10**4000}},
+        ({"schema": 1, "geometry": flat, "points": {"seed": MAX_SEED + 1}}, seed_max),
+        ({"schema": 1, "geometry": flat, "points": {"seed": 10**4000}}, seed_max),
     ]
-    for idx, cfg in enumerate(bad):
-        path = write_config(tmp_path, f"bad{idx}.json", cfg)
-        code, out, err = run(["inspect", "--config", path], capsys)
-        assert code == 2, cfg
-        assert out == ""
-        assert "error" in json.loads(err)
-
-    # json reads Infinity; non-finite numbers stop at the config edge
-    flow_cfg = {"schema": 1, "flow": {"n": 1, "m": 4, "amplitude": float("inf")}}
-    flat_cfg = geometry_config({"type": "flat", "n": 2})
-    flat_path = write_config(tmp_path, "flat.json", flat_cfg)
-    small_flow = write_config(tmp_path, "small_flow.json", {"schema": 1, "flow": {"n": 1, "m": 4}})
     cases = [
-        ["flow", "--config", write_config(tmp_path, "inf_flow.json", flow_cfg)],
-        ["inspect", "--config", flat_path, "--tol", "inf"],
-        # --seed gets the same non-negative check as the config seed
-        ["inspect", "--config", flat_path, "--seed", "-1"],
-        ["flow", "--config", small_flow, "--seed", "-1"],
-        # and the same upper bound
-        ["inspect", "--config", flat_path, "--seed", str(MAX_SEED + 1)],
-        ["flow", "--config", small_flow, "--seed", str(MAX_SEED + 1)],
-        ["flow", "--config", write_config(tmp_path, "seed.json", {"schema": 1, "flow": {"n": 1, "seed": 10**4000}})],
-        # descend keeps one trace row per iteration
-        ["flow", "--config", write_config(tmp_path, "iter.json", {"schema": 1, "flow": {"n": 1, "m": 4, "max_iter": MAX_ITER + 1}})],
+        (["inspect", "--config", write_config(tmp_path, f"bad{idx}.json", cfg)], error)
+        for idx, (cfg, error) in enumerate(bad)
     ]
-    # grids above 2**24 float64 entries are refused before allocating
-    for idx, flow in enumerate([{"n": 4, "m": 32}, {"n": 6, "m": 4}]):
-        huge = write_config(tmp_path, f"huge{idx}.json", {"schema": 1, "flow": flow})
-        cases.append(["flow", "--config", huge])
-    for args in cases:
-        code, out, err = run(args, capsys)
-        assert code == 2, args
-        assert out == ""
-        assert "error" in json.loads(err)
 
+    def flow(name, section, **top):
+        return ["flow", "--config", write_config(tmp_path, name, {"schema": 1, "flow": section, **top})]
+
+    flat_path = write_config(tmp_path, "flat.json", geometry_config(flat))
+    small_flow = flow("small_flow.json", {"n": 1, "m": 4})
+    grid_cap = "flow grid of m^(2n) * (2n)^2 entries exceeds 16777216"
+    cases += [
+        # json reads Infinity; non-finite numbers stop at the config edge
+        (flow("inf_flow.json", {"n": 1, "m": 4, "amplitude": float("inf")}), "field 'amplitude' must be a finite number"),
+        (flow("list_flow.json", []), '"flow" must be an object'),
+        (flow("bogus_flow.json", {"n": 1, "m": 4, "bogus": 1}), "unknown flow fields: bogus"),
+        (flow("geo_flow.json", {"n": 1, "m": 4}, geometry=flat), "unknown config fields: geometry"),
+        (["flow", "--config", write_config(tmp_path, "no_flow.json", {"schema": 1})], 'flow command needs a "flow" section'),
+        (["inspect", "--config", flat_path, "--tol", "inf"], "tol must be a positive finite number"),
+        # --seed gets the same non-negative check as the config seed
+        (["inspect", "--config", flat_path, "--seed", "-1"], "field 'seed' must be at least 0"),
+        (small_flow + ["--seed", "-1"], "field 'seed' must be at least 0"),
+        # and the same upper bound
+        (["inspect", "--config", flat_path, "--seed", str(MAX_SEED + 1)], seed_max),
+        (small_flow + ["--seed", str(MAX_SEED + 1)], seed_max),
+        (flow("seed.json", {"n": 1, "seed": 10**4000}), seed_max),
+        # descend keeps one trace row per iteration
+        (flow("iter.json", {"n": 1, "m": 4, "max_iter": MAX_ITER + 1}), "field 'max_iter' must be at most 100000"),
+        # grids above 2**24 float64 entries are refused before allocating
+        (flow("huge0.json", {"n": 4, "m": 32}), grid_cap),
+        (flow("huge1.json", {"n": 6, "m": 4}), grid_cap),
+    ]
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
-    assert main(["inspect", "--config", str(broken)]) == 2
-    capsys.readouterr()
-    assert main(["inspect", "--config", str(tmp_path / "missing.json")]) == 2
-    capsys.readouterr()
+    missing = tmp_path / "missing.json"
+    cases += [
+        (
+            ["inspect", "--config", str(broken)],
+            "config is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+        (["inspect", "--config", str(missing)], f"cannot read config: [Errno 2] No such file or directory: '{missing}'"),
+    ]
+    for args, error in cases:
+        code, out, err = run(args, capsys)
+        assert (code, out, err) == (2, "", render_json({"schema": 1, "error": error}) + "\n"), args
 
 
 @pytest.mark.parametrize(
@@ -302,6 +310,10 @@ def test_flow_drift_exits_5(tmp_path, capsys, monkeypatch):
 SMALL_FLOW = {"schema": 1, "command": "flow", "flow": {"seed": 7, "n": 2, "m": 4, "max_iter": 2}}
 
 
+def _must_not_run(*args, **kwargs):
+    pytest.fail("a step ran that an earlier check should have stopped")
+
+
 @pytest.mark.parametrize(
     "name, scale, message",
     [
@@ -314,11 +326,13 @@ SMALL_FLOW = {"schema": 1, "command": "flow", "flow": {"seed": 7, "n": 2, "m": 4
 )
 def test_flow_kernel_faults_exit_5(tmp_path, capsys, monkeypatch, name, scale, message):
     # a gradient off the energy's slope, or a step too far from the
-    # constraint set to project back, is a kernel bug, not a config error
-    from torsionflow import flow
+    # constraint set to project back, is a kernel bug, not a config error;
+    # the probe finds it before the descent is paid for
+    from torsionflow import cli, flow
 
     kernel = getattr(flow, name)
     monkeypatch.setattr(flow, name, lambda *args: scale * kernel(*args))
+    monkeypatch.setattr(cli, "descend", _must_not_run)
     path = write_config(tmp_path, "fault.json", SMALL_FLOW)
     code, out, err = run(["flow", "--config", path], capsys)
     assert (code, out) == (5, "")
@@ -341,8 +355,6 @@ def test_flow_stall_exits_4(tmp_path, capsys, monkeypatch):
     assert report["message"] == "step-size underflow in the Armijo search"
 
 
-def _must_not_run(*args, **kwargs):
-    pytest.fail("the command ran before its --out was checked")
 
 
 @pytest.mark.parametrize("command", ["flow", "inspect"])

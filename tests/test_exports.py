@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -93,3 +94,17 @@ def test_benchmark_harness_reaches_existing_names():
     assert missing == []
     # workloads.armijo_trials reads the default first step
     assert "step0" in inspect.signature(descend).parameters
+
+
+def test_structure_jets_is_the_only_memo():
+    # one memo object per block of points: a class that caches a derived
+    # quantity on first use extends StructureJets instead of wrapping it
+    memos = []
+    for info in pkgutil.iter_modules(torsionflow.__path__):
+        module = importlib.import_module(f"torsionflow.{info.name}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                if any(isinstance(v, functools.cached_property) for v in vars(cls).values()):
+                    memos.append(cls)
+    assert StructureJets in memos
+    assert [cls.__qualname__ for cls in memos if not issubclass(cls, StructureJets)] == []

@@ -48,6 +48,9 @@ def test_jgrid_validation():
         JGrid(2, 8, values)  # orthogonal but J^2 = +Id
     with pytest.raises(GridError):
         JGrid(2, 8, np.zeros((8, 8, 4, 4)))
+    # random_grid checks n like JGrid, before it samples any node
+    with pytest.raises(GridError, match="n must be at least 1"):
+        random_grid(0, 0, 8)
 
 
 def test_grid_geometry_accessors():
