@@ -91,13 +91,25 @@ class ConfigError(ValueError):
 # -- config -----------------------------------------------------------------
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is refused, not overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigError:
+        raise
     except ValueError as exc:
         # JSONDecodeError, and integers beyond Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc

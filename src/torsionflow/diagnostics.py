@@ -81,9 +81,11 @@ THEOREM_TOL = 1e-6
 
 # Points evaluated together: about this many entries of a rank-4 jet
 # (dim^4 entries of ncoeff coefficients) per chunk.  At MIN_JET_DEGREE
-# that is 7 points at dim 4 and one point at dim 6 and 8, so a chunk's
-# arrays stay near a megabyte whatever the number of points.
-CHUNK_ENTRIES = 2**16
+# that is 14 points at dim 4 and one point at dim 6 and 8, so a rank-4
+# jet of a chunk stays near a megabyte whatever the number of points.
+# Swept from 2^16 to 2^19: 2^17 is the largest budget at which a
+# 72-point hopf verify peaks within 5% of its memory at 2^16 (2^18: +10.6%).
+CHUNK_ENTRIES = 2**17
 
 SECTION_NAMES = (
     "harmonic",

@@ -19,6 +19,11 @@ cos, exp, log, sqrt or the reciprocal entrywise.  Chart geometry
 ``jet_einsum`` contracts tensor axes while convolving coefficient axes.
 It is the one product kernel: an entrywise product (``*``, and each
 Horner step of the elementary functions) is its contraction ``",->"``.
+The convolution walks the space's pair table one rank at a time, rank k
+being the k-th coefficient pair of every output coefficient, so its
+largest temporary holds one rank (at most one row per coefficient), and
+each output's pairs p0, p1, ... are summed as p0 + ((p1 + p2) + ...),
+numpy's order for a segment sum over the whole table.
 
 A field may carry leading axes ahead of its tensor axes, one per axis of
 a block of base points (``JetField.variables`` of a ``(k, dim)`` block
@@ -78,7 +83,8 @@ class JetSpace:
     Instances are cached; use :func:`jet_space` rather than constructing
     directly.  The heavy piece is the one multiplication table: flat
     arrays of coefficient-index pairs grouped by output index.  A product
-    truncated to degree d, in ``jet_einsum``, reads its prefix ``table(d)``.
+    truncated to degree d reads its prefix ``table(d)``, which
+    ``jet_einsum`` takes rank by rank from ``ranks[d]``.
     """
 
     def __init__(self, dim: int, degree: int):
@@ -116,6 +122,8 @@ class JetSpace:
         self._ia, self._ib = ia[srt], ib[srt]
         # segment starts, then the pair count: _starts[nc] pairs end at output nc
         self._starts = np.searchsorted(out[srt], np.arange(self.ncoeff + 1))
+        # table(d) rank by rank, for each truncation degree d
+        self.ranks = [self._rank_table(d) for d in range(degree + 1)]
 
         # differentiation maps: index of alpha + e_c and the factor alpha_c + 1
         n_lower = self.nc_level[degree - 1] if degree >= 1 else 0
@@ -138,6 +146,22 @@ class JetSpace:
         nc = self.nc_at(d)
         npairs = self._starts[nc]
         return self._ia[:npairs], self._ib[:npairs], self._starts[:nc]
+
+    def _rank_table(self, d: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """The pairs (ia, ib) of ``table(d)`` by rank, and ``tail_outs``.
+
+        Rank k holds the k-th pair of every output index with more than k
+        pairs.  Rank 0 has one pair per output, in output order.  From rank
+        1 on, outputs are ordered by pair count, most first (``tail_outs``),
+        so rank k covers a prefix of them."""
+        ia, ib, starts = self.table(d)
+        count = np.diff(starts, append=len(ia))
+        order = np.argsort(-count, kind="stable")
+        ranks = [(ia[starts], ib[starts])]
+        for k in range(1, int(count.max())):
+            pos = starts[order[: np.count_nonzero(count > k)]] + k
+            ranks.append((ia[pos], ib[pos]))
+        return ranks, order[: np.count_nonzero(count > 1)]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"JetSpace(dim={self.dim}, degree={self.degree})"
@@ -422,7 +446,7 @@ class JetField:
 @functools.lru_cache(maxsize=None)
 def _einsum_plan(subscripts: str, rank_a: int, rank_b: int):
     """Lower ``subscripts`` on operands of these ranks (leading axes
-    included) to one batched matmul.
+    included) to a batched matmul per rank of the pair table.
 
     Indices group as batch (in both operands and the output), left and
     right (in one operand and the output) and contracted.  Returns the
@@ -455,24 +479,41 @@ def jet_einsum(subscripts: str, a: JetField, b: JetField) -> JetField:
     ``subscripts`` addresses the trailing tensor axes only, e.g.
     ``'km,mj->kj'``; every summed index appears in both operands.
     Leading axes are equal in both operands or absent from one, and the
-    coefficient axes are handled internally: the pair gathers of
-    ``table`` lead, so the product is one batched matmul and one
-    ``reduceat`` over pairs.  ``",->"`` multiplies entrywise.
+    coefficient axes are handled internally.  The pairs of ``table`` are
+    taken rank by rank (``JetSpace.ranks``): each rank is one gather of
+    each operand and one batched product, an elementwise multiply when
+    the left, contracted and right groups are single entries (as in the
+    entrywise product ``",->"``) and a matmul otherwise.  Ranks 1 and up
+    add, in order, into a tail that is added to rank 0 last, which is the
+    order in which numpy's segment sum adds each output's pairs, so the
+    sums are bit-for-bit those of the whole pair table reduced at once.
+    (The multiply keeps the sign of a -0.0 product, which a 1x1 matmul
+    drops by adding it to +0.0; the values are equal.)
     """
     space = a.space
     if b.space is not space:
         raise JetError("jet fields from different spaces")
-    ia, ib, starts = space.table(min(a.deg, b.deg))
+    ranks, tail_outs = space.ranks[min(a.deg, b.deg)]
     la, lb, nb, nbl, nbk, perm_a, perm_b, perm_out = _einsum_plan(subscripts, a.data.ndim - 1, b.data.ndim - 1)
-    x = a.data.transpose(perm_a)[ia]
-    y = b.data.transpose(perm_b)[ib]
-    sx, sy = x.shape[1 + la :], y.shape[1 + lb :]  # (batch, left, contracted), (batch, contracted, right)
-    nk = math.prod(sx[nbl:])
-    x = x.reshape(len(ia), -1, math.prod(sx[:nb]), math.prod(sx[nb:nbl]), nk)
-    y = y.reshape(len(ib), -1, math.prod(sy[:nb]), nk, math.prod(sy[nbk:]))
-    prod = np.add.reduceat(x @ y, starts, axis=0)
+    xa, yb = a.data.transpose(perm_a), b.data.transpose(perm_b)
+    sx, sy = xa.shape[1 + la :], yb.shape[1 + lb :]  # (batch, left, contracted), (batch, contracted, right)
+    nl, nk, nr = math.prod(sx[nb:nbl]), math.prod(sx[nbl:]), math.prod(sy[nbk:])
+    xshape, yshape = (-1, math.prod(sx[:nb]), nl, nk), (-1, math.prod(sy[:nb]), nk, nr)
+    # a 1x1 matmul is one product: multiply elementwise instead
+    mul = np.multiply if nl == nk == nr == 1 else np.matmul
+
+    def rank(k: int) -> np.ndarray:
+        ia, ib = ranks[k]
+        return mul(xa[ia].reshape(len(ia), *xshape), yb[ib].reshape(len(ib), *yshape))
+
+    prod = rank(0)
+    if len(ranks) > 1:
+        tail = rank(1)
+        for k in range(2, len(ranks)):
+            tail[: len(ranks[k][0])] += rank(k)
+        prod[tail_outs] += tail
     lead = np.broadcast_shapes(a.shape[:la], b.shape[:lb])
-    return JetField(space, prod.reshape((len(starts), *lead, *sx[:nbl], *sy[nbk:])).transpose(perm_out))
+    return JetField(space, prod.reshape((len(prod), *lead, *sx[:nbl], *sy[nbk:])).transpose(perm_out))
 
 
 def jet_matrix_inverse(a: JetField) -> JetField:

@@ -100,6 +100,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
         (flow("huge0.json", {"n": 4, "m": 32}), grid_cap),
         (flow("huge1.json", {"n": 6, "m": 4}), grid_cap),
     ]
+
+    def raw(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    # json keeps the last value of a repeated key; a config that says two things is refused
+    geo = '"geometry": {"type": "flat", "n": 2}'
+    cases += [
+        (["inspect", "--config", raw("dup_top.json", '{"schema": 1, ' + geo + ', "tol": 1e-6, "tol": 0.5}')], 'config repeats key "tol"'),
+        (["inspect", "--config", raw("dup_geometry.json", '{"schema": 1, "geometry": {"type": "flat", "n": 2, "n": 3}}')], 'config repeats key "n"'),
+        (["inspect", "--config", raw("dup_points.json", '{"schema": 1, ' + geo + ', "points": {"count": 2, "count": 3}}')], 'config repeats key "count"'),
+        (["flow", "--config", raw("dup_flow.json", '{"schema": 1, "flow": {"n": 1, "m": 4, "seed": 1, "seed": 2}}')], 'config repeats key "seed"'),
+    ]
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     missing = tmp_path / "missing.json"

@@ -11,6 +11,7 @@ from torsionflow.jets import (
     JetDomainError,
     JetError,
     JetField,
+    _einsum_plan,
     jet_einsum,
     jet_matrix_inverse,
     jet_space,
@@ -373,3 +374,49 @@ def test_pair_table_prefixes_are_the_truncated_products(dim, degree):
         ia, ib, starts = sp.table(d)
         assert list(zip(ia.tolist(), ib.tolist())) == [(i, j) for _, i, j in want]
         assert starts.tolist() == [[k for k, _, _ in want].index(k) for k in range(sp.nc_at(d))]
+
+
+def _reduceat_product(subscripts, a, b):
+    """The product over the whole pair table at once, summed by reduceat."""
+    ia, ib, starts = a.space.table(min(a.deg, b.deg))
+    la, lb, nb, nbl, nbk, perm_a, perm_b, perm_out = _einsum_plan(subscripts, a.data.ndim - 1, b.data.ndim - 1)
+    x = a.data.transpose(perm_a)[ia]
+    y = b.data.transpose(perm_b)[ib]
+    sx, sy = x.shape[1 + la :], y.shape[1 + lb :]
+    nk = math.prod(sx[nbl:])
+    x = x.reshape(len(ia), -1, math.prod(sx[:nb]), math.prod(sx[nb:nbl]), nk)
+    y = y.reshape(len(ib), -1, math.prod(sy[:nb]), nk, math.prod(sy[nbk:]))
+    prod = np.add.reduceat(x @ y, starts, axis=0)
+    lead = np.broadcast_shapes(a.shape[:la], b.shape[:lb])
+    return prod.reshape((len(starts), *lead, *sx[:nbl], *sy[nbk:])).transpose(perm_out)
+
+
+# subscripts and the tensor shapes of their operands
+PRODUCTS = {
+    ",->": ((), ()),
+    "ij,jk->ik": ((3, 2), (2, 3)),
+    "myb,am->aby": ((2, 3, 2), (2, 2)),
+    "lim,mjk->lijk": ((2, 2, 3), (3, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 6])
+def test_rank_sum_matches_reduceat(dim):
+    # jet_einsum sums each output's pairs rank by rank in reduceat's order,
+    # a[s] + ((a[s+1] + a[s+2]) + ...), so it equals the one-shot reduceat
+    # exactly, not only to roundoff
+    sp = jet_space(dim, 3)
+    rng = np.random.default_rng(dim)
+    for d in range(sp.degree + 1):
+        ia, ib, _ = sp.table(d)
+        ranks, _ = sp.ranks[d]
+        # the ranks hold every pair of table(d), whose pairs are distinct, once
+        by_rank = [(i, j) for ra, rb in ranks for i, j in zip(ra.tolist(), rb.tolist())]
+        assert sorted(by_rank) == sorted(zip(ia.tolist(), ib.tolist()))
+        for subscripts, (sa, sb) in PRODUCTS.items():
+            for lead_a, lead_b in [((), ()), ((3,), (3,)), ((3,), ()), ((), (3,))]:
+                a = JetField(sp, rng.normal(size=lead_a + sa + (sp.nc_at(d),)))
+                b = JetField(sp, rng.normal(size=lead_b + sb + (sp.ncoeff,)))
+                got = jet_einsum(subscripts, a, b)
+                want = _reduceat_product(subscripts, a, b)
+                assert got.deg == d and np.array_equal(got.data, want), (subscripts, d, lead_a, lead_b)
