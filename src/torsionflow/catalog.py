@@ -1,9 +1,9 @@
 """Catalog of example geometries with documented expected diagnostics.
 
 Each factory returns a GeometrySpec: the data needed to rebuild the
-structure (metric and J evaluators, the chart box and an optional
-predicate on it) plus metadata recording what the diagnostics should
-find.  The test suite asserts the metadata, so the catalog is
+structure (one evaluator of the jets of g and J, the chart box and an
+optional predicate on it) plus metadata recording what the diagnostics
+should find.  The test suite asserts the metadata, so the catalog is
 self-verifying.
 
 Charts:
@@ -31,7 +31,7 @@ import numpy as np
 
 from .diagnostics import SECTION_NAMES
 from .exprlang import EvalError, Expr, eval_expr, parse
-from .geometry import MIN_JET_DEGREE, GeometryError, MetricField, fail_first
+from .geometry import MIN_JET_DEGREE, GeometryError, fail_first
 from .jets import MAX_DIM, JetField, jet_einsum, jet_space
 from .unstruct import AlmostHermitianStructure, standard_j
 
@@ -96,16 +96,13 @@ def octonion_multiply(x, y) -> np.ndarray:
     return out
 
 
-Evaluator = Callable[[np.ndarray, int], JetField]
-
-
 @dataclass(frozen=True)
 class GeometrySpec:
     """Recipe for one catalog geometry.
 
-    ``metric(p, degree)`` and ``j(p, degree)`` return the jets of g and
-    of J at a block of points, to the given degree.  ``domain`` is a box
-    of per-coordinate (lo, hi) bounds; ``inside(p)``, when set, keeps
+    ``jets(p, degree)`` returns the jets of g and of J at a block of
+    points, to the given degree, from one evaluation.  ``domain`` is a
+    box of per-coordinate (lo, hi) bounds; ``inside(p)``, when set, keeps
     only the sample points of the box where it holds.  ``metadata``
     holds expected diagnostics: the class label and which section
     residuals should vanish or stay visibly nonzero.
@@ -113,8 +110,7 @@ class GeometrySpec:
 
     name: str
     n: int
-    metric: Evaluator
-    j: Evaluator
+    jets: Callable[[np.ndarray, int], tuple[JetField, JetField]]
     inside: Callable[[np.ndarray], bool] | None = None
     conformal_factor: Expr | None = None
     domain: tuple[tuple[float, float], ...] = ()
@@ -190,14 +186,10 @@ _KAHLER_META = {
 }
 
 
-def _constant(value: np.ndarray) -> Evaluator:
-    """The evaluator of a constant matrix field."""
-
-    def evaluate(p, degree):
-        space = jet_space(value.shape[-1], degree)
-        return JetField.constants(space, np.broadcast_to(value, p.shape[:-1] + value.shape))
-
-    return evaluate
+def _constant(value: np.ndarray, p, degree: int) -> JetField:
+    """The jets of a constant matrix field at the points ``p``."""
+    space = jet_space(value.shape[-1], degree)
+    return JetField.constants(space, np.broadcast_to(value, p.shape[:-1] + value.shape))
 
 
 def flat_kahler(n: int) -> GeometrySpec:
@@ -207,8 +199,7 @@ def flat_kahler(n: int) -> GeometrySpec:
     return GeometrySpec(
         name="flat",
         n=n,
-        metric=_constant(np.eye(2 * n)),
-        j=_constant(standard_j(n)),
+        jets=lambda p, degree: (_constant(np.eye(2 * n), p, degree), _constant(standard_j(n), p, degree)),
         domain=((-np.pi, np.pi),) * (2 * n),
         periodic=True,
         metadata=_KAHLER_META,
@@ -264,15 +255,15 @@ def conformal(
             "expected_nonzero": (),
         }
 
-    def metric(p, degree):
+    def jets(p, degree):
         fj = _eval_factor(expr, p, dim, degree)
-        return jet_einsum("ij,->ij", JetField.constants(jet_space(dim, degree), np.eye(dim)), fj.fn("exp"))
+        g = jet_einsum("ij,->ij", JetField.constants(jet_space(dim, degree), np.eye(dim)), fj.fn("exp"))
+        return g, _constant(standard_j(n), p, degree)
 
     return GeometrySpec(
         name=name,
         n=n,
-        metric=metric,
-        j=_constant(standard_j(n)),
+        jets=jets,
         conformal_factor=expr,
         domain=box,
         periodic=periodic,
@@ -329,20 +320,20 @@ def _s6_graph(p, degree: int) -> tuple[JetField, JetField, JetField, JetField]:
     return x, w, d, g
 
 
-def _s6_j(p, degree: int) -> JetField:
-    """J jets in the graph chart: the pullback of cross multiplication by
-    the sphere point.
+def _s6(p, degree: int) -> tuple[JetField, JetField]:
+    """g and J jets in the graph chart, from one chart build.  J is the
+    pullback of cross multiplication by the sphere point.
 
     p x (D X) is tangent at p, so (p x) D = D J; D's top 6 x 6 block is
     the identity, so J is the top six rows of (p x) D.
     """
-    x, w, d, _ = _s6_graph(p, degree)
+    x, w, d, g = _s6_graph(p, degree)
     embed = JetField.zeros(x.space, x.shape[:-1] + (7,))
     embed.data[..., :6, :] = x.data
     embed.data[..., 6, :] = w.data
 
     cross_op = jet_einsum("abc,a->cb", JetField.constants(x.space, _OCT[:, :, :6]), embed)
-    return jet_einsum("cb,bj->cj", cross_op, d)
+    return g, jet_einsum("cb,bj->cj", cross_op, d)
 
 
 def s6_nearly_kahler(degree: int = MIN_JET_DEGREE) -> GeometrySpec:
@@ -359,8 +350,7 @@ def s6_nearly_kahler(degree: int = MIN_JET_DEGREE) -> GeometrySpec:
     return GeometrySpec(
         name="s6",
         n=3,
-        metric=lambda p, degree: _s6_graph(p, degree)[3],
-        j=_s6_j,
+        jets=_s6,
         inside=lambda p: float(p @ p) < 0.88**2,
         domain=box,
         degree=degree,
@@ -372,23 +362,33 @@ def s6_nearly_kahler(degree: int = MIN_JET_DEGREE) -> GeometrySpec:
 
 
 def build_structure(spec: GeometrySpec) -> AlmostHermitianStructure:
-    """Materialize a spec as metric and J evaluators of point blocks,
-    both at the spec's jet degree."""
+    """Materialize a spec as one evaluator of point blocks at its jet degree."""
     degree = spec.degree
-    metric = MetricField(spec.dim, lambda p: spec.metric(p, degree), degree=degree)
-    return AlmostHermitianStructure(metric, lambda p: spec.j(p, degree), name=spec.name)
+    return AlmostHermitianStructure(spec.dim, lambda p: spec.jets(p, degree), degree, name=spec.name)
+
+
+# the config fields each catalog geometry takes
+_CONFIG_FIELDS = {"flat": {"type", "n"}, "conformal": {"type", "n", "f", "periodic"},
+                  "hopf": {"type", "n"}, "s6": {"type"}}
 
 
 def spec_from_config(cfg: Mapping) -> GeometrySpec:
     """Build a GeometrySpec from a JSON-style mapping.
 
-    Dispatches on the ``type`` field over the catalog names; unknown
-    fields are rejected so misspelled options cannot silently pass.
+    Dispatches on the ``type`` field over the catalog names; fields the
+    type does not take are rejected before any value is read, so
+    misspelled options cannot silently pass.
     Every spec is expanded to ``MIN_JET_DEGREE``.
     """
     if not isinstance(cfg, Mapping) or "type" not in cfg:
         raise GeometryError("geometry config must be a mapping with a 'type' field")
     kind = cfg["type"]
+    allowed = _CONFIG_FIELDS.get(kind) if isinstance(kind, str) else None
+    if allowed is None:
+        raise GeometryError(f"unknown catalog geometry {kind!r}")
+    extra = set(cfg) - allowed
+    if extra:
+        raise GeometryError(f"unknown geometry config fields: {sorted(extra)}")
     n = cfg.get("n", 2)
     # type(), not isinstance(), so that true/false are rejected too
     if type(n) is not int or not 1 <= n <= MAX_DIM // 2:
@@ -397,22 +397,13 @@ def spec_from_config(cfg: Mapping) -> GeometrySpec:
     if type(periodic) is not bool:
         raise GeometryError("periodic must be true or false")
     if kind == "flat":
-        allowed = {"type", "n"}
-        spec = flat_kahler(n)
-    elif kind == "conformal":
-        allowed = {"type", "n", "f", "periodic"}
+        return flat_kahler(n)
+    if kind == "conformal":
         if "f" not in cfg:
             raise GeometryError("conformal geometry needs an 'f' expression")
-        spec = conformal(n, str(cfg["f"]), periodic=periodic)
-    elif kind == "hopf":
-        allowed = {"type", "n"}
-        spec = hopf_chart(n)
-    elif kind == "s6":
-        allowed = {"type"}
-        spec = s6_nearly_kahler()
-    else:
-        raise GeometryError(f"unknown catalog geometry {kind!r}")
-    extra = set(cfg) - allowed
-    if extra:
-        raise GeometryError(f"unknown geometry config fields: {sorted(extra)}")
-    return spec
+        if not isinstance(cfg["f"], str):
+            raise GeometryError("f must be an expression string")
+        return conformal(n, cfg["f"], periodic=periodic)
+    if kind == "hopf":
+        return hopf_chart(n)
+    return s6_nearly_kahler()

@@ -236,7 +236,7 @@ def _point_data(structure: AlmostHermitianStructure, p) -> _PointData:
 
 def _chunk_size(structure: AlmostHermitianStructure) -> int:
     """Points per chunk: CHUNK_ENTRIES entries of a rank-4 jet, at least one."""
-    ncoeff = jet_space(structure.dim, structure.metric.degree).ncoeff
+    ncoeff = jet_space(structure.dim, structure.degree).ncoeff
     return max(1, CHUNK_ENTRIES // (structure.dim**4 * ncoeff))
 
 
@@ -893,7 +893,7 @@ def run_diagnostics(structure: AlmostHermitianStructure, points, tol: float = 1e
         k: all(r.residuals[k] < tol * r.scale for r in records) for k in names
     }
     meta = {
-        "jet_degree": structure.metric.degree,
+        "jet_degree": structure.degree,
         "sign_audit": "paper-convention",
         "rotated_frame": structure.rotation is not None,
     }

@@ -239,7 +239,7 @@ class JGrid:
 
     def validate(self) -> None:
         defect = self.structure_defect()
-        if defect > PROJECTION_TOL:
+        if not defect <= PROJECTION_TOL:  # a NaN node fails too
             raise GridError(f"grid violates J^2 = -Id / orthogonality by {defect:.3e}")
 
     def reprojected(self) -> tuple["JGrid", float]:
@@ -259,7 +259,7 @@ def random_grid(seed: int, n: int, resolution: int, amplitude: float = 0.3) -> J
     mesh = np.meshgrid(*([ticks] * (2 * n)), indexing="ij")
     points = np.stack(mesh, axis=-1)
     structure = random_structure(seed, n, amplitude, degree=0)
-    return JGrid(n, resolution, structure.j_evaluator(points).value)
+    return JGrid(n, resolution, structure.evaluate(points)[1].value)
 
 
 # -- torsion and energy -----------------------------------------------------------

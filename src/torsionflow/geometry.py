@@ -6,7 +6,8 @@ Levi-Civita connection, curvature in the convention
 
 which is the negative of the more common sign, covariant derivatives of
 arbitrary tensor fields, and the connection (rough) Laplacian
-``nabla*nabla Psi = -(nabla^2 Psi)_{e_i, e_i}``.
+``nabla*nabla Psi = -(nabla^2 Psi)_{e_i, e_i}``, from jets of g that
+``checked_metric`` has found finite, symmetric and positive definite.
 
 Index conventions, used everywhere downstream:
   * ``gamma[k, i, j]`` is Gamma^k_{ij}.
@@ -22,7 +23,6 @@ Index conventions, used everywhere downstream:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +33,7 @@ __all__ = [
     "GeometryError",
     "fail_first",
     "point_max",
-    "MetricField",
+    "checked_metric",
     "christoffel_jets",
     "cov_derivative_jets",
     "curvature_jets",
@@ -71,46 +71,31 @@ def fail_first(failed, points, error: type[Exception], message: str) -> None:
         raise error(f"{message} at point {_where(first)}")
 
 
-class MetricField:
-    """A metric given by an evaluator producing jets of g at points.
+def checked_metric(g, points) -> JetField:
+    """The jets ``g`` of a metric at ``points``, checked point by point.
 
-    The evaluator maps a block of points, shape ``(k, dim)`` (or one
-    point, shape ``(dim,)``), to a :class:`JetField` of shape
-    ``(k, dim, dim)`` (or ``(dim, dim)``): the leading axes of the block
-    lead the jets.  Symmetry is required as jets; positive definiteness
-    is required of the constant term; both are checked point by point.
-    Nothing is kept between calls: a caller that reads g more than once
-    at a point holds the jets (``StructureJets`` does).
+    ``g`` must be a :class:`JetField` of shape ``points.shape + (dim,)``:
+    the leading axes of the block lead the jets.  Symmetry is required as
+    jets; positive definiteness is required of the constant term.
     """
-
-    def __init__(self, dim: int, evaluator: Callable[[np.ndarray], JetField], degree: int = MIN_JET_DEGREE):
-        self.dim = dim
-        self.degree = degree
-        self.evaluator = evaluator
-
-    def jets(self, p) -> JetField:
-        """Validated jets of g at the point or block of points."""
-        p = np.asarray(p, dtype=float)
-        if p.shape[-1:] != (self.dim,):
-            raise GeometryError(f"point must have shape (..., {self.dim})")
-        lead = p.ndim - 1
-        g = self.evaluator(p)
-        if not isinstance(g, JetField) or g.shape != p.shape + (self.dim,):
-            raise GeometryError("metric evaluator must return a square jet field per point")
-        size = point_max(g.data, lead)
-        fail_first(~np.isfinite(size), p, GeometryError, "metric jets are not finite")
-        sym_gap = point_max(g.data - np.swapaxes(g.data, -3, -2), lead)
-        fail_first(sym_gap > 1e-10 * (1.0 + size), p, GeometryError, "metric jets are not symmetric")
-        try:
-            np.linalg.cholesky(g.value)
-        except np.linalg.LinAlgError:
-            # the stacked factorization fails as a whole: find the point
-            for q, v in zip(p.reshape(-1, self.dim), g.value.reshape(-1, self.dim, self.dim)):
-                try:
-                    np.linalg.cholesky(v)
-                except np.linalg.LinAlgError as err:
-                    raise GeometryError(f"metric is not positive definite at point {_where(q)}") from err
-        return g
+    points = np.asarray(points, dtype=float)
+    dim, lead = points.shape[-1], points.ndim - 1
+    if not isinstance(g, JetField) or g.shape != points.shape + (dim,):
+        raise GeometryError("metric evaluator must return a square jet field per point")
+    size = point_max(g.data, lead)
+    fail_first(~np.isfinite(size), points, GeometryError, "metric jets are not finite")
+    sym_gap = point_max(g.data - np.swapaxes(g.data, -3, -2), lead)
+    fail_first(sym_gap > 1e-10 * (1.0 + size), points, GeometryError, "metric jets are not symmetric")
+    try:
+        np.linalg.cholesky(g.value)
+    except np.linalg.LinAlgError:
+        # the stacked factorization fails as a whole: find the point
+        for q, v in zip(points.reshape(-1, dim), g.value.reshape(-1, dim, dim)):
+            try:
+                np.linalg.cholesky(v)
+            except np.linalg.LinAlgError as err:
+                raise GeometryError(f"metric is not positive definite at point {_where(q)}") from err
+    return g
 
 
 def christoffel_jets(g: JetField, ginv: JetField | None = None) -> JetField:

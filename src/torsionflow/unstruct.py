@@ -1,7 +1,8 @@
 """U(n)-structure layer: almost Hermitian structures and intrinsic torsion.
 
 An almost Hermitian structure is a metric plus a compatible almost
-complex structure J.  Its intrinsic torsion is
+complex structure J, one section of SO(2n)/U(n): one evaluator returns
+the jets of both on a block of points.  Its intrinsic torsion is
 
     xi_X Y = -1/2 J (nabla_X J) Y,
 
@@ -42,7 +43,7 @@ from .geometry import (
     MIN_JET_DEGREE,
     CurvatureJets,
     GeometryError,
-    MetricField,
+    checked_metric,
     christoffel_jets,
     cov_derivative_jets,
     curvature_jets,
@@ -79,33 +80,34 @@ def standard_j(n: int) -> np.ndarray:
 
 
 class AlmostHermitianStructure:
-    """Metric plus compatible almost complex structure, as evaluators.
+    """Metric plus compatible almost complex structure, as one evaluator.
 
-    ``j_evaluator`` follows the contract of the metric's evaluator: a
-    block of points, shape ``(k, 2n)`` (or one point, ``(2n,)``), in;
-    the jet field of J^i_j, shape ``(k, 2n, 2n)`` (or ``(2n, 2n)``),
-    out.  Compatibility (J^2 = -Id and <JX, JY> = <X, Y>) is validated
-    point by point every time J is read into a new :class:`StructureJets`.
-    ``rotation``, an orthogonal matrix, turns every orthonormal frame the
-    diagnostics measure in (see :class:`FramePack`); the residuals do not
-    depend on it.
+    ``evaluate`` maps a block of points, shape ``(k, 2n)`` (or one point,
+    ``(2n,)``), to the jet fields ``(g, J)`` of g_{ij} and J^i_j to
+    ``degree``, each of shape ``(k, 2n, 2n)`` (or ``(2n, 2n)``).  The
+    metric (:func:`checked_metric`) and compatibility (J^2 = -Id and
+    <JX, JY> = <X, Y>) are checked point by point in each new
+    :class:`StructureJets`.  ``rotation``, an orthogonal matrix, turns
+    every orthonormal frame the diagnostics measure in (see
+    :class:`FramePack`); the residuals do not depend on it.
     """
 
     def __init__(
         self,
-        metric: MetricField,
-        j_evaluator: Callable[[np.ndarray], JetField],
+        dim: int,
+        evaluate: Callable[[np.ndarray], tuple[JetField, JetField]],
+        degree: int = MIN_JET_DEGREE,
         name: str = "",
         rotation: np.ndarray | None = None,
     ):
-        if metric.dim % 2 != 0:
+        if dim % 2 != 0:
             raise GeometryError("almost Hermitian structures need even dimension")
-        self.metric = metric
-        self.j_evaluator = j_evaluator
+        self.dim = dim
+        self.n = dim // 2
+        self.evaluate = evaluate
+        self.degree = degree
         self.name = name
         self.rotation = rotation
-        self.dim = metric.dim
-        self.n = metric.dim // 2
 
     def structure_jets(self, p) -> "StructureJets":
         """A new :class:`StructureJets` at the point or block of points on
@@ -139,11 +141,18 @@ class StructureJets:
         """Raise ``error`` at the first point where ``failed`` holds."""
         fail_first(failed, self.points, error, message)
 
+    @cached_property
+    def evaluated(self) -> tuple[JetField, JetField]:
+        """The structure's one evaluator call on the block: (g, J), unchecked."""
+        if self.points.shape[-1:] != (self.dim,):
+            raise GeometryError(f"point must have shape (..., {self.dim})")
+        return self.structure.evaluate(self.points)
+
     # -- metric layer ---------------------------------------------------
 
     @cached_property
     def g(self) -> JetField:
-        return self.structure.metric.jets(self.points)
+        return checked_metric(self.evaluated[0], self.points)
 
     @cached_property
     def ginv(self) -> JetField:
@@ -173,11 +182,11 @@ class StructureJets:
 
     @cached_property
     def J(self) -> JetField:
-        j = self.structure.j_evaluator(self.points)
+        g1, j = self.g.truncate(1), self.evaluated[1]
         if not isinstance(j, JetField) or j.shape != self.points.shape + (self.dim,):
             raise GeometryError("J evaluator must return a square jet field per point")
         # both checks read the value and first derivatives only
-        j1, g1 = j.truncate(1), self.g.truncate(1)
+        j1 = j.truncate(1)
         jsq = jet_einsum("ik,kj->ij", j1, j1)
         jsq.data[..., 0] += np.eye(self.dim)
         self.fail(self._max(jsq.data) > 1e-10, GeometryError, "J^2 = -Id fails")
@@ -390,17 +399,16 @@ def random_structure(
     pairs, params = _rotation_params(rng, m, m)
     j0 = standard_j(n)
 
-    def j_evaluator(p):
+    def evaluate(p):
         space = jet_space(m, degree)
         q = _givens_product(space, p, pairs, params, amplitude)
         qj = jet_einsum("ik,kj->ij", q, JetField.constants(space, j0))
-        return jet_einsum("ik,jk->ij", qj, q)
+        # a read-only view: flow.random_grid evaluates a million nodes
+        eye = JetField.constants(space, np.eye(m)).data
+        g = JetField(space, np.broadcast_to(eye, p.shape[:-1] + eye.shape))
+        return g, jet_einsum("ik,jk->ij", qj, q)
 
-    def g_evaluator(p):
-        return JetField.constants(jet_space(m, degree), np.broadcast_to(np.eye(m), p.shape[:-1] + (m, m)))
-
-    metric = MetricField(m, g_evaluator, degree=degree)
-    return AlmostHermitianStructure(metric, j_evaluator, name=f"random-flat-{seed}")
+    return AlmostHermitianStructure(m, evaluate, degree, name=f"random-flat-{seed}")
 
 
 def random_curved_structure(
@@ -438,16 +446,11 @@ def random_curved_structure(
             diag.data[..., i, i, :] = mu.fn("exp").data
         return jet_einsum("ik,kj->ij", q, diag)
 
-    def g_evaluator(p):
-        space = jet_space(m, degree)
-        ainv = jet_matrix_inverse(a_jets(space, p))
-        return jet_einsum("ki,kj->ij", ainv, ainv)
-
-    def j_evaluator(p):
+    def evaluate(p):
         space = jet_space(m, degree)
         a = a_jets(space, p)
+        ainv = jet_matrix_inverse(a)
         aj = jet_einsum("ik,kj->ij", a, JetField.constants(space, j0))
-        return jet_einsum("ik,kj->ij", aj, jet_matrix_inverse(a))
+        return jet_einsum("ki,kj->ij", ainv, ainv), jet_einsum("ik,kj->ij", aj, ainv)
 
-    metric = MetricField(m, g_evaluator, degree=degree)
-    return AlmostHermitianStructure(metric, j_evaluator, name=f"random-curved-{seed}")
+    return AlmostHermitianStructure(m, evaluate, degree, name=f"random-curved-{seed}")

@@ -7,7 +7,7 @@ scalar jets assembled entry by entry, no reuse of catalog code.
 
 import numpy as np
 
-from torsionflow.geometry import MetricField
+from torsionflow.geometry import checked_metric
 from torsionflow.jets import JetField, jet_space
 
 
@@ -47,14 +47,14 @@ def random_metric_field(seed, n, degree=4, amp=0.25):
             entries[i][i] = entries[i][i] + 1.0
         return pack_scalar_matrix(space, entries)
 
-    return MetricField(n, evaluator, degree=degree)
+    return lambda p: checked_metric(evaluator(p), p)
 
 
 def flat_metric_field(n, degree=4):
     def evaluator(p):
         return JetField.constants(jet_space(n, degree), np.eye(n))
 
-    return MetricField(n, evaluator, degree=degree)
+    return lambda p: checked_metric(evaluator(p), p)
 
 
 def conformal_metric_field(n, f_of_x, degree=4):
@@ -66,7 +66,7 @@ def conformal_metric_field(n, f_of_x, degree=4):
                    for i in range(n)]
         return pack_scalar_matrix(space, entries)
 
-    return MetricField(n, evaluator, degree=degree)
+    return lambda p: checked_metric(evaluator(p), p)
 
 
 def sphere6_metric_field(degree=4):
@@ -81,7 +81,7 @@ def sphere6_metric_field(degree=4):
                     for j in range(6)] for i in range(6)]
         return pack_scalar_matrix(space, entries)
 
-    return MetricField(6, evaluator, degree=degree)
+    return lambda p: checked_metric(evaluator(p), p)
 
 
 def random_tensor_evaluator(seed, n, shape, degree=4, amp=1.0):

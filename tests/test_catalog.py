@@ -141,7 +141,7 @@ def test_hopf_curvature_display():
     eye3 = np.eye(3)
     for p in sample_points(spec, 3, seed=5):
         radial, sphere = _radial_and_sphere_frame(p)
-        g = structure.metric.jets(p)
+        g = structure.structure_jets(p).g
         rflat = curvature_jets(g, christoffel_jets(g)).rflat.value
         scale = 1.0 + np.abs(rflat).max()
         t = np.einsum("ijkl,ia,jb,kc,ld->abcd", rflat, sphere, sphere, sphere, sphere)
@@ -187,7 +187,7 @@ def test_s6_j_is_the_pullback_through_the_metric():
     cross_op = jet_einsum("abc,a->cb", JetField.constants(x.space, octonion_structure_constants()), embed)
     dtmd = jet_einsum("ai,aj->ij", d, jet_einsum("cb,bj->cj", cross_op, d))
     oracle = jet_einsum("ik,kj->ij", jet_matrix_inverse(g), dtmd)
-    gap = point_max(catalog._s6_j(pts, spec.degree).data - oracle.data, 1)
+    gap = point_max(catalog._s6(pts, spec.degree)[1].data - oracle.data, 1)
     assert np.all(gap <= 1e-13 * (1.0 + point_max(oracle.data, 1))), gap
 
 
@@ -195,7 +195,7 @@ def test_s6_is_einstein_with_factor_five():
     spec = s6_nearly_kahler()
     structure = build_structure(spec)
     for p in sample_points(spec, 2, seed=6):
-        g = structure.metric.jets(p)
+        g = structure.structure_jets(p).g
         pack = curvature_jets(g, christoffel_jets(g))
         assert np.abs(pack.ricci.value - 5.0 * g.value).max() < 1e-6
         assert abs(float(pack.scalar.value) - 30.0) < 1e-6
@@ -272,9 +272,9 @@ def test_spec_from_config_strictness():
 def test_spec_validation_errors():
     flat = flat_kahler(2)
     with pytest.raises(GeometryError):
-        GeometrySpec(name="x", n=2, metric=flat.metric, j=flat.j, domain=((0, 1),) * 3)
+        GeometrySpec(name="x", n=2, jets=flat.jets, domain=((0, 1),) * 3)
     with pytest.raises(GeometryError):
-        GeometrySpec(name="x", n=2, metric=flat.metric, j=flat.j, domain=((1, 0),) * 4)
+        GeometrySpec(name="x", n=2, jets=flat.jets, domain=((1, 0),) * 4)
     with pytest.raises(GeometryError):
         flat_kahler(0)
     with pytest.raises(GeometryError):

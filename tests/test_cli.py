@@ -180,6 +180,21 @@ def test_geometry_errors_exit_3(tmp_path, capsys):
         assert code == 3, geo
         assert out == ""
         assert "error" in json.loads(err)
+    not_text = "f must be an expression string"
+    named = [
+        # the factor is source text: no other JSON value is read as one
+        ({"type": "conformal", "n": 2, "f": True}, not_text),
+        ({"type": "conformal", "n": 2, "f": None}, not_text),
+        ({"type": "conformal", "n": 2, "f": ["x1"]}, not_text),
+        ({"type": "conformal", "n": 2, "f": 5}, not_text),
+        # a field the type does not take is named before any value is read
+        ({"type": "s6", "n": 0}, "unknown geometry config fields: ['n']"),
+        ({"type": "flat", "n": 2, "periodic": "yes"}, "unknown geometry config fields: ['periodic']"),
+    ]
+    for idx, (geo, error) in enumerate(named):
+        path = write_config(tmp_path, f"named{idx}.json", geometry_config(geo))
+        code, out, err = run(["inspect", "--config", path], capsys)
+        assert (code, out, err) == (3, "", render_json({"schema": 1, "error": error}) + "\n"), geo
 
 
 def test_numpy_warnings_stay_off_stderr(tmp_path, capsys):
@@ -217,11 +232,17 @@ class _RawNumber(str):
     """A number written into the config text as-is, past what json.dumps emits."""
 
 
+class _Twice(str):
+    """A key written into the config text twice, with the same value."""
+
+
 def _to_json(value) -> str:
     if isinstance(value, _RawNumber):
         return str(value)
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_to_json(v)}" for k, v in value.items()) + "}"
+        pairs = [f"{json.dumps(k)}: {_to_json(v)}" for k, v in value.items()]
+        pairs += [pair for pair, k in zip(pairs, value) if isinstance(k, _Twice)]
+        return "{" + ", ".join(pairs) + "}"
     if isinstance(value, list):
         return "[" + ", ".join(_to_json(v) for v in value) + "]"
     return json.dumps(value)  # NaN and Infinity as json writes them
@@ -240,7 +261,8 @@ _FORMULAS = st.sampled_from(
 
 @st.composite
 def _configs(draw):
-    """A valid config of a random command with up to three fields spoiled."""
+    """A valid config of a random command with up to three fields spoiled,
+    and in some examples one key repeated."""
     command = draw(st.sampled_from(["inspect", "verify", "classify", "flow"]))
     cfg = {"schema": 1, "command": command, "tol": draw(st.sampled_from([1e-6, 1e-3]))}
     if command == "flow":
@@ -271,7 +293,14 @@ def _configs(draw):
             section.pop(key, None)
         else:
             section[key] = draw(_JUNK)
-    return command, cfg
+    # only a section the config still holds is written out
+    live = [s for s in sections if s and (s is cfg or any(s is v for v in cfg.values()))]
+    repeated = bool(live) and draw(st.integers(0, 3)) == 3
+    if repeated:
+        section = draw(st.sampled_from(live))
+        key = draw(st.sampled_from(sorted(section)))
+        section[_Twice(key)] = section.pop(key)
+    return command, cfg, repeated
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -279,7 +308,7 @@ def _configs(draw):
 def test_fuzzed_configs_exit_with_a_documented_code(case):
     # every config ends in a report or one JSON error, never a traceback
     # and never exit 5, which is kept for faults of the package itself
-    command, cfg = case
+    command, cfg, repeated = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(_to_json(cfg))
@@ -287,6 +316,8 @@ def test_fuzzed_configs_exit_with_a_documented_code(case):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, "--config", str(path)])
     assert code in (0, 1, 2, 3, 4), (code, err.getvalue()[:300])
+    # a repeated key is refused when the config is read, whatever else it holds
+    assert code == 2 or not repeated, err.getvalue()[:300]
     if code in (2, 3):
         assert out.getvalue() == ""
         assert "error" in json.loads(err.getvalue())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torsionflow import diagnostics
+from torsionflow import catalog, diagnostics
 from torsionflow.catalog import (
     build_structure,
     conformal,
@@ -249,7 +249,7 @@ def test_conformal_one_form_matches_numeric_pairing_generically():
 
 def in_rotated_frames(structure, rotation):
     """The same metric and J, measured in frames turned by ``rotation``."""
-    return AlmostHermitianStructure(structure.metric, structure.j_evaluator, structure.name, rotation)
+    return AlmostHermitianStructure(structure.dim, structure.evaluate, structure.degree, structure.name, rotation)
 
 
 def test_residuals_are_frame_rotation_invariant():
@@ -377,34 +377,40 @@ def test_classify_and_scale_never_build_nabla_xi(monkeypatch):
     assert point_scale(structure, pts[0]) > 1.0
 
 
-def test_one_evaluation_per_point_and_no_hidden_memo():
-    """Each point evaluates g and J once; only the StructureJets a caller
-    holds remembers a point's jets.  An evaluator call takes a block of
-    points, so the counters count the points evaluated."""
+def test_one_evaluation_per_point_and_no_hidden_memo(monkeypatch):
+    """Each point evaluates g and J in one call; only the StructureJets a
+    caller holds remembers a point's jets.  An evaluator call takes a
+    block of points, so the counter counts the points evaluated.  Each s6
+    chunk builds its graph chart once."""
+    charts = []
+    graph = catalog._s6_graph
+    monkeypatch.setattr(catalog, "_s6_graph", lambda p, degree: charts.append(p) or graph(p, degree))
     for spec in (hopf_chart(2), s6_nearly_kahler()):
         structure = build_structure(spec)
-        calls = {"g": 0, "J": 0}
+        calls = {"evaluate": 0}
 
-        def counted(name, evaluator):
+        def counted(evaluator):
             def wrapped(p):
-                calls[name] += len(np.atleast_2d(p))
+                calls["evaluate"] += len(np.atleast_2d(p))
                 return evaluator(p)
 
             return wrapped
 
-        structure.metric.evaluator = counted("g", structure.metric.evaluator)
-        structure.j_evaluator = counted("J", structure.j_evaluator)
+        structure.evaluate = counted(structure.evaluate)
         pts = sample_points(spec, 3, seed=5)
+        charts.clear()
         run_diagnostics(structure, pts, tol=1e-6)
-        assert calls == {"g": 3, "J": 3}, spec.name
+        assert calls == {"evaluate": 3}, spec.name
+        chunks = -(-len(pts) // diagnostics._chunk_size(structure))
+        assert len(charts) == (chunks if spec.name == "s6" else 0), spec.name
         classify_gh(structure, pts)
-        assert calls == {"g": 6, "J": 6}, spec.name
+        assert calls == {"evaluate": 6}, spec.name
 
         first = structure.structure_jets(pts[0])
         second = structure.structure_jets(pts[0])
         assert first is not second
         assert first.g is not second.g
-        assert calls["g"] == 8
+        assert calls["evaluate"] == 8
 
 
 def test_errors_name_the_first_failing_point_in_point_order():

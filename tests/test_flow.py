@@ -48,6 +48,9 @@ def test_jgrid_validation():
         JGrid(2, 8, values)  # orthogonal but J^2 = +Id
     with pytest.raises(GridError):
         JGrid(2, 8, np.zeros((8, 8, 4, 4)))
+    # an amplitude whose angles overflow to inf leaves NaN nodes
+    with np.errstate(all="ignore"), pytest.raises(GridError, match="orthogonality by nan"):
+        random_grid(0, 2, 4, amplitude=1e308)
     # random_grid checks n like JGrid, before it samples any node
     with pytest.raises(GridError, match="n must be at least 1"):
         random_grid(0, 0, 8)

@@ -11,7 +11,7 @@ from helpers import (
 
 from torsionflow.geometry import (
     GeometryError,
-    MetricField,
+    checked_metric,
     christoffel_jets,
     cov_derivative_jets,
     curvature_jets,
@@ -21,14 +21,14 @@ from torsionflow.jets import JetField, jet_matrix_inverse, jet_space
 
 
 def curvature_at(m, p):
-    g = m.jets(p)
+    g = m(p)
     return curvature_jets(g, christoffel_jets(g))
 
 
 def test_flat_metric_trivial():
     m = flat_metric_field(3)
     p = np.array([0.2, -0.1, 0.4])
-    assert np.abs(christoffel_jets(m.jets(p)).value).max() == 0.0
+    assert np.abs(christoffel_jets(m(p)).value).max() == 0.0
     pack = curvature_at(m, p)
     assert np.abs(pack.riem.value).max() == 0.0
     assert np.abs(pack.ricci.value).max() == 0.0
@@ -39,7 +39,7 @@ def test_flat_covariant_derivative_is_partials():
     m = flat_metric_field(2)
     t = random_tensor_evaluator(3, 2, (2, 2))
     p = np.array([0.3, -0.6])
-    nabla = cov_derivative_jets(t(p), "ud", christoffel_jets(m.jets(p))).value
+    nabla = cov_derivative_jets(t(p), "ud", christoffel_jets(m(p))).value
     partials = t(p).grad().value
     assert np.abs(nabla - partials).max() < 1e-14
 
@@ -47,7 +47,7 @@ def test_flat_covariant_derivative_is_partials():
 def test_christoffel_symmetric_in_lower_slots():
     m = random_metric_field(0, 3)
     p = np.array([0.1, 0.2, -0.3])
-    gam = christoffel_jets(m.jets(p)).value
+    gam = christoffel_jets(m(p)).value
     assert np.abs(gam - np.swapaxes(gam, 1, 2)).max() < 1e-13
 
 
@@ -62,7 +62,7 @@ def test_conformal_christoffel_closed_form():
     rng = np.random.default_rng(5)
     for _ in range(3):
         p = rng.uniform(-0.5, 0.5, size=n)
-        gam = christoffel_jets(m.jets(p)).value
+        gam = christoffel_jets(m(p)).value
         space = jet_space(n, 4)
         fj = JetField(space, f_of_x(space, p).data.reshape(space.ncoeff))
         df = fj.grad().value
@@ -78,7 +78,7 @@ def test_conformal_christoffel_closed_form():
 def test_metric_compatibility():
     m = random_metric_field(1, 3)
     p = np.array([0.15, -0.25, 0.05])
-    g = m.jets(p)
+    g = m(p)
     nabla_g = cov_derivative_jets(g, "dd", christoffel_jets(g)).value
     assert np.abs(nabla_g).max() < 1e-12
 
@@ -92,7 +92,7 @@ def test_leibniz_rule():
     x_eval = random_tensor_evaluator(4, n, (n,))
     x = x_eval(p)
     fx = x * JetField(space, f.data.reshape(space.ncoeff))
-    gamma = christoffel_jets(m.jets(p))
+    gamma = christoffel_jets(m(p))
     lhs = cov_derivative_jets(fx, "u", gamma).value
     fj = JetField(space, f.data.reshape(space.ncoeff))
     rhs = (
@@ -123,7 +123,7 @@ def test_curvature_symmetries_random_geometry():
 def test_second_bianchi():
     m = random_metric_field(8, 3)
     p = np.array([0.2, -0.1, 0.3])
-    g = m.jets(p)
+    g = m(p)
     gamma = christoffel_jets(g)
     nr = cov_derivative_jets(curvature_jets(g, gamma).riem, "uddd", gamma).value
     cyc = (
@@ -172,7 +172,7 @@ def test_sphere6_ricci_is_five_g():
     for _ in range(2):
         p = rng.uniform(-0.3, 0.3, size=6)
         pack = curvature_at(m, p)
-        g = m.jets(p).value
+        g = m(p).value
         assert np.abs(pack.ricci.value - 5.0 * g).max() < 1e-7
         assert float(pack.scalar.value) == pytest.approx(30.0, abs=1e-7)
 
@@ -188,7 +188,7 @@ def test_flat_laplacian_is_sum_of_second_partials():
         val = x1 * x1 * x2 + x2 * x2
         return JetField(space, val.data.reshape(space.ncoeff))
 
-    g = m.jets(p)
+    g = m(p)
     gamma = christoffel_jets(g)
     lap = rough_laplacian_jets(cov_derivative_jets(psi(p), "", gamma), "", gamma, jet_matrix_inverse(g)).value
     # psi = x1^2 x2 + x2^2: sum of pure second partials is 2 x2 + 2
@@ -198,7 +198,7 @@ def test_flat_laplacian_is_sum_of_second_partials():
 def test_laplacian_of_metric_vanishes():
     m = random_metric_field(14, 3)
     p = np.array([0.1, 0.0, -0.2])
-    g = m.jets(p)
+    g = m(p)
     gamma = christoffel_jets(g)
     lap = rough_laplacian_jets(cov_derivative_jets(g, "dd", gamma), "dd", gamma, jet_matrix_inverse(g)).value
     assert np.abs(lap).max() < 1e-11
@@ -210,13 +210,13 @@ def test_hessian_slot_order():
     m = random_metric_field(15, 2)
     p = np.array([0.2, 0.3])
     psi = random_tensor_evaluator(16, 2, ())
-    gamma = christoffel_jets(m.jets(p))
+    gamma = christoffel_jets(m(p))
     h = cov_derivative_jets(cov_derivative_jets(psi(p), "", gamma), "d", gamma).value
     space = jet_space(2, 4)
     pj = psi(p)
     dd = pj.grad().grad().value  # dd[y, x] = d_x d_y psi
     dpsi = pj.grad().value
-    gam = christoffel_jets(m.jets(p)).value
+    gam = christoffel_jets(m(p)).value
     expect = dd - np.einsum("mxy,m->yx", gam, dpsi)
     assert np.abs(h - expect).max() < 1e-12
     assert np.abs(h - h.T).max() < 1e-12
@@ -227,22 +227,22 @@ def test_geometry_errors():
         return JetField.constants(jet_space(2, 4), -np.eye(2))
 
     with pytest.raises(GeometryError):
-        MetricField(2, bad_spd).jets(np.zeros(2))
+        checked_metric(bad_spd(np.zeros(2)), np.zeros(2))
 
     def asym(p):
         return JetField.constants(jet_space(2, 4), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     with pytest.raises(GeometryError):
-        MetricField(2, asym).jets(np.zeros(2))
+        checked_metric(asym(np.zeros(2)), np.zeros(2))
 
     def overflowing(p):
         return JetField.constants(jet_space(2, 4), np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
     with pytest.raises(GeometryError, match="not finite"):
-        MetricField(2, overflowing).jets(np.zeros(2))
+        checked_metric(overflowing(np.zeros(2)), np.zeros(2))
 
     # degree-2 metric jets leave curvature at degree 0: no nabla R
-    g = random_metric_field(17, 2, degree=2).jets(np.zeros(2))
+    g = random_metric_field(17, 2, degree=2)(np.zeros(2))
     gamma = christoffel_jets(g)
     riem = curvature_jets(g, gamma).riem
     with pytest.raises(GeometryError):
@@ -260,4 +260,4 @@ def test_metric_checks_compare_each_point_against_its_own_scale():
 
     block = np.array([[0.0, 0.0], [0.5, 0.25]])
     with pytest.raises(GeometryError, match=r"metric jets are not symmetric at point \(0.5, 0.25\)"):
-        MetricField(2, evaluator).jets(block)
+        checked_metric(evaluator(block), block)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from helpers import conformal_metric_field, gh_norms, trig_scalar
 
-from torsionflow.geometry import GeometryError, MetricField
+from torsionflow.geometry import GeometryError
 from torsionflow.jets import JetField, jet_space
 from torsionflow.tensor import permute, random_rotation
 from torsionflow.unstruct import (
@@ -19,23 +19,21 @@ from torsionflow.unstruct import (
 def flat_kahler(n, degree=4):
     m = 2 * n
 
-    def g_eval(p):
-        return JetField.constants(jet_space(m, degree), np.eye(m))
+    def evaluate(p):
+        space = jet_space(m, degree)
+        return JetField.constants(space, np.eye(m)), JetField.constants(space, standard_j(n))
 
-    def j_eval(p):
-        return JetField.constants(jet_space(m, degree), standard_j(n))
-
-    return AlmostHermitianStructure(MetricField(m, g_eval, degree=degree), j_eval)
+    return AlmostHermitianStructure(m, evaluate, degree)
 
 
 def conformal_structure(n, f_of_x, degree=4):
     m = 2 * n
     metric = conformal_metric_field(m, f_of_x, degree=degree)
 
-    def j_eval(p):
-        return JetField.constants(jet_space(m, degree), standard_j(n))
+    def evaluate(p):
+        return metric(p), JetField.constants(jet_space(m, degree), standard_j(n))
 
-    return AlmostHermitianStructure(metric, j_eval)
+    return AlmostHermitianStructure(m, evaluate, degree)
 
 
 def f_example(space, p):
@@ -267,7 +265,7 @@ def test_torsion_norm_frame_invariant():
     comp0 = gh_norms(base)
     for seed in range(2):
         q = random_rotation(6, np.random.default_rng(seed))
-        turned = AlmostHermitianStructure(s.metric, s.j_evaluator, s.name, rotation=q)
+        turned = AlmostHermitianStructure(s.dim, s.evaluate, s.degree, s.name, rotation=q)
         sj = turned.structure_jets(p)
         assert np.sum(sj.xi_frame * sj.xi_frame) == pytest.approx(norm0, rel=1e-9)
         assert np.allclose(gh_norms(sj), comp0, rtol=1e-8, atol=1e-10)
@@ -286,23 +284,24 @@ def test_extended_norm_matches_coordinate_contraction():
 
 
 def test_odd_dimension_rejected():
-    def g_eval(p):
-        return JetField.constants(jet_space(3, 4), np.eye(3))
+    def evaluate(p):
+        return JetField.constants(jet_space(3, 4), np.eye(3)), None
 
     with pytest.raises(GeometryError):
-        AlmostHermitianStructure(MetricField(3, g_eval), lambda p: None)
+        AlmostHermitianStructure(3, evaluate)
 
 
 def test_bad_j_rejected():
-    def g_eval(p):
-        return JetField.constants(jet_space(4, 4), np.eye(4))
+    def evaluate(p):
+        space = jet_space(4, 4)
+        return JetField.constants(space, np.eye(4)), JetField.constants(space, np.diag([1.0, -1.0, 1.0, -1.0]))
 
-    def bad_j(p):
-        return JetField.constants(jet_space(4, 4), np.diag([1.0, -1.0, 1.0, -1.0]))
-
-    s = AlmostHermitianStructure(MetricField(4, g_eval), bad_j)
+    s = AlmostHermitianStructure(4, evaluate)
     with pytest.raises(GeometryError):
         s.structure_jets(np.zeros(4)).J
+    # the block is checked before the evaluator is called
+    with pytest.raises(GeometryError, match=r"point must have shape \(\.\.\., 4\)"):
+        s.structure_jets(np.zeros(3)).J
 
 
 def test_connection_action_on_scalar_is_zero():
