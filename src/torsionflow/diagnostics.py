@@ -18,8 +18,9 @@ Conventions follow the rest of the package: R(X,Y) = nabla_[X,Y] -
 [nabla_X, nabla_Y], omega(X,Y) = <X, JY>, xi_X = -1/2 J (nabla_X J),
 and tensor inner products contract every slot in an orthonormal frame.
 
-``run_diagnostics`` and ``classify_gh`` evaluate the points in chunks
-(CHUNK_ENTRIES bounds their memory).  Each chunk is one object, a
+``run_diagnostics`` and ``classify_gh`` evaluate the points in chunks,
+priced by the rank-3 jets that a chunk memoizes (CHUNK_ENTRIES bounds
+its memory).  Each chunk is one object, a
 ``StructureJets`` of a block of points that also memoizes the frame
 arrays the suites share; the suites return one value per point, and
 the per-point functions below are chunks of one point.
@@ -79,13 +80,19 @@ ROUTE_TOL = 1e-8
 # The theorem checks' hypotheses and verdicts hold within this (times scale).
 THEOREM_TOL = 1e-6
 
-# Points evaluated together: about this many entries of a rank-4 jet
-# (dim^4 entries of ncoeff coefficients) per chunk.  At MIN_JET_DEGREE
-# that is 14 points at dim 4 and one point at dim 6 and 8, so a rank-4
-# jet of a chunk stays near a megabyte whatever the number of points.
-# Swept from 2^16 to 2^19: 2^17 is the largest budget at which a
-# 72-point hopf verify peaks within 5% of its memory at 2^16 (2^18: +10.6%).
-CHUNK_ENTRIES = 2**17
+# Points evaluated together: about this many entries of a rank-3 jet at
+# one degree below the structure's (dim^3 entries of nc_at(degree - 1)
+# coefficients) per chunk.  Most of a chunk's memo is in that layout
+# (Gamma, Gamma + xi, nabla J, nabla omega and xi), at about 95 to 120
+# bytes per entry from dim 2 to dim 8, so at MIN_JET_DEGREE a chunk holds
+# 280 points at dim 2, 14 at dim 4 (960 entries each), 2 at dim 6 and 1
+# at dim 8, and every catalog geometry's chunk memo stays below 3 MB
+# (test_chunk_memo_is_bounded).  Swept from 1 to 4 points at dim 6 on
+# inspect s6, verify hopf n=2 and inspect conformal n=3
+# (BENCH_chunk_memo.json): the largest budget whose peak memory stayed
+# within 5% of one point per chunk at dim 6 and 14 at dim 4 (3 points at
+# dim 6: +5.3% on s6, +6.3% on conformal n=3).
+CHUNK_ENTRIES = 14 * 960
 
 SECTION_NAMES = (
     "harmonic",
@@ -235,9 +242,10 @@ def _point_data(structure: AlmostHermitianStructure, p) -> _PointData:
 
 
 def _chunk_size(structure: AlmostHermitianStructure) -> int:
-    """Points per chunk: CHUNK_ENTRIES entries of a rank-4 jet, at least one."""
-    ncoeff = jet_space(structure.dim, structure.degree).ncoeff
-    return max(1, CHUNK_ENTRIES // (structure.dim**4 * ncoeff))
+    """Points per chunk, at least one: CHUNK_ENTRIES entries of a rank-3
+    jet of degree ``structure.degree - 1``, the layout of Gamma and xi."""
+    ncoeff = jet_space(structure.dim, structure.degree).nc_at(structure.degree - 1)
+    return max(1, CHUNK_ENTRIES // (structure.dim**3 * ncoeff))
 
 
 def _chunked(structure: AlmostHermitianStructure, points: np.ndarray, evaluate) -> list:

@@ -182,16 +182,20 @@ def _diff_data(space: JetSpace, a: np.ndarray, c: int | slice, new_deg: int) -> 
     return a[..., space._diff_idx[c, :nc]] * space._diff_coef[c, :nc]
 
 
-def _sin_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:
-    s, co = np.sin(c), np.cos(c)
-    table = [s, co, -s, -co]
-    return [table[k % 4] / math.factorial(k) for k in range(deg + 1)]
+def _sin_coeffs(c: np.ndarray, deg: int, shift: int = 0) -> list[np.ndarray]:
+    """Coefficient k is derivative k + shift of sin (the cycle sin, cos,
+    -sin, -cos) over k!.  Only the cycle entries that the deg + 1
+    coefficients read are computed: degree 0 evaluates sin alone."""
+    read = {(k + shift) % 4 for k in range(deg + 1)}
+    s = np.sin(c) if read & {0, 2} else None
+    co = np.cos(c) if read & {1, 3} else None
+    table = [s, co, -s if 2 in read else None, -co if 3 in read else None]
+    return [table[(k + shift) % 4] / math.factorial(k) for k in range(deg + 1)]
 
 
 def _cos_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:
-    s, co = np.sin(c), np.cos(c)
-    table = [co, -s, -co, s]
-    return [table[k % 4] / math.factorial(k) for k in range(deg + 1)]
+    """cos is sin shifted by one derivative: degree 0 evaluates cos alone."""
+    return _sin_coeffs(c, deg, shift=1)
 
 
 def _exp_coeffs(c: np.ndarray, deg: int) -> list[np.ndarray]:

@@ -30,6 +30,7 @@ from torsionflow.diagnostics import (
     w1w4_laplacian_residual,
 )
 from torsionflow.geometry import MIN_JET_DEGREE, GeometryError, cov_derivative_jets, rough_laplacian_jets
+from torsionflow.jets import JetField
 from torsionflow.tensor import random_rotation
 from torsionflow.unstruct import AlmostHermitianStructure, StructureJets, random_curved_structure, random_structure
 
@@ -492,8 +493,18 @@ def test_chunks_match_chunks_of_one(monkeypatch, rotated):
     1e-14 * scale, and the same labels and passes."""
     rng = np.random.default_rng(29)
     cases = []
-    for spec in (flat_kahler(2), conformal(2, "sin(x1)*cos(x2)", periodic=True), hopf_chart(2), s6_nearly_kahler()):
+    specs = (
+        flat_kahler(2),
+        conformal(2, "sin(x1)*cos(x2)", periodic=True),
+        conformal(3, "sin(x1)*cos(x2)", periodic=True),
+        hopf_chart(2),
+        s6_nearly_kahler(),
+    )
+    for spec in specs:
         structure = build_structure(spec)
+        if structure.dim == 6:
+            # else the default chunks would be the chunks of one
+            assert diagnostics._chunk_size(structure) > 1, spec.name
         cases.append((structure, sample_points(spec, diagnostics._chunk_size(structure) + 1, seed=4)))
     curved = random_curved_structure(21, 2)
     cases.append((curved, rng.uniform(-np.pi, np.pi, (diagnostics._chunk_size(curved) + 1, 4))))
@@ -520,3 +531,41 @@ def test_chunks_match_chunks_of_one(monkeypatch, rotated):
                 pairs += list(zip(a.component_norms, b.component_norms))
                 for x, y in pairs:
                     assert abs(x - y) <= 1e-14 * b.scale, structure.name
+
+
+def _held_bytes(obj, buffers: dict) -> None:
+    """The distinct buffers of the arrays and jet fields ``obj`` holds,
+    through containers and object attributes, but not its structure."""
+    if isinstance(obj, JetField):
+        obj = obj.data
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        buffers[id(obj)] = obj.nbytes
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _held_bytes(item, buffers)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _held_bytes(item, buffers)
+    elif hasattr(obj, "__dict__"):
+        for name, item in vars(obj).items():
+            if name != "structure":
+                _held_bytes(item, buffers)
+
+
+def test_chunk_memo_is_bounded():
+    """A default chunk of every catalog geometry holds below 3 MB of
+    arrays once its records are built, the bound that the CHUNK_ENTRIES
+    comment states."""
+    specs = [flat_kahler(n) for n in (1, 2, 3, 4)]
+    specs += [conformal(n, "sin(x1)*cos(x2)", periodic=True) for n in (2, 3)]
+    specs += [hopf_chart(n) for n in (2, 3, 4)] + [s6_nearly_kahler()]
+    for spec in specs:
+        structure = build_structure(spec)
+        pts = sample_points(spec, diagnostics._chunk_size(structure), seed=1)
+        pd = diagnostics._PointData(structure, pts)
+        diagnostics._point_records(pd)
+        buffers: dict = {}
+        _held_bytes(pd, buffers)
+        assert sum(buffers.values()) < 3e6, (spec.name, structure.dim)
