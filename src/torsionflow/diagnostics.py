@@ -83,16 +83,17 @@ THEOREM_TOL = 1e-6
 # Points evaluated together: about this many entries of a rank-3 jet at
 # one degree below the structure's (dim^3 entries of nc_at(degree - 1)
 # coefficients) per chunk.  Most of a chunk's memo is in that layout
-# (Gamma, Gamma + xi, nabla J, nabla omega and xi), at about 95 to 120
-# bytes per entry from dim 2 to dim 8, so at MIN_JET_DEGREE a chunk holds
-# 280 points at dim 2, 14 at dim 4 (960 entries each), 2 at dim 6 and 1
-# at dim 8, and every catalog geometry's chunk memo stays below 3 MB
-# (test_chunk_memo_is_bounded).  Swept from 1 to 4 points at dim 6 on
-# inspect s6, verify hopf n=2 and inspect conformal n=3
-# (BENCH_chunk_memo.json): the largest budget whose peak memory stayed
-# within 5% of one point per chunk at dim 6 and 14 at dim 4 (3 points at
-# dim 6: +5.3% on s6, +6.3% on conformal n=3).
-CHUNK_ENTRIES = 14 * 960
+# (Gamma, Gamma + xi, nabla J, nabla omega and xi), at about 80 to 106
+# bytes per entry from dim 8 to dim 2, so at MIN_JET_DEGREE a chunk holds
+# 560 points at dim 2, 28 at dim 4 (960 entries each), 4 at dim 6 and 1
+# at dim 8; every catalog geometry's chunk memo stays below 3 MB (1.84 to
+# 2.86 MB, test_chunk_memo_is_bounded), and building the records of one
+# chunk of hopf n=2, s6 or flat n=1 peaks below 3.75 MB of allocations
+# (3.38, 2.91 and 3.70 MB; test_chunk_peak_is_bounded).  The bound holds
+# only while a chunk drops riem, keeps g^{-1} one degree short, sums its
+# covariant derivatives and curvature in place and builds Ric* before
+# the split of xi (BENCH_chunk_lean.json).
+CHUNK_ENTRIES = 28 * 960
 
 SECTION_NAMES = (
     "harmonic",
@@ -214,8 +215,8 @@ class _PointData(StructureJets):
     @cached_property
     def star_ricci_field(self) -> JetField:
         """Ric* as a coordinate jet field (degree limited by curvature)."""
-        t1 = jet_einsum("xacd,cy->xayd", self.curv.rflat, self.J)
-        t2 = jet_einsum("xayd,db->xayb", t1, self.J)
+        # the first rank-4 product is freed before the last
+        t2 = jet_einsum("xayd,db->xayb", jet_einsum("xacd,cy->xayd", self.curv.rflat, self.J), self.J)
         return jet_einsum("ab,xayb->xy", self.ginv, t2)
 
     def lee_endo(self) -> np.ndarray:
@@ -243,7 +244,9 @@ def _point_data(structure: AlmostHermitianStructure, p) -> _PointData:
 
 def _chunk_size(structure: AlmostHermitianStructure) -> int:
     """Points per chunk, at least one: CHUNK_ENTRIES entries of a rank-3
-    jet of degree ``structure.degree - 1``, the layout of Gamma and xi."""
+    jet of degree ``structure.degree - 1``, the layout of Gamma and xi.
+    At MIN_JET_DEGREE: 560 points at dim 2, 28 at dim 4, 4 at dim 6 and 1
+    at dim 8, holding below 3 MB and peaking below 3.75 MB per chunk."""
     ncoeff = jet_space(structure.dim, structure.degree).nc_at(structure.degree - 1)
     return max(1, CHUNK_ENTRIES // (structure.dim**3 * ncoeff))
 
@@ -489,6 +492,10 @@ def _identity_suite(pd: _PointData) -> dict[str, np.ndarray]:
         # xi vanishes identically in complex dimension one
         return {name: np.zeros(pd.scale.shape) for name in IDENTITY_NAMES}
 
+    # (d) divergence identity for Ric* and the *-scalar curvature, first:
+    # its rank-4 Ric* products run before the chunk holds the split of xi
+    res_d = _fro(_star_ricci_divergence_defect(pd))
+
     xi1F, xi2F, xi3F, xi4F = pd.gh_frame
     a1, a3, a4 = _gh_trace_terms(pd)
 
@@ -526,9 +533,6 @@ def _identity_suite(pd: _PointData) -> dict[str, np.ndarray]:
     for i in range(pd.dim):
         rhs -= _act_on_form(xiF[:, i], _act_on_form(xiF[:, i], omf))
     res_c = _fro(lo - rhs)
-
-    # (d) divergence identity for Ric* and the *-scalar curvature
-    res_d = _fro(_star_ricci_divergence_defect(pd))
 
     return {
         "d2omega_combination": res_a,

@@ -125,17 +125,19 @@ def cov_derivative_jets(t: JetField, variance: str, gamma: JetField) -> JetField
         raise GeometryError("tensor jets must have degree >= 1 to differentiate")
     letters = "abcdefgh"[: len(variance)]
     out = t.grad()
-    # the sum is valid only to t.deg - 1, so no product goes higher
-    gamma = gamma.truncate(min(gamma.deg, out.deg))
+    # the sum is valid only to t.deg - 1 and gamma.deg, so no product goes
+    # higher; gamma is read through a view of its low coefficients, not a copy
+    if gamma.deg < out.deg:
+        out = out.truncate(gamma.deg)
+    gamma = JetField(gamma.space, gamma.data[..., : gamma.space.nc_at(out.deg)])
+    # each term is added in place into the fresh gradient array
     for k, c in enumerate(variance):
         lab = letters[k]
         inner = letters[:k] + "m" + letters[k + 1 :]
         if c == "u":
-            term = jet_einsum(f"{lab}ym,{inner}->{letters}y", gamma, t)
-            out = out + term
+            out.data += jet_einsum(f"{lab}ym,{inner}->{letters}y", gamma, t).data
         else:
-            term = jet_einsum(f"my{lab},{inner}->{letters}y", gamma, t)
-            out = out - term
+            out.data -= jet_einsum(f"my{lab},{inner}->{letters}y", gamma, t).data
     return out
 
 
@@ -143,7 +145,7 @@ def cov_derivative_jets(t: JetField, variance: str, gamma: JetField) -> JetField
 class CurvatureJets:
     """Curvature data as jet fields, all in the stored sign convention."""
 
-    riem: JetField   # [l, i, j, k] = (R(d_i, d_j) d_k)^l
+    riem: JetField | None  # [l, i, j, k] = (R(d_i, d_j) d_k)^l; StructureJets drops it
     rflat: JetField  # [i, j, k, l] = <R(d_i, d_j) d_k, d_l>
     ricci: JetField  # [x, y], positive on round spheres
     scalar: JetField
@@ -158,9 +160,10 @@ def curvature_jets(g: JetField, gamma: JetField, ginv: JetField | None = None) -
     t1 = dgamma.transpose((0, 3, 1, 2))  # d_i Gamma^l_{jk}
     t2 = dgamma.transpose((0, 1, 3, 2))  # d_j Gamma^l_{ik}
     low = gamma.truncate(dgamma.deg)  # riem is valid only to dgamma.deg
-    q1 = jet_einsum("lim,mjk->lijk", low, low)
-    q2 = jet_einsum("ljm,mik->lijk", low, low)
-    riem = (t2 - t1) + (q2 - q1)
+    # riem = (t2 - t1) + (q2 - q1), summed in place into the fresh q2 array
+    riem = jet_einsum("ljm,mik->lijk", low, low)
+    riem.data -= jet_einsum("lim,mjk->lijk", low, low).data
+    riem.data += (t2 - t1).data
     rflat = jet_einsum("lm,mijk->ijkl", g, riem)
     ricci = jet_einsum("ab,axyb->xy", ginv, rflat) * (-1.0)
     scalar = jet_einsum("xy,xy->", ginv, ricci)

@@ -396,20 +396,27 @@ class JetField:
         return o / self
 
     def __pow__(self, exponent):
-        """Integer power by square-and-multiply; negative powers divide."""
+        """Integer power by square-and-multiply; negative powers divide.
+
+        The result starts at the lowest set bit's square and the squaring
+        stops at the highest, so ``x**2`` is one product and ``x**5`` three."""
         if not isinstance(exponent, (int, np.integer)):
             raise JetError("jet exponent must be an integer")
         n = int(exponent)
         if n < 0:
             return 1.0 / self**-n
-        result = JetField.constants(self.space, np.ones(self.shape), self.deg)
-        acc = self
-        while n:
+        if n == 0:
+            return JetField.constants(self.space, np.ones(self.shape), self.deg)
+        result, acc = None, self
+        while True:
             if n & 1:
-                result = result * acc
-            acc = acc * acc
+                result = acc if result is None else result * acc
             n >>= 1
-        return result
+            if not n:
+                break
+            acc = acc * acc
+        # x**1 is a new field, as every other power is
+        return JetField(self.space, self.data.copy()) if result is self else result
 
     def truncate(self, d: int) -> "JetField":
         if not 0 <= d <= self.deg:

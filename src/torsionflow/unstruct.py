@@ -156,7 +156,10 @@ class StructureJets:
 
     @cached_property
     def ginv(self) -> JetField:
-        return jet_matrix_inverse(self.g)
+        """g^{-1} to degree g.deg - 1, the most any reader uses.  It is
+        inverted at full degree, so the kept coefficients are those of the
+        full-degree inverse."""
+        return jet_matrix_inverse(self.g).truncate(self.g.deg - 1)
 
     @cached_property
     def gamma(self) -> JetField:
@@ -164,8 +167,11 @@ class StructureJets:
 
     @cached_property
     def curv(self) -> CurvatureJets:
+        """Curvature jets without ``riem``: nothing reads it after the
+        finite check, and ``rflat`` holds the same tensor."""
         c = curvature_jets(self.g, self.gamma, self.ginv)
         self._require_finite("curvature", c.riem, c.rflat, c.ricci, c.scalar)
+        c.riem = None
         return c
 
     def _require_finite(self, what: str, *jets: JetField) -> None:

@@ -569,3 +569,23 @@ def test_chunk_memo_is_bounded():
         buffers: dict = {}
         _held_bytes(pd, buffers)
         assert sum(buffers.values()) < 3e6, (spec.name, structure.dim)
+
+
+def test_chunk_peak_is_bounded():
+    """Building the records of one default chunk of hopf n=2, s6 and flat
+    n=1 allocates at most 3.75 MB at once, the peak bound that the
+    CHUNK_ENTRIES comment states."""
+    import tracemalloc
+
+    for spec in (hopf_chart(2), s6_nearly_kahler(), flat_kahler(1)):
+        structure = build_structure(spec)
+        pts = sample_points(spec, diagnostics._chunk_size(structure), seed=1)
+        # the jet space's tables are built once per process, not per chunk
+        diagnostics._point_records(diagnostics._PointData(structure, pts[:1]))
+        tracemalloc.start()
+        try:
+            diagnostics._point_records(diagnostics._PointData(structure, pts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.75e6, (spec.name, structure.dim, peak)

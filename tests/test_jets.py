@@ -148,7 +148,42 @@ def test_integer_pow_matches_repeated_mul():
         base**0.5
 
 
-finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+def _pow_from_one(x: JetField, n: int) -> JetField:
+    """Square-and-multiply from a constant one, squaring after every bit."""
+    result = JetField.constants(x.space, np.ones(x.shape), x.deg)
+    acc = x
+    while n:
+        if n & 1:
+            result = result * acc
+        acc = acc * acc
+        n >>= 1
+    return result
+
+
+def test_integer_pow_products(monkeypatch):
+    """x**k makes 0, 0, 1, 2, 2 and 3 jet products for k = 0..5, and its
+    bits are those of square-and-multiply from a constant one."""
+    import torsionflow.jets as jets
+
+    rng = np.random.default_rng(5)
+    space = jet_space(3, 3)
+    x = JetField(space, rng.uniform(0.5, 1.5, (4, 2, space.ncoeff)))
+    refs = [_pow_from_one(x, k) for k in range(6)]
+    calls = []
+
+    def counted(subscripts, a, b):
+        calls.append(subscripts)
+        return jet_einsum(subscripts, a, b)
+
+    monkeypatch.setattr(jets, "jet_einsum", counted)
+    for k, ref in enumerate(refs):
+        calls.clear()
+        got = x**k
+        assert len(calls) == (0, 0, 1, 2, 2, 3)[k], k
+        assert got is not x and got.data.tobytes() == ref.data.tobytes(), k
+
+
+finite =st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
