@@ -55,7 +55,7 @@ EXIT_GEOMETRY = 3
 EXIT_STALL = 4
 EXIT_INTERNAL = 5
 
-# sample points per diagnostics run; each point's record is kept
+# sample points per diagnostics run; each point's residuals are kept
 MAX_POINTS = 4096
 
 # seeds index the points' Halton sequence (seed * 9973 + 1) and seed the
@@ -268,16 +268,12 @@ def _run_inspect(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
     spec, structure, pts = _prepare(cfg, seed_override)
     report = run_diagnostics(structure, pts, tol=tol)
 
-    normalized = [rec.component_norms / rec.scale for rec in report.records]
+    normalized = report.component_norms / report.scale[:, None]
     point_rows = [
-        {
-            "x": [float(v) for v in p],
-            "residuals": dict(rec.residuals),
-            "class": gh_label(norms, tol),
-        }
-        for p, rec, norms in zip(pts, report.records, normalized)
+        {"x": [float(v) for v in p], "residuals": residuals, "class": gh_label(norms, tol)}
+        for p, residuals, norms in zip(pts, report.residuals, normalized)
     ]
-    label = gh_label(np.max(normalized, axis=0), tol)
+    label = gh_label(normalized.max(axis=0), tol)
     expected_class, class_match = _class_match(spec, label)
     checked = list(IDENTITY_NAMES) + list(spec.metadata.get("expected_zero", ()))
     ok = all(report.passes[k] for k in checked) and class_match is not False
@@ -297,32 +293,18 @@ def _run_verify(cfg: dict, tol: float, seed_override) -> tuple[dict, int]:
     _, structure, pts = _prepare(cfg, seed_override)
     report = run_diagnostics(structure, pts, tol=tol)
 
-    mixed = 0
-    for row, scale in zip(report.residuals, report.scales):
-        harmonic = row["harmonic"] < tol * scale
-        for name in _COUPLED:
-            if (row[name] < tol * scale) != harmonic:
-                mixed += 1
-                break
+    columns, bound = report.columns, tol * report.scale
+    harmonic = columns["harmonic"] < bound
+    # points where any coupled verdict differs from harmonic's
+    mixed = int(np.any([(columns[name] < bound) != harmonic for name in _COUPLED], axis=0).sum())
 
-    checks = []
-    for name in IDENTITY_NAMES:
-        value = max(
-            row[name] / scale for row, scale in zip(report.residuals, report.scales)
-        )
-        checks.append(
-            {"name": f"identity:{name}", "value": value, "pass": value < tol}
-        )
-    checks.append(
-        {
-            "name": "harmonicity_coupling",
-            "value": float(mixed),
-            "pass": mixed == 0,
-        }
-    )
-    for name in ROUTE_NAMES:
-        value = max(rec.routes[name] / rec.scale for rec in report.records)
-        checks.append({"name": name, "value": value, "pass": value < tol})
+    def check(name: str, values: np.ndarray) -> dict:
+        value = float(np.max(values / report.scale))
+        return {"name": name, "value": value, "pass": value < tol}
+
+    checks = [check(f"identity:{name}", columns[name]) for name in IDENTITY_NAMES]
+    checks.append({"name": "harmonicity_coupling", "value": float(mixed), "pass": mixed == 0})
+    checks += [check(name, report.routes[name]) for name in ROUTE_NAMES]
 
     ok = all(c["pass"] for c in checks)
     summary = {"coupled_residuals": list(_COUPLED)}

@@ -22,8 +22,9 @@ and tensor inner products contract every slot in an orthonormal frame.
 priced by the rank-3 jets that a chunk memoizes (CHUNK_ENTRIES bounds
 its memory).  Each chunk is one object, a
 ``StructureJets`` of a block of points that also memoizes the frame
-arrays the suites share; the suites return one value per point, and
-the per-point functions below are chunks of one point.
+arrays the suites share; the suites return one array over the chunk's
+points, ``_chunked`` joins each over the chunks into one column per
+quantity, and the per-point functions below are chunks of one point.
 
 Kept for the tests only: the theorem checks ``class_criteria``,
 ``w1w4_laplacian_residual``, ``nearly_kahler_suite`` and
@@ -58,7 +59,6 @@ __all__ = [
     "CoderivativeXi",
     "StarRicci",
     "DiagnosticsReport",
-    "PointRecord",
     "coderivative_xi",
     "section_residuals",
     "star_ricci",
@@ -87,9 +87,9 @@ THEOREM_TOL = 1e-6
 # bytes per entry from dim 8 to dim 2, so at MIN_JET_DEGREE a chunk holds
 # 560 points at dim 2, 28 at dim 4 (960 entries each), 4 at dim 6 and 1
 # at dim 8; every catalog geometry's chunk memo stays below 3 MB (1.84 to
-# 2.86 MB, test_chunk_memo_is_bounded), and building the records of one
+# 2.86 MB, test_chunk_memo_is_bounded), and building the columns of one
 # chunk of hopf n=2, s6 or flat n=1 peaks below 3.75 MB of allocations
-# (3.38, 2.91 and 3.70 MB; test_chunk_peak_is_bounded).  The bound holds
+# (3.38, 2.91 and 3.58 MB; test_chunk_peak_is_bounded).  The bound holds
 # only while a chunk drops riem, keeps g^{-1} one degree short, sums its
 # covariant derivatives and curvature in place and builds Ric* before
 # the split of xi (BENCH_chunk_lean.json).
@@ -117,7 +117,7 @@ CLASS_LABELS = ("W1+W2+W4", "W1+W2", "W2+W4", "W1+W4", "W3+W4", "W1+W2-map")
 
 GH_LABELS = ("W1", "W2", "W3", "W4")
 
-# independent-route disagreements kept per point (see PointRecord)
+# independent-route disagreements kept per point (DiagnosticsReport.routes)
 ROUTE_NAMES = (
     "coderivative_route_gap",
     "coderivative_uperp_defect",
@@ -246,29 +246,33 @@ def _chunk_size(structure: AlmostHermitianStructure) -> int:
     """Points per chunk, at least one: CHUNK_ENTRIES entries of a rank-3
     jet of degree ``structure.degree - 1``, the layout of Gamma and xi.
     At MIN_JET_DEGREE: 560 points at dim 2, 28 at dim 4, 4 at dim 6 and 1
-    at dim 8, holding below 3 MB and peaking below 3.75 MB per chunk."""
+    at dim 8, holding at most 2.86 MB and peaking at 3.58 MB (flat n=1)."""
     ncoeff = jet_space(structure.dim, structure.degree).nc_at(structure.degree - 1)
     return max(1, CHUNK_ENTRIES // (structure.dim**3 * ncoeff))
 
 
-def _chunked(structure: AlmostHermitianStructure, points: np.ndarray, evaluate) -> list:
-    """``evaluate`` on each chunk of points, results joined in point order.
+def _chunked(structure: AlmostHermitianStructure, points, evaluate) -> dict[str, np.ndarray]:
+    """``evaluate`` on each chunk of points; each array it returns is
+    joined over the chunks in point order.
 
     A chunk that fails is evaluated again one point at a time, so the
     error raised is the one of the first failing point in point order.
     """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if len(points) == 0:
+        raise ValueError("diagnostics need at least one point")
     size = _chunk_size(structure)
-    out: list = []
+    parts = []
     for start in range(0, len(points), size):
         block = points[start : start + size]
         try:
-            out += evaluate(_PointData(structure, block))
+            parts.append(evaluate(_PointData(structure, block)))
         except Exception:
             if len(block) > 1:
                 for p in block:
                     evaluate(_point_data(structure, p))
             raise
-    return out
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
 def point_scale(structure: AlmostHermitianStructure, p) -> float:
@@ -803,9 +807,8 @@ def gh_label(normalized_norms, tol: float) -> str:
     return "+".join(present) if present else "Kahler"
 
 
-def _norms_and_scale(pd: _PointData) -> list[np.ndarray]:
-    """Per point: the four component norms, then the scale."""
-    return list(np.column_stack([pd.component_norms, pd.scale]))
+def _norms_and_scale(pd: _PointData) -> dict[str, np.ndarray]:
+    return {"component_norms": pd.component_norms, "scale": pd.scale}
 
 
 def classify_gh(structure: AlmostHermitianStructure, points, tol: float = 1e-6) -> dict:
@@ -815,15 +818,12 @@ def classify_gh(structure: AlmostHermitianStructure, points, tol: float = 1e-6) 
     scale-normalized norm over the points.  The table reports the raw
     maximum norm of each component.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] < 1:
-        raise ValueError("classification needs at least one point")
-    rows = np.array(_chunked(structure, points, _norms_and_scale))
-    raw = rows[:, :4].max(axis=0)
-    normalized = (rows[:, :4] / rows[:, 4:]).max(axis=0)
+    joined = _chunked(structure, points, _norms_and_scale)
+    norms = joined["component_norms"]
+    normalized = (norms / joined["scale"][:, None]).max(axis=0)
     return {
         "label": gh_label(normalized, tol),
-        "component_norms": dict(zip(GH_LABELS, (float(v) for v in raw))),
+        "component_norms": dict(zip(GH_LABELS, (float(v) for v in norms.max(axis=0)))),
     }
 
 
@@ -831,79 +831,60 @@ def classify_gh(structure: AlmostHermitianStructure, points, tol: float = 1e-6) 
 
 
 @dataclass(frozen=True)
-class PointRecord:
-    """Everything ``run_diagnostics`` measures at one point.
-
-    ``component_norms`` are the raw norms of xi1..xi4.  ``routes`` maps
-    each of ROUTE_NAMES to the d*xi route gap, the d*xi u(n) defect and
-    the Ric*_alt route gap, each already checked against ROUTE_TOL * scale.
-    """
-
-    residuals: dict
-    scale: float
-    component_norms: np.ndarray
-    routes: dict
-
-
-@dataclass(frozen=True)
 class DiagnosticsReport:
-    """All per-point records for one geometry, with two summaries.
+    """Everything ``run_diagnostics`` measures, one float64 array per
+    quantity over the points, in point order, with two summaries.
 
-    ``max_residuals[name]`` is the largest residual over the points;
-    ``passes[name]`` is true when the residual stays below
-    ``tol * scale`` at every point.  The points are evaluated in chunks
-    of a size set by CHUNK_ENTRIES, each a block with a leading point
-    axis; the records are per point, in point order, and this reducer
-    only aggregates them.
+    ``columns`` maps each residual name to its values; ``routes`` maps
+    each of ROUTE_NAMES to the d*xi route gap, the d*xi u(n) defect and
+    the Ric*_alt route gap, each already checked against ROUTE_TOL *
+    scale; ``component_norms[i]`` holds the raw norms of xi1..xi4 at
+    point i.  ``max_residuals[name]`` is the largest residual over the
+    points; ``passes[name]`` is true when the residual stays below
+    ``tol * scale`` at every point.
     """
 
     geometry: str
-    records: tuple[PointRecord, ...]
+    columns: dict
+    routes: dict
+    scale: np.ndarray
+    component_norms: np.ndarray
     max_residuals: dict
     passes: dict
     metadata: dict
 
     @property
     def residuals(self) -> tuple[dict, ...]:
-        return tuple(r.residuals for r in self.records)
+        """Per point, residual name -> value."""
+        rows = zip(*(values.tolist() for values in self.columns.values()))
+        return tuple(dict(zip(self.columns, row)) for row in rows)
 
     @property
     def scales(self) -> tuple[float, ...]:
-        return tuple(r.scale for r in self.records)
+        return tuple(self.scale.tolist())
 
 
-def _point_records(pd: _PointData) -> list[PointRecord]:
+def _point_columns(pd: _PointData) -> dict[str, np.ndarray]:
+    """The residual columns of a chunk, then its routes, scale and
+    component norms."""
     columns: dict = {}
     columns.update(_section_residuals(pd))
     columns.update(_hermitian_harmonicity(pd))
     columns.update(_identity_suite(pd))
     _, alt, star_gap = _star_ricci(pd)
     columns["star_ricci_alt_norm"] = _fro(alt)
-    gaps = (*pd.coderivative[1:], star_gap)
-    finite = np.isfinite(np.column_stack([*columns.values(), *gaps])).all(axis=1)
+    columns.update(zip(ROUTE_NAMES, (*pd.coderivative[1:], star_gap)))
+    finite = np.isfinite(np.column_stack(list(columns.values()))).all(axis=1)
     pd.fail(~finite, GeometryError, "residuals overflow float64")
-    return [
-        PointRecord(
-            {name: float(values[i]) for name, values in columns.items()},
-            float(pd.scale[i]),
-            pd.component_norms[i],
-            {name: float(g[i]) for name, g in zip(ROUTE_NAMES, gaps)},
-        )
-        for i in range(len(pd.scale))
-    ]
+    return {**columns, **_norms_and_scale(pd)}
 
 
 def run_diagnostics(structure: AlmostHermitianStructure, points, tol: float = 1e-6) -> DiagnosticsReport:
     """Evaluate sections, Laplacian criteria and identities pointwise,
     on chunks of points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    records: list[PointRecord] = _chunked(structure, points, _point_records)
-    rows = [r.residuals for r in records]
-    names = list(rows[0])
-    max_res = {k: max(r[k] for r in rows) for k in names}
-    passes = {
-        k: all(r.residuals[k] < tol * r.scale for r in records) for k in names
-    }
+    columns = _chunked(structure, points, _point_columns)
+    routes = {name: columns.pop(name) for name in ROUTE_NAMES}
+    scale, norms = columns.pop("scale"), columns.pop("component_norms")
     meta = {
         "jet_degree": structure.degree,
         "sign_audit": "paper-convention",
@@ -911,8 +892,11 @@ def run_diagnostics(structure: AlmostHermitianStructure, points, tol: float = 1e
     }
     return DiagnosticsReport(
         geometry=structure.name,
-        records=tuple(records),
-        max_residuals=max_res,
-        passes=passes,
+        columns=columns,
+        routes=routes,
+        scale=scale,
+        component_norms=norms,
+        max_residuals={name: float(v.max()) for name, v in columns.items()},
+        passes={name: bool(np.all(v < tol * scale)) for name, v in columns.items()},
         metadata=meta,
     )

@@ -579,6 +579,55 @@ def test_verify_hopf_checks_pass(tmp_path, capsys):
         assert values[name] == value
 
 
+def test_verify_counts_points_where_coupled_verdicts_disagree(tmp_path, capsys, monkeypatch):
+    """A hand-made three-point report: the first point disagrees with
+    harmonic on two coupled residuals, the second on one, the third on
+    none, so the coupling check counts two points.  Every other check is
+    the largest residual / scale over the points."""
+    from torsionflow import cli
+
+    report = diagnostics.DiagnosticsReport(
+        geometry="flat",
+        columns={
+            "harmonic": np.zeros(3),
+            "comm_JLapJ": np.array([1e-3, 0.0, 0.0]),
+            "herm_defect": np.array([2e-3, 0.0, 0.0]),
+            "cond_iv": np.zeros(3),
+            "torsion_iv_a": np.array([0.0, 1e-3, 0.0]),
+            "torsion_iv_b": np.zeros(3),
+            "d2omega_combination": np.array([3e-7, 8e-7, 4e-7]),
+            "lee_form_w4_derivative": np.array([1e-7, 2e-7, 2e-5]),
+            "rough_laplacian_omega": np.zeros(3),
+            "star_ricci_divergence": np.array([5e-7, 0.0, 0.0]),
+        },
+        routes={
+            "coderivative_route_gap": np.array([0.0, 0.0, 1.2e-8]),
+            "coderivative_uperp_defect": np.array([2e-9, 0.0, 0.0]),
+            "star_ricci_route_gap": np.array([0.0, 6e-9, 0.0]),
+        },
+        scale=np.array([1.0, 2.0, 4.0]),
+        component_norms=np.zeros((3, 4)),
+        max_residuals={},
+        passes={},
+        metadata={},
+    )
+    monkeypatch.setattr(cli, "run_diagnostics", lambda structure, pts, tol: report)
+    cfg = geometry_config({"type": "flat", "n": 2}, count=3, command="verify", tol=1e-6)
+    code, out, _ = run(["verify", "--config", write_config(tmp_path, "v.json", cfg)], capsys)
+    assert code == 1
+    checks = {c["name"]: (c["value"], c["pass"]) for c in json.loads(out)["checks"]}
+    assert checks == {
+        "identity:d2omega_combination": (4e-7, True),
+        "identity:lee_form_w4_derivative": (5e-6, False),
+        "identity:rough_laplacian_omega": (0.0, True),
+        "identity:star_ricci_divergence": (5e-7, True),
+        "harmonicity_coupling": (2.0, False),
+        "coderivative_route_gap": (3e-9, True),
+        "coderivative_uperp_defect": (2e-9, True),
+        "star_ricci_route_gap": (3e-9, True),
+    }
+
+
 def test_classify_labels(tmp_path, capsys):
     cases = [
         ({"type": "flat", "n": 2}, "Kahler"),

@@ -426,6 +426,13 @@ def test_errors_name_the_first_failing_point_in_point_order():
                 run(structure, pts)
 
 
+def test_no_points_is_an_error():
+    structure = build_structure(flat_kahler(2))
+    for run in (run_diagnostics, classify_gh):
+        with pytest.raises(ValueError, match="diagnostics need at least one point"):
+            run(structure, np.zeros((0, 4)))
+
+
 def test_run_diagnostics_report_shape():
     spec = conformal(2, "sin(x1)", periodic=True)
     structure = build_structure(spec)
@@ -434,6 +441,15 @@ def test_run_diagnostics_report_shape():
     assert report.geometry == "conformal"
     assert len(report.residuals) == 3
     assert len(report.scales) == 3
+    assert report.scale.shape == (3,)
+    assert report.component_norms.shape == (3, 4)
+    for values in (*report.columns.values(), *report.routes.values()):
+        assert values.shape == (3,)
+    assert list(report.routes) == list(diagnostics.ROUTE_NAMES)
+    assert list(report.columns) == list(report.max_residuals)
+    for i, (row, scale) in enumerate(zip(report.residuals, report.scales)):
+        assert row == {name: values[i] for name, values in report.columns.items()}
+        assert scale == report.scale[i]
     names = set(report.residuals[0])
     assert set(SECTION_NAMES) <= names
     assert set(IDENTITY_NAMES) <= names
@@ -449,7 +465,7 @@ def test_run_diagnostics_report_shape():
 
 def test_default_jet_degree_matches_degree_four():
     """The default jet degree carries every order the diagnostics read:
-    each record equals a degree-4 build of the same geometry, bit for bit
+    each column equals a degree-4 build of the same geometry, bit for bit
     on the catalog and to 1e-14 * scale on random structures."""
     rng = np.random.default_rng(7)
     catalog = [
@@ -472,24 +488,25 @@ def test_default_jet_degree_matches_degree_four():
         ref = run_diagnostics(high, pts)
         assert got.metadata["jet_degree"] == MIN_JET_DEGREE
         assert ref.metadata["jet_degree"] == 4
-        for a, b in zip(got.records, ref.records):
-            assert set(a.residuals) == set(b.residuals)
-            assert set(a.routes) == set(b.routes)
-            pairs = [(a.scale, b.scale)]
-            pairs += [(a.residuals[k], b.residuals[k]) for k in a.residuals]
-            pairs += [(a.routes[k], b.routes[k]) for k in a.routes]
-            pairs += list(zip(a.component_norms, b.component_norms))
-            for x, y in pairs:
-                if exact:
-                    assert x == y, low.name
-                else:
-                    assert abs(x - y) <= 1e-14 * b.scale, low.name
+        assert list(got.columns) == list(ref.columns)
+        assert list(got.routes) == list(ref.routes)
+        a, b = _report_table(got), _report_table(ref)
+        if exact:
+            assert np.array_equal(a, b), low.name
+        else:
+            assert np.all(np.abs(a - b) <= 1e-14 * ref.scale[:, None]), low.name
+
+
+def _report_table(report) -> np.ndarray:
+    """Per point: the scale, every column, every route and the four
+    component norms."""
+    return np.column_stack([report.scale, *report.columns.values(), *report.routes.values(), report.component_norms])
 
 
 @pytest.mark.parametrize("rotated", [False, True])
 def test_chunks_match_chunks_of_one(monkeypatch, rotated):
     """run_diagnostics and classify_gh on chunk + 1 points, in the default
-    chunks and in one chunk, give the chunk-of-one records to
+    chunks and in one chunk, give the chunk-of-one columns to
     1e-14 * scale, and the same labels and passes."""
     rng = np.random.default_rng(29)
     cases = []
@@ -524,13 +541,9 @@ def test_chunks_match_chunks_of_one(monkeypatch, rotated):
             top = max(ref.scales)
             for name, value in ref_class["component_norms"].items():
                 assert abs(got_class["component_norms"][name] - value) <= 1e-14 * top
-            for a, b in zip(got.records, ref.records):
-                assert abs(a.scale - b.scale) <= 1e-14 * b.scale
-                pairs = [(a.residuals[k], b.residuals[k]) for k in b.residuals]
-                pairs += [(a.routes[k], b.routes[k]) for k in b.routes]
-                pairs += list(zip(a.component_norms, b.component_norms))
-                for x, y in pairs:
-                    assert abs(x - y) <= 1e-14 * b.scale, structure.name
+            assert list(got.columns) == list(ref.columns)
+            gap = np.abs(_report_table(got) - _report_table(ref))
+            assert np.all(gap <= 1e-14 * ref.scale[:, None]), structure.name
 
 
 def _held_bytes(obj, buffers: dict) -> None:
@@ -556,7 +569,7 @@ def _held_bytes(obj, buffers: dict) -> None:
 
 def test_chunk_memo_is_bounded():
     """A default chunk of every catalog geometry holds below 3 MB of
-    arrays once its records are built, the bound that the CHUNK_ENTRIES
+    arrays once its columns are built, the bound that the CHUNK_ENTRIES
     comment states."""
     specs = [flat_kahler(n) for n in (1, 2, 3, 4)]
     specs += [conformal(n, "sin(x1)*cos(x2)", periodic=True) for n in (2, 3)]
@@ -565,14 +578,14 @@ def test_chunk_memo_is_bounded():
         structure = build_structure(spec)
         pts = sample_points(spec, diagnostics._chunk_size(structure), seed=1)
         pd = diagnostics._PointData(structure, pts)
-        diagnostics._point_records(pd)
+        diagnostics._point_columns(pd)
         buffers: dict = {}
         _held_bytes(pd, buffers)
         assert sum(buffers.values()) < 3e6, (spec.name, structure.dim)
 
 
 def test_chunk_peak_is_bounded():
-    """Building the records of one default chunk of hopf n=2, s6 and flat
+    """Building the columns of one default chunk of hopf n=2, s6 and flat
     n=1 allocates at most 3.75 MB at once, the peak bound that the
     CHUNK_ENTRIES comment states."""
     import tracemalloc
@@ -581,10 +594,10 @@ def test_chunk_peak_is_bounded():
         structure = build_structure(spec)
         pts = sample_points(spec, diagnostics._chunk_size(structure), seed=1)
         # the jet space's tables are built once per process, not per chunk
-        diagnostics._point_records(diagnostics._PointData(structure, pts[:1]))
+        diagnostics._point_columns(diagnostics._PointData(structure, pts[:1]))
         tracemalloc.start()
         try:
-            diagnostics._point_records(diagnostics._PointData(structure, pts))
+            diagnostics._point_columns(diagnostics._PointData(structure, pts))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

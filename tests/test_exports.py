@@ -7,6 +7,8 @@ import re
 from pathlib import Path
 
 import torsionflow
+from torsionflow.catalog import build_structure, flat_kahler
+from torsionflow.diagnostics import run_diagnostics
 from torsionflow.flow import descend
 from torsionflow.unstruct import StructureJets
 
@@ -94,6 +96,16 @@ def test_benchmark_harness_reaches_existing_names():
     assert missing == []
     # workloads.armijo_trials reads the default first step
     assert "step0" in inspect.signature(descend).parameters
+
+
+def test_benchmark_harness_reads_per_point_views():
+    # traced.py reads one.residuals[0] and one.scales[0] of a one-point report
+    structure = build_structure(flat_kahler(1))
+    one = run_diagnostics(structure, [[0.1, 0.2]])
+    row, scale = one.residuals[0], one.scales[0]
+    assert list(row) == list(one.max_residuals)
+    assert all(type(v) is float for v in row.values())
+    assert type(scale) is float
 
 
 def test_structure_jets_is_the_only_memo():
