@@ -41,7 +41,7 @@ import numpy as np
 from .exprlang import eval_expr, parse
 from .geometry import GeometryError, cov_derivative_jets, point_max, rough_laplacian_jets
 from .jets import JetField, jet_einsum, jet_space
-from .tensor import FramePack, permute, wedge2
+from .tensor import permute, wedge2
 from .unstruct import (
     AlmostHermitianStructure,
     InternalConventionError,
@@ -147,7 +147,7 @@ class _PointData(StructureJets):
 
     Everything added here is plain numpy in the orthonormal frames of
     ``framepack``, one leading axis over the chunk's points, so residual
-    norms are frame-rotation invariant by construction.  Each derived
+    norms do not depend on the chart or the frame.  Each derived
     quantity is built once, on first use, like the jets; the suites
     return one value per point.
     """
@@ -392,7 +392,6 @@ class StarRicci:
     s_star: float
     sym: np.ndarray
     alt: np.ndarray
-    frame: FramePack
     route_gap: float
 
 
@@ -425,7 +424,6 @@ def star_ricci(structure: AlmostHermitianStructure, p) -> StarRicci:
         s_star=float(np.trace(ric[0])),
         sym=0.5 * (ric[0] + ric[0].T),
         alt=alt[0],
-        frame=FramePack(pd.framepack.g[0], structure.rotation),
         route_gap=float(gap[0]),
     )
 
@@ -888,7 +886,6 @@ def run_diagnostics(structure: AlmostHermitianStructure, points, tol: float = 1e
     meta = {
         "jet_degree": structure.degree,
         "sign_audit": "paper-convention",
-        "rotated_frame": structure.rotation is not None,
     }
     return DiagnosticsReport(
         geometry=structure.name,

@@ -8,8 +8,6 @@ frame; expressing tensors in that frame turns metric contractions and
 frame traces into plain component sums.
 A FramePack may hold a block of points: then its arrays, and the
 tensors it converts, lead with the point axes.
-
-Kept for the tests only: ``random_rotation`` (frame invariance).
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ __all__ = [
     "FramePack",
     "permute",
     "wedge2",
-    "random_rotation",
 ]
 
 
@@ -48,16 +45,6 @@ def wedge2(alpha, beta) -> np.ndarray:
     return outer - outer.T
 
 
-def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A Haar-random special orthogonal matrix."""
-    a = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 class FramePack:
     """Metrics at one point or a block of points, with g-orthonormal frames.
 
@@ -65,11 +52,11 @@ class FramePack:
     every array here carries them.  The columns of ``frame`` are the
     frame vectors in coordinates, so ``frame.T @ g @ frame`` is the
     identity.  ``coframe`` is the inverse; its rows are the dual
-    one-forms.  An optional rotation mixes every frame alike, and
-    nothing geometric may depend on that choice.
+    one-forms.  The frame is read off the Cholesky factor of g, so it
+    turns with the chart; nothing geometric may depend on it.
     """
 
-    def __init__(self, g, rotation: np.ndarray | None = None):
+    def __init__(self, g):
         g = np.asarray(g, dtype=float)
         if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
             raise ValueError("metric must be a square matrix")
@@ -80,15 +67,9 @@ class FramePack:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError as err:
             raise ValueError("metric must be positive definite") from err
-        frame = np.swapaxes(np.linalg.inv(chol), -1, -2)
-        if rotation is not None:
-            rotation = np.asarray(rotation, dtype=float)
-            if np.abs(rotation.T @ rotation - np.eye(g.shape[-1])).max() > 1e-10:
-                raise ValueError("frame rotation must be orthogonal")
-            frame = frame @ rotation
         self.g = g
-        self.frame = frame
-        self.coframe = np.linalg.inv(frame)
+        self.frame = np.swapaxes(np.linalg.inv(chol), -1, -2)
+        self.coframe = np.linalg.inv(self.frame)
 
     def _apply(self, data, variance: str, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
         """Contract each slot's axis with ``upper`` or ``lower`` on the right."""

@@ -87,9 +87,7 @@ class AlmostHermitianStructure:
     ``degree``, each of shape ``(k, 2n, 2n)`` (or ``(2n, 2n)``).  The
     metric (:func:`checked_metric`) and compatibility (J^2 = -Id and
     <JX, JY> = <X, Y>) are checked point by point in each new
-    :class:`StructureJets`.  ``rotation``, an orthogonal matrix, turns
-    every orthonormal frame the diagnostics measure in (see
-    :class:`FramePack`); the residuals do not depend on it.
+    :class:`StructureJets`.
     """
 
     def __init__(
@@ -98,7 +96,6 @@ class AlmostHermitianStructure:
         evaluate: Callable[[np.ndarray], tuple[JetField, JetField]],
         degree: int = MIN_JET_DEGREE,
         name: str = "",
-        rotation: np.ndarray | None = None,
     ):
         if dim % 2 != 0:
             raise GeometryError("almost Hermitian structures need even dimension")
@@ -107,7 +104,6 @@ class AlmostHermitianStructure:
         self.evaluate = evaluate
         self.degree = degree
         self.name = name
-        self.rotation = rotation
 
     def structure_jets(self, p) -> "StructureJets":
         """A new :class:`StructureJets` at the point or block of points on
@@ -124,8 +120,7 @@ class StructureJets:
     couplings, diagnostics) reads from this object, so each quantity is
     computed once per block.  It is the only memo of jets; two
     instances never share them.  Every check compares against its own
-    point's scale and names the first failing point.  The frames are
-    those of ``structure.rotation``.
+    point's scale and names the first failing point.
     """
 
     def __init__(self, structure: AlmostHermitianStructure, points: np.ndarray):
@@ -182,7 +177,7 @@ class StructureJets:
 
     @cached_property
     def framepack(self) -> FramePack:
-        return FramePack(self.g.value, rotation=self.structure.rotation)
+        return FramePack(self.g.value)
 
     # -- J layer --------------------------------------------------------
 

@@ -5,10 +5,13 @@ against the package's own factories, so it stays deliberately plain:
 scalar jets assembled entry by entry, no reuse of catalog code.
 """
 
+import functools
+
 import numpy as np
 
 from torsionflow.geometry import checked_metric
 from torsionflow.jets import JetField, jet_space
+from torsionflow.unstruct import AlmostHermitianStructure
 
 
 def trig_scalar(space, point, freq, phase, coef):
@@ -108,3 +111,53 @@ def gh_norms(sj):
     """Euclidean norms of the four Gray-Hervella components of
     ``sj.gh_frame``, along a last axis after any point axes."""
     return np.stack([np.sqrt(np.sum(c * c, axis=(-3, -2, -1))) for c in sj.gh_frame], axis=-1)
+
+
+def pulled_back(structure, a, b):
+    """The same structure in the chart x = a x' + b.
+
+    The new evaluator calls the old one at a p' + b and substitutes the
+    coordinates in every jet: with h the coordinate jets at 0,
+    K[alpha, beta] is coefficient beta of (a h)^alpha, which is
+    homogeneous of degree |alpha|, so a truncated jet takes a prefix of
+    K.  It returns g' = a^T g a and J' = a^{-1} J a.
+    """
+    a = np.asarray(a, dtype=float)
+    ainv = np.linalg.inv(a)
+    dim = structure.dim
+
+    @functools.cache
+    def substitution(space):
+        ah = JetField(space, a @ JetField.variables(space, np.zeros(dim)).data)
+        k = np.empty((space.ncoeff, space.ncoeff))
+        for row, alpha in enumerate(space.multi_indices):
+            term = JetField.constants(space, 1.0)
+            for i, e in enumerate(alpha):
+                term = term * ah.entry(i) ** e
+            k[row] = term.data
+        return k
+
+    def evaluate(q):
+        # not a matmul: a block maps each point to the bits it gets alone
+        x = np.sum(a * np.asarray(q, dtype=float)[..., None, :], axis=-1) + b
+        g, j = structure.evaluate(x)
+        k = substitution(g.space)
+        sub = lambda f: f.data @ k[: f.data.shape[-1], : f.data.shape[-1]]
+        g_new = np.einsum("ki,...klc,lj->...ijc", a, sub(g), a)
+        j_new = np.einsum("ik,...klc,lj->...ijc", ainv, sub(j), a)
+        return JetField(g.space, g_new), JetField(j.space, j_new)
+
+    return AlmostHermitianStructure(dim, evaluate, structure.degree, structure.name)
+
+
+def chart_change(structure, points, rng):
+    """``structure`` pulled back by x = A x' + b, A = I + 0.3 N(0, 1) and
+    b = 0.1 N(0, 1), and ``points`` in the new chart.  The pullback's
+    roundoff grows with cond(A): on conformal n=3 the report moves by
+    up to 8e-14 * scale at cond(A) <= 13 and by 7e-9 at 109, so a draw
+    above 20 is refused."""
+    dim = structure.dim
+    a = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
+    b = 0.1 * rng.standard_normal(dim)
+    assert np.linalg.cond(a) < 20, "redraw A: the chart is too ill-conditioned"
+    return pulled_back(structure, a, b), np.linalg.solve(a, (points - b).T).T

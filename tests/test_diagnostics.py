@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import chart_change
 
 from torsionflow import catalog, diagnostics
 from torsionflow.catalog import (
@@ -31,8 +32,7 @@ from torsionflow.diagnostics import (
 )
 from torsionflow.geometry import MIN_JET_DEGREE, GeometryError, cov_derivative_jets, rough_laplacian_jets
 from torsionflow.jets import JetField
-from torsionflow.tensor import random_rotation
-from torsionflow.unstruct import AlmostHermitianStructure, StructureJets, random_curved_structure, random_structure
+from torsionflow.unstruct import StructureJets, random_curved_structure, random_structure
 
 TOL = 1e-7
 
@@ -248,33 +248,27 @@ def test_conformal_one_form_matches_numeric_pairing_generically():
             assert rec["residual"] <= 1e-9 * rec["scale"], (f_src, rec["residual"])
 
 
-def in_rotated_frames(structure, rotation):
-    """The same metric and J, measured in frames turned by ``rotation``."""
-    return AlmostHermitianStructure(structure.dim, structure.evaluate, structure.degree, structure.name, rotation)
-
-
-def test_residuals_are_frame_rotation_invariant():
+def test_residuals_are_chart_invariant():
+    """Every column, route, scale and component norm is a norm of a
+    tensor, so a pullback by x = A x' + b leaves it within 1e-12 * scale.
+    The pullback makes every catalog metric non-diagonal and moves the
+    point, the Christoffel symbols and the Cholesky frame."""
     rng = np.random.default_rng(11)
-    cases = [
-        (build_structure(conformal(2, "sin(x1)", periodic=True)), 4),
-        (random_curved_structure(5, 2), 4),
-        (build_structure(s6_nearly_kahler()), 6),
-    ]
-    for structure, dim in cases:
-        p = rng.uniform(-0.3, 0.3, dim)
-        rotated = in_rotated_frames(structure, random_rotation(dim, rng))
-        plain = section_residuals(structure, p)
-        turned = section_residuals(rotated, p)
-        for name in SECTION_NAMES:
-            assert abs(plain[name] - turned[name]) <= 1e-9, name
-        plain = identity_suite(structure, p)
-        turned = identity_suite(rotated, p)
-        for name in IDENTITY_NAMES:
-            assert abs(plain[name] - turned[name]) <= 1e-9, name
-        plain = hermitian_harmonicity(structure, p)
-        turned = hermitian_harmonicity(rotated, p)
-        for name in plain:
-            assert abs(plain[name] - turned[name]) <= 1e-9, name
+    specs = (
+        flat_kahler(2),
+        conformal(2, "sin(x1)*cos(x2)", periodic=True),
+        conformal(3, "sin(x1)*cos(x2)", periodic=True),
+        hopf_chart(2),
+        s6_nearly_kahler(),
+    )
+    cases = [(build_structure(spec), sample_points(spec, 4, seed=5)) for spec in specs]
+    cases.append((random_curved_structure(21, 2), rng.uniform(-np.pi, np.pi, (4, 4))))
+    for structure, pts in cases:
+        ref = run_diagnostics(structure, pts)
+        got = run_diagnostics(*chart_change(structure, pts, rng))
+        assert list(got.columns) == list(ref.columns)
+        gap = np.abs(_report_table(got) - _report_table(ref))
+        assert np.all(gap <= 1e-12 * ref.scale[:, None]), structure.name
 
 
 def test_star_ricci_record_invariants():
@@ -285,7 +279,7 @@ def test_star_ricci_record_invariants():
     jf = sj.j_frame
     scale = point_scale(structure, p)
     assert rec.route_gap <= 1e-9 * scale
-    ric_frame = rec.frame.to_frame(rec.ric_star, "dd")
+    ric_frame = sj.framepack.to_frame(rec.ric_star, "dd")
     np.testing.assert_allclose(rec.sym + rec.alt, ric_frame, atol=1e-13)
     twisted = np.einsum("ax,by,ab->xy", jf, jf, ric_frame)
     np.testing.assert_allclose(twisted, ric_frame.T, atol=1e-12)
@@ -458,9 +452,7 @@ def test_run_diagnostics_report_shape():
     assert report.passes["harmonic"]
     assert report.passes["torsion_iv_b"]
     assert not report.passes["flatness"]
-    assert report.metadata["sign_audit"] == "paper-convention"
-    assert report.metadata["jet_degree"] == 3
-    assert not report.metadata["rotated_frame"]
+    assert report.metadata == {"jet_degree": 3, "sign_audit": "paper-convention"}
 
 
 def test_default_jet_degree_matches_degree_four():
@@ -503,11 +495,12 @@ def _report_table(report) -> np.ndarray:
     return np.column_stack([report.scale, *report.columns.values(), *report.routes.values(), report.component_norms])
 
 
-@pytest.mark.parametrize("rotated", [False, True])
-def test_chunks_match_chunks_of_one(monkeypatch, rotated):
+@pytest.mark.parametrize("charted", [False, True])
+def test_chunks_match_chunks_of_one(monkeypatch, charted):
     """run_diagnostics and classify_gh on chunk + 1 points, in the default
     chunks and in one chunk, give the chunk-of-one columns to
-    1e-14 * scale, and the same labels and passes."""
+    1e-14 * scale, and the same labels and passes; also after a chart
+    change."""
     rng = np.random.default_rng(29)
     cases = []
     specs = (
@@ -527,14 +520,13 @@ def test_chunks_match_chunks_of_one(monkeypatch, rotated):
     cases.append((curved, rng.uniform(-np.pi, np.pi, (diagnostics._chunk_size(curved) + 1, 4))))
 
     for structure, pts in cases:
-        if rotated:
-            structure = in_rotated_frames(structure, random_rotation(structure.dim, rng))
+        if charted:
+            structure, pts = chart_change(structure, pts, rng)
         runs = {}
         for entries in (1, diagnostics.CHUNK_ENTRIES, 2**40):
             monkeypatch.setattr(diagnostics, "CHUNK_ENTRIES", entries)
             runs[entries] = (run_diagnostics(structure, pts), classify_gh(structure, pts))
         ref, ref_class = runs.pop(1)
-        assert ref.metadata["rotated_frame"] is rotated
         for got, got_class in runs.values():
             assert got.passes == ref.passes, structure.name
             assert got_class["label"] == ref_class["label"], structure.name

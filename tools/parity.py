@@ -15,7 +15,10 @@ that tree's ``cli.main`` in process on the same runs:
 Each run's exit code, stdout, stderr and artifacts are compared byte
 for byte.  Every run that differs is printed with the parts that
 differ and the largest |Δ| / (1 + |value|) over the numbers in them,
-``value`` read in ``DIR``.  Exits 1 on any difference.  It takes about
+``value`` read in ``DIR``.  Where both sides of a part parse as JSON,
+the dotted paths of the keys this tree adds (+), removes (-) or changes
+(~) follow, for example ``-summary.metadata.rotated_frame``; list items
+count as keys by their index.  Exits 1 on any difference.  It takes about
 15 s per tree and is not part of the test suite.
 """
 
@@ -100,6 +103,36 @@ def largest_move(mine: str, theirs: str):
     return max((abs(float(x) - float(y)) / (1.0 + abs(float(y))) for x, y in zip(a[1::2], b[1::2])), default=0.0)
 
 
+def key_changes(mine: str, theirs: str):
+    """'+path', '-path' and '~path' for every key ``mine`` adds, removes or
+    changes against ``theirs``; None unless both texts parse as JSON
+    objects or arrays."""
+    try:
+        a, b = json.loads(str(mine)), json.loads(str(theirs))
+    except ValueError:
+        return None
+    if not (isinstance(a, (dict, list)) and isinstance(b, (dict, list))):
+        return None
+    changes = []
+
+    def walk(x, y, path):
+        if isinstance(x, list) and isinstance(y, list):
+            x, y = dict(enumerate(x)), dict(enumerate(y))
+        if not (isinstance(x, dict) and isinstance(y, dict)):
+            if x != y:
+                changes.append("~" + path)
+            return
+        at = lambda key: f"{path}.{key}" if path else str(key)
+        changes.extend("-" + at(key) for key in y if key not in x)
+        changes.extend("+" + at(key) for key in x if key not in y)
+        for key in x:
+            if key in y:
+                walk(x[key], y[key], at(key))
+
+    walk(a, b, "")
+    return changes
+
+
 def compare(runs: list, mine: dict, theirs: dict) -> int:
     """Print each run that differs; the number of such runs."""
     differ = 0
@@ -111,6 +144,11 @@ def compare(runs: list, mine: dict, theirs: dict) -> int:
         differ += 1
         moves = [largest_move(a.get(key, ""), b.get(key, "")) for key in parts]
         moved = "texts differ beyond their numbers" if None in moves else f"largest |Δ|/(1+|value|) {max(moves):.3g}"
+        for key in parts:
+            keys = key_changes(a.get(key, ""), b.get(key, ""))
+            if keys is not None:
+                more = f" and {len(keys) - 8} more" if len(keys) > 8 else ""
+                moved += f"; {key} keys {' '.join(keys[:8]) or '(none)'}{more}"
         print(f"{name}: {', '.join(parts)} differ; {moved}")
     return differ
 
