@@ -100,10 +100,11 @@ def octonion_multiply(x, y) -> np.ndarray:
 class GeometrySpec:
     """Recipe for one catalog geometry.
 
-    ``jets(p, degree)`` returns the jets of g and of J at a block of
-    points, to the given degree, from one evaluation.  ``domain`` is a
-    box of per-coordinate (lo, hi) bounds; ``inside(p)``, when set, keeps
-    only the sample points of the box where it holds.  ``metadata``
+    ``jets(p, degree)``, the evaluator of its structure, returns the jets
+    of g and of J at a block of points, to the degree its caller reads,
+    from one evaluation.  ``domain`` is a box of per-coordinate (lo, hi)
+    bounds; ``inside(p)``, when set, keeps only the sample points of the
+    box where it holds.  ``metadata``
     holds expected diagnostics: the class label and which section
     residuals should vanish or stay visibly nonzero.
     """
@@ -115,7 +116,6 @@ class GeometrySpec:
     conformal_factor: Expr | None = None
     domain: tuple[tuple[float, float], ...] = ()
     periodic: bool = False
-    degree: int = MIN_JET_DEGREE
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -126,13 +126,17 @@ class GeometrySpec:
         for lo, hi in self.domain:
             if not lo < hi:
                 raise GeometryError("domain bounds must satisfy lo < hi")
-        if self.degree < MIN_JET_DEGREE:
-            raise GeometryError(f"jet degree must be at least {MIN_JET_DEGREE}")
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
     @property
     def dim(self) -> int:
         return 2 * self.n
+
+    @property
+    def degree(self) -> int:
+        """MIN_JET_DEGREE, the degree the diagnostics read; kept for
+        ``perfbench/run.py`` and ``perfbench/traced.py``, which read it."""
+        return MIN_JET_DEGREE
 
 
 # -- low-discrepancy sampling ----------------------------------------------
@@ -220,7 +224,6 @@ def conformal(
     n: int,
     f,
     periodic: bool = False,
-    degree: int = MIN_JET_DEGREE,
     name: str = "conformal",
     domain: tuple[tuple[float, float], ...] | None = None,
 ) -> GeometrySpec:
@@ -267,12 +270,11 @@ def conformal(
         conformal_factor=expr,
         domain=box,
         periodic=periodic,
-        degree=degree,
         metadata=meta,
     )
 
 
-def hopf_chart(n: int, degree: int = MIN_JET_DEGREE) -> GeometrySpec:
+def hopf_chart(n: int) -> GeometrySpec:
     """Cylinder metric |z|^{-2} delta on an annulus chart of C^n minus 0.
 
     Conformal with factor f = -log(|z|^2).  The box keeps 0.5 < |z| < 2,
@@ -285,7 +287,7 @@ def hopf_chart(n: int, degree: int = MIN_JET_DEGREE) -> GeometrySpec:
     dim = 2 * n
     src = "-log(" + " + ".join(f"x{i}^2" for i in range(1, dim + 1)) + ")"
     box = ((0.3, 1.9 / np.sqrt(dim)),) * dim
-    spec = conformal(n, src, periodic=False, degree=degree, name="hopf", domain=box)
+    spec = conformal(n, src, periodic=False, name="hopf", domain=box)
     meta = {
         "expected_class": "W4",
         "expected_zero": ("harmonic", "harmonic_map", "torsion_iv_a", "torsion_iv_b"),
@@ -336,7 +338,7 @@ def _s6(p, degree: int) -> tuple[JetField, JetField]:
     return g, jet_einsum("cb,bj->cj", cross_op, d)
 
 
-def s6_nearly_kahler(degree: int = MIN_JET_DEGREE) -> GeometrySpec:
+def s6_nearly_kahler() -> GeometrySpec:
     """Round six-sphere with J from the octonion cross product."""
     box = ((-0.35, 0.35),) * 6
     meta = {
@@ -353,7 +355,6 @@ def s6_nearly_kahler(degree: int = MIN_JET_DEGREE) -> GeometrySpec:
         jets=_s6,
         inside=lambda p: float(p @ p) < 0.88**2,
         domain=box,
-        degree=degree,
         metadata=meta,
     )
 
@@ -362,9 +363,8 @@ def s6_nearly_kahler(degree: int = MIN_JET_DEGREE) -> GeometrySpec:
 
 
 def build_structure(spec: GeometrySpec) -> AlmostHermitianStructure:
-    """Materialize a spec as one evaluator of point blocks at its jet degree."""
-    degree = spec.degree
-    return AlmostHermitianStructure(spec.dim, lambda p: spec.jets(p, degree), degree, name=spec.name)
+    """Materialize a spec as one evaluator of point blocks."""
+    return AlmostHermitianStructure(spec.dim, spec.jets, name=spec.name)
 
 
 # the config fields each catalog geometry takes
@@ -378,7 +378,6 @@ def spec_from_config(cfg: Mapping) -> GeometrySpec:
     Dispatches on the ``type`` field over the catalog names; fields the
     type does not take are rejected before any value is read, so
     misspelled options cannot silently pass.
-    Every spec is expanded to ``MIN_JET_DEGREE``.
     """
     if not isinstance(cfg, Mapping) or "type" not in cfg:
         raise GeometryError("geometry config must be a mapping with a 'type' field")

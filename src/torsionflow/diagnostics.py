@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .exprlang import eval_expr, parse
-from .geometry import GeometryError, cov_derivative_jets, point_max, rough_laplacian_jets
+from .geometry import MIN_JET_DEGREE, GeometryError, cov_derivative_jets, point_max, rough_laplacian_jets
 from .jets import JetField, jet_einsum, jet_space
 from .tensor import permute, wedge2
 from .unstruct import (
@@ -81,18 +81,18 @@ ROUTE_TOL = 1e-8
 THEOREM_TOL = 1e-6
 
 # Points evaluated together: about this many entries of a rank-3 jet at
-# one degree below the structure's (dim^3 entries of nc_at(degree - 1)
-# coefficients) per chunk.  Most of a chunk's memo is in that layout
-# (Gamma, Gamma + xi, nabla J, nabla omega and xi), at about 80 to 106
-# bytes per entry from dim 8 to dim 2, so at MIN_JET_DEGREE a chunk holds
-# 560 points at dim 2, 28 at dim 4 (960 entries each), 4 at dim 6 and 1
-# at dim 8; every catalog geometry's chunk memo stays below 3 MB (1.84 to
-# 2.86 MB, test_chunk_memo_is_bounded), and building the columns of one
-# chunk of hopf n=2, s6 or flat n=1 peaks below 3.75 MB of allocations
-# (3.38, 2.91 and 3.58 MB; test_chunk_peak_is_bounded).  The bound holds
-# only while a chunk drops riem, keeps g^{-1} one degree short, sums its
-# covariant derivatives and curvature in place and builds Ric* before
-# the split of xi (BENCH_chunk_lean.json).
+# one degree below MIN_JET_DEGREE, the degree a chunk evaluates (dim^3
+# entries of nc_at(MIN_JET_DEGREE - 1) coefficients) per chunk.  Most of
+# a chunk's memo is in that layout (Gamma, Gamma + xi, nabla J, nabla
+# omega and xi), at about 80 to 106 bytes per entry from dim 8 to dim 2,
+# so a chunk holds 560 points at dim 2, 28 at dim 4 (960 entries each),
+# 4 at dim 6 and 1 at dim 8; every catalog geometry's chunk memo stays
+# below 3 MB (1.84 to 2.86 MB, test_chunk_memo_is_bounded), and building
+# the columns of one chunk of hopf n=2, s6 or flat n=1 peaks below 3.75
+# MB of allocations (3.38, 2.91 and 3.58 MB; test_chunk_peak_is_bounded).
+# The bound holds only while a chunk drops riem, keeps g^{-1} one degree
+# short, sums its covariant derivatives and curvature in place and
+# builds Ric* before the split of xi (BENCH_chunk_lean.json).
 CHUNK_ENTRIES = 28 * 960
 
 SECTION_NAMES = (
@@ -244,10 +244,10 @@ def _point_data(structure: AlmostHermitianStructure, p) -> _PointData:
 
 def _chunk_size(structure: AlmostHermitianStructure) -> int:
     """Points per chunk, at least one: CHUNK_ENTRIES entries of a rank-3
-    jet of degree ``structure.degree - 1``, the layout of Gamma and xi.
-    At MIN_JET_DEGREE: 560 points at dim 2, 28 at dim 4, 4 at dim 6 and 1
-    at dim 8, holding at most 2.86 MB and peaking at 3.58 MB (flat n=1)."""
-    ncoeff = jet_space(structure.dim, structure.degree).nc_at(structure.degree - 1)
+    jet of degree MIN_JET_DEGREE - 1, the layout of Gamma and xi: 560
+    points at dim 2, 28 at dim 4, 4 at dim 6 and 1 at dim 8, holding at
+    most 2.86 MB and peaking at 3.58 MB (flat n=1)."""
+    ncoeff = jet_space(structure.dim, MIN_JET_DEGREE).nc_at(MIN_JET_DEGREE - 1)
     return max(1, CHUNK_ENTRIES // (structure.dim**3 * ncoeff))
 
 
@@ -743,9 +743,7 @@ def nearly_kahler_suite(structure: AlmostHermitianStructure, p) -> dict:
 # -- conformal closed form ------------------------------------------------------
 
 
-def conformal_example_check(
-    n: int, f_src: str, p, structure: AlmostHermitianStructure | None = None
-) -> dict:
+def conformal_example_check(n: int, f_src: str, p, structure: AlmostHermitianStructure) -> dict:
     """Harmonic-map one-form of a conformally flat structure against its
     closed form.
 
@@ -756,14 +754,9 @@ def conformal_example_check(
     is the all-component pairing divided by HARMONIC_MAP_FORM_CALIBRATION
     so both sides use the closed form's normalization, ``numeric_raw``
     the uncalibrated pairing.  Returns both one-forms in coordinate
-    components plus their difference.  ``structure`` may be supplied to
-    reuse a prebuilt geometry; it must be the conformal structure for
-    the same ``f``.
+    components plus their difference.  ``structure`` must be the
+    conformal structure for the same ``f``.
     """
-    if structure is None:
-        from .catalog import build_structure, conformal
-
-        structure = build_structure(conformal(n, f_src))
     pd = _point_data(structure, p)
     if pd.n != n:
         raise ValueError("structure dimension does not match n")
@@ -884,7 +877,7 @@ def run_diagnostics(structure: AlmostHermitianStructure, points, tol: float = 1e
     routes = {name: columns.pop(name) for name in ROUTE_NAMES}
     scale, norms = columns.pop("scale"), columns.pop("component_norms")
     meta = {
-        "jet_degree": structure.degree,
+        "jet_degree": MIN_JET_DEGREE,
         "sign_audit": "paper-convention",
     }
     return DiagnosticsReport(

@@ -258,8 +258,8 @@ def random_grid(seed: int, n: int, resolution: int, amplitude: float = 0.3) -> J
     ticks = 2.0 * np.pi * np.arange(resolution) / resolution
     mesh = np.meshgrid(*([ticks] * (2 * n)), indexing="ij")
     points = np.stack(mesh, axis=-1)
-    structure = random_structure(seed, n, amplitude, degree=0)
-    return JGrid(n, resolution, structure.evaluate(points)[1].value)
+    structure = random_structure(seed, n, amplitude)
+    return JGrid(n, resolution, structure.evaluate(points, 0)[1].value)
 
 
 # -- torsion and energy -----------------------------------------------------------

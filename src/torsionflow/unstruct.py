@@ -82,10 +82,12 @@ def standard_j(n: int) -> np.ndarray:
 class AlmostHermitianStructure:
     """Metric plus compatible almost complex structure, as one evaluator.
 
-    ``evaluate`` maps a block of points, shape ``(k, 2n)`` (or one point,
-    ``(2n,)``), to the jet fields ``(g, J)`` of g_{ij} and J^i_j to
-    ``degree``, each of shape ``(k, 2n, 2n)`` (or ``(2n, 2n)``).  The
-    metric (:func:`checked_metric`) and compatibility (J^2 = -Id and
+    ``evaluate(points, degree)`` maps a block of points, shape ``(k, 2n)``
+    (or one point, ``(2n,)``), to the jet fields ``(g, J)`` of g_{ij} and
+    J^i_j to the degree its caller reads, each of shape ``(k, 2n, 2n)``
+    (or ``(2n, 2n)``): :class:`StructureJets` asks for MIN_JET_DEGREE,
+    the flow start for the values alone.  The metric
+    (:func:`checked_metric`) and compatibility (J^2 = -Id and
     <JX, JY> = <X, Y>) are checked point by point in each new
     :class:`StructureJets`.
     """
@@ -93,8 +95,7 @@ class AlmostHermitianStructure:
     def __init__(
         self,
         dim: int,
-        evaluate: Callable[[np.ndarray], tuple[JetField, JetField]],
-        degree: int = MIN_JET_DEGREE,
+        evaluate: Callable[[np.ndarray, int], tuple[JetField, JetField]],
         name: str = "",
     ):
         if dim % 2 != 0:
@@ -102,7 +103,6 @@ class AlmostHermitianStructure:
         self.dim = dim
         self.n = dim // 2
         self.evaluate = evaluate
-        self.degree = degree
         self.name = name
 
     def structure_jets(self, p) -> "StructureJets":
@@ -138,10 +138,11 @@ class StructureJets:
 
     @cached_property
     def evaluated(self) -> tuple[JetField, JetField]:
-        """The structure's one evaluator call on the block: (g, J), unchecked."""
+        """The structure's one evaluator call on the block: (g, J) to
+        MIN_JET_DEGREE, unchecked."""
         if self.points.shape[-1:] != (self.dim,):
             raise GeometryError(f"point must have shape (..., {self.dim})")
-        return self.structure.evaluate(self.points)
+        return self.structure.evaluate(self.points, MIN_JET_DEGREE)
 
     # -- metric layer ---------------------------------------------------
 
@@ -384,9 +385,7 @@ def _rotation_params(rng, m, count):
     return pairs, params
 
 
-def random_structure(
-    seed: int, n: int, amplitude: float = 0.3, degree: int = MIN_JET_DEGREE
-) -> AlmostHermitianStructure:
+def random_structure(seed: int, n: int, amplitude: float = 0.3) -> AlmostHermitianStructure:
     """Flat metric with J = Q J_0 Q^T for a rotation field Q.
 
     Q is a product of Givens rotations with 2 pi periodic trigonometric
@@ -400,7 +399,7 @@ def random_structure(
     pairs, params = _rotation_params(rng, m, m)
     j0 = standard_j(n)
 
-    def evaluate(p):
+    def evaluate(p, degree):
         space = jet_space(m, degree)
         q = _givens_product(space, p, pairs, params, amplitude)
         qj = jet_einsum("ik,kj->ij", q, JetField.constants(space, j0))
@@ -409,7 +408,7 @@ def random_structure(
         g = JetField(space, np.broadcast_to(eye, p.shape[:-1] + eye.shape))
         return g, jet_einsum("ik,jk->ij", qj, q)
 
-    return AlmostHermitianStructure(m, evaluate, degree, name=f"random-flat-{seed}")
+    return AlmostHermitianStructure(m, evaluate, name=f"random-flat-{seed}")
 
 
 def random_curved_structure(
@@ -417,7 +416,6 @@ def random_curved_structure(
     n: int,
     amplitude: float = 0.3,
     metric_amplitude: float = 0.25,
-    degree: int = MIN_JET_DEGREE,
 ) -> AlmostHermitianStructure:
     """Curved compatible pair from a single invertible matrix field A.
 
@@ -447,11 +445,11 @@ def random_curved_structure(
             diag.data[..., i, i, :] = mu.fn("exp").data
         return jet_einsum("ik,kj->ij", q, diag)
 
-    def evaluate(p):
+    def evaluate(p, degree):
         space = jet_space(m, degree)
         a = a_jets(space, p)
         ainv = jet_matrix_inverse(a)
         aj = jet_einsum("ik,kj->ij", a, JetField.constants(space, j0))
         return jet_einsum("ki,kj->ij", ainv, ainv), jet_einsum("ik,kj->ij", aj, ainv)
 
-    return AlmostHermitianStructure(m, evaluate, degree, name=f"random-curved-{seed}")
+    return AlmostHermitianStructure(m, evaluate, name=f"random-curved-{seed}")

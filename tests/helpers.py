@@ -137,17 +137,17 @@ def pulled_back(structure, a, b):
             k[row] = term.data
         return k
 
-    def evaluate(q):
+    def evaluate(q, degree):
         # not a matmul: a block maps each point to the bits it gets alone
         x = np.sum(a * np.asarray(q, dtype=float)[..., None, :], axis=-1) + b
-        g, j = structure.evaluate(x)
+        g, j = structure.evaluate(x, degree)
         k = substitution(g.space)
         sub = lambda f: f.data @ k[: f.data.shape[-1], : f.data.shape[-1]]
         g_new = np.einsum("ki,...klc,lj->...ijc", a, sub(g), a)
         j_new = np.einsum("ik,...klc,lj->...ijc", ainv, sub(j), a)
         return JetField(g.space, g_new), JetField(j.space, j_new)
 
-    return AlmostHermitianStructure(dim, evaluate, structure.degree, structure.name)
+    return AlmostHermitianStructure(dim, evaluate, structure.name)
 
 
 def chart_change(structure, points, rng):

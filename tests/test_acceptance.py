@@ -363,7 +363,7 @@ def _curved_torus(n, seed):
     psi, phi = psi - psi.swapaxes(1, 2), phi - phi.swapaxes(1, 2)
 
     def structure(t):
-        def evaluate(pts):
+        def evaluate(pts, _):
             space = jet_space(dim, 2)
             x = JetField.variables(space, pts)
             modes = np.stack([x.entry(k).fn(name).data for k in (0, 1) for name in ("sin", "cos")])
@@ -374,7 +374,7 @@ def _curved_torus(n, seed):
             j = jet_einsum("ij,kj->ik", jet_einsum("ij,jk->ik", c, JetField.constants(space, standard_j(n))), c)
             return g, j
 
-        return AlmostHermitianStructure(dim, evaluate, degree=2)
+        return AlmostHermitianStructure(dim, evaluate)
 
     def phi_at(pts):
         x1, x2 = pts[:, 0], pts[:, 1]

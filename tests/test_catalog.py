@@ -17,8 +17,9 @@ from torsionflow.catalog import (
     sample_points,
     spec_from_config,
 )
-from torsionflow.geometry import GeometryError, christoffel_jets, curvature_jets, point_max
+from torsionflow.geometry import MIN_JET_DEGREE, GeometryError, christoffel_jets, curvature_jets, point_max
 from torsionflow.jets import JetField, jet_einsum, jet_matrix_inverse
+from torsionflow.unstruct import random_curved_structure, random_structure
 
 SECTION_NAMES = {
     "harmonic",
@@ -182,13 +183,43 @@ def test_s6_j_is_the_pullback_through_the_metric():
     # oracle: J = g^-1 D^T (p x) D; the evaluator reads the top rows of (p x) D
     spec = s6_nearly_kahler()
     pts = sample_points(spec, 6, seed=4)
-    x, w, d, g = catalog._s6_graph(pts, spec.degree)
+    x, w, d, g = catalog._s6_graph(pts, MIN_JET_DEGREE)
     embed = JetField(x.space, np.concatenate([x.data, w.data[..., None, :]], axis=-2))
     cross_op = jet_einsum("abc,a->cb", JetField.constants(x.space, octonion_structure_constants()), embed)
     dtmd = jet_einsum("ai,aj->ij", d, jet_einsum("cb,bj->cj", cross_op, d))
     oracle = jet_einsum("ik,kj->ij", jet_matrix_inverse(g), dtmd)
-    gap = point_max(catalog._s6(pts, spec.degree)[1].data - oracle.data, 1)
+    gap = point_max(catalog._s6(pts, MIN_JET_DEGREE)[1].data - oracle.data, 1)
     assert np.all(gap <= 1e-13 * (1.0 + point_max(oracle.data, 1))), gap
+
+
+def test_every_degree_reads_the_same_section():
+    """The flow start reads degree 0 and the diagnostics MIN_JET_DEGREE:
+    an evaluator gives g and J to the degree asked for, with the same
+    values at every degree."""
+    rng = np.random.default_rng(12)
+    specs = (
+        flat_kahler(1),
+        flat_kahler(2),
+        conformal(2, "sin(x1)*cos(x2)", periodic=True),
+        conformal(3, "sin(x1) + 0.5*cos(x3)"),
+        hopf_chart(2),
+        s6_nearly_kahler(),
+    )
+    cases = [(build_structure(spec), sample_points(spec, 3, seed=6), 0.0) for spec in specs]
+    cases += [(random_structure(9, n), rng.uniform(-np.pi, np.pi, (3, 2 * n)), 0.0) for n in (2, 3)]
+    # J = A J_0 A^{-1}: jet_matrix_inverse's Neumann term I - A_0^{-1} A_0
+    # is zero only to roundoff (4.4e-16), so the values may move by an ulp
+    cases.append((random_curved_structure(21, 2), rng.uniform(-np.pi, np.pi, (3, 4)), 1e-15))
+    for structure, pts, rel in cases:
+        ref = [f.value for f in structure.evaluate(pts, MIN_JET_DEGREE)]
+        for degree in range(5):
+            fields = structure.evaluate(pts, degree)
+            assert [f.deg for f in fields] == [degree, degree], structure.name
+            for f, want in zip(fields, ref):
+                if rel:
+                    assert np.abs(f.value - want).max() <= rel * np.abs(want).max(), (structure.name, degree)
+                else:
+                    assert np.array_equal(f.value, want), (structure.name, degree)
 
 
 def test_s6_is_einstein_with_factor_five():

@@ -32,7 +32,7 @@ from torsionflow.diagnostics import (
 )
 from torsionflow.geometry import MIN_JET_DEGREE, GeometryError, cov_derivative_jets, rough_laplacian_jets
 from torsionflow.jets import JetField
-from torsionflow.unstruct import StructureJets, random_curved_structure, random_structure
+from torsionflow.unstruct import AlmostHermitianStructure, StructureJets, random_curved_structure, random_structure
 
 TOL = 1e-7
 
@@ -219,7 +219,7 @@ def test_class_criteria_rejects_unknown_label():
 
 def test_conformal_one_form_closed_form_at_reference_point():
     p = np.array([0.7, 0.1, 0.3, -0.2])
-    rec = conformal_example_check(2, "sin(x1)", p)
+    rec = conformal_example_check(2, "sin(x1)", p, build_structure(conformal(2, "sin(x1)")))
     expected = np.exp(-np.sin(0.7)) * np.sin(0.7) * np.cos(0.7) / 8.0
     assert abs(rec["numeric"][0] - expected) <= 1e-7 * abs(expected)
     assert np.abs(rec["numeric"][1:]).max() <= 1e-12
@@ -229,12 +229,13 @@ def test_conformal_one_form_closed_form_at_reference_point():
 
 def test_conformal_one_form_vanishes_for_flat_factors():
     p = np.array([0.9, 0.2, -0.3, 0.4])
-    rec = conformal_example_check(2, "1.5", p)
+    rec = conformal_example_check(2, "1.5", p, build_structure(conformal(2, "1.5")))
     assert np.abs(rec["numeric"]).max() <= 1e-14
     assert np.abs(rec["closed_form"]).max() <= 1e-14
     # The chart factor of a compatible fibration is harmonic as a map,
     # so both sides vanish despite a nonconstant f.
-    rec = conformal_example_check(2, "-log(x1^2 + x2^2 + x3^2 + x4^2)", p)
+    f_src = "-log(x1^2 + x2^2 + x3^2 + x4^2)"
+    rec = conformal_example_check(2, f_src, p, build_structure(conformal(2, f_src)))
     assert np.abs(rec["numeric"]).max() <= 1e-12 * rec["scale"]
     assert np.abs(rec["closed_form"]).max() <= 1e-12 * rec["scale"]
 
@@ -242,9 +243,10 @@ def test_conformal_one_form_vanishes_for_flat_factors():
 def test_conformal_one_form_matches_numeric_pairing_generically():
     rng = np.random.default_rng(4)
     for f_src, n in [("sin(x1)*cos(x2)", 2), ("sin(x1) + 0.5*cos(x3)", 3)]:
+        structure = build_structure(conformal(n, f_src))
         for _ in range(2):
             p = rng.uniform(-1.2, 1.2, 2 * n)
-            rec = conformal_example_check(n, f_src, p)
+            rec = conformal_example_check(n, f_src, p, structure)
             assert rec["residual"] <= 1e-9 * rec["scale"], (f_src, rec["residual"])
 
 
@@ -373,21 +375,23 @@ def test_classify_and_scale_never_build_nabla_xi(monkeypatch):
 
 
 def test_one_evaluation_per_point_and_no_hidden_memo(monkeypatch):
-    """Each point evaluates g and J in one call; only the StructureJets a
-    caller holds remembers a point's jets.  An evaluator call takes a
-    block of points, so the counter counts the points evaluated.  Each s6
-    chunk builds its graph chart once."""
+    """Each point evaluates g and J in one call, to MIN_JET_DEGREE; only
+    the StructureJets a caller holds remembers a point's jets.  An
+    evaluator call takes a block of points, so the counter counts the
+    points evaluated.  Each s6 chunk builds its graph chart once."""
     charts = []
     graph = catalog._s6_graph
     monkeypatch.setattr(catalog, "_s6_graph", lambda p, degree: charts.append(p) or graph(p, degree))
     for spec in (hopf_chart(2), s6_nearly_kahler()):
         structure = build_structure(spec)
         calls = {"evaluate": 0}
+        degrees = set()
 
         def counted(evaluator):
-            def wrapped(p):
+            def wrapped(p, degree):
                 calls["evaluate"] += len(np.atleast_2d(p))
-                return evaluator(p)
+                degrees.add(degree)
+                return evaluator(p, degree)
 
             return wrapped
 
@@ -400,6 +404,7 @@ def test_one_evaluation_per_point_and_no_hidden_memo(monkeypatch):
         assert len(charts) == (chunks if spec.name == "s6" else 0), spec.name
         classify_gh(structure, pts)
         assert calls == {"evaluate": 6}, spec.name
+        assert degrees == {MIN_JET_DEGREE}, spec.name
 
         first = structure.structure_jets(pts[0])
         second = structure.structure_jets(pts[0])
@@ -457,29 +462,19 @@ def test_run_diagnostics_report_shape():
 
 def test_default_jet_degree_matches_degree_four():
     """The default jet degree carries every order the diagnostics read:
-    each column equals a degree-4 build of the same geometry, bit for bit
-    on the catalog and to 1e-14 * scale on random structures."""
+    each column equals a degree-4 evaluation of the same geometry, bit
+    for bit on the catalog and to 1e-14 * scale on random structures."""
     rng = np.random.default_rng(7)
-    catalog = [
-        (s6_nearly_kahler(), s6_nearly_kahler(degree=4)),
-        (
-            conformal(3, "sin(x1)*cos(x2)", periodic=True),
-            conformal(3, "sin(x1)*cos(x2)", periodic=True, degree=4),
-        ),
-        (hopf_chart(2), hopf_chart(2, degree=4)),
-    ]
-    cases = [
-        (build_structure(low), build_structure(high), sample_points(low, 2, seed=3), True)
-        for low, high in catalog
-    ]
+    catalog = [s6_nearly_kahler(), conformal(3, "sin(x1)*cos(x2)", periodic=True), hopf_chart(2)]
+    cases = [(build_structure(spec), sample_points(spec, 2, seed=3), True) for spec in catalog]
     for factory, seed, n in [(random_structure, 13, 3), (random_curved_structure, 21, 2)]:
-        pts = rng.uniform(-np.pi, np.pi, (2, 2 * n))
-        cases.append((factory(seed, n), factory(seed, n, degree=4), pts, False))
-    for low, high, pts, exact in cases:
+        cases.append((factory(seed, n), rng.uniform(-np.pi, np.pi, (2, 2 * n)), False))
+    for low, pts, exact in cases:
+        high = AlmostHermitianStructure(low.dim, lambda p, _: low.evaluate(p, 4), low.name)
         got = run_diagnostics(low, pts)
         ref = run_diagnostics(high, pts)
         assert got.metadata["jet_degree"] == MIN_JET_DEGREE
-        assert ref.metadata["jet_degree"] == 4
+        assert high.structure_jets(pts).g.deg == 4
         assert list(got.columns) == list(ref.columns)
         assert list(got.routes) == list(ref.routes)
         a, b = _report_table(got), _report_table(ref)

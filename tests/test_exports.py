@@ -7,9 +7,11 @@ import re
 from pathlib import Path
 
 import torsionflow
-from torsionflow.catalog import build_structure, flat_kahler
+from torsionflow import catalog, unstruct
+from torsionflow.catalog import build_structure, flat_kahler, spec_from_config
 from torsionflow.diagnostics import run_diagnostics
 from torsionflow.flow import descend
+from torsionflow.geometry import MIN_JET_DEGREE
 from torsionflow.unstruct import StructureJets
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -96,6 +98,17 @@ def test_benchmark_harness_reaches_existing_names():
     assert missing == []
     # workloads.armijo_trials reads the default first step
     assert "step0" in inspect.signature(descend).parameters
+
+
+def test_the_reader_picks_the_jet_degree():
+    # structures and their factories take no degree; each evaluator call
+    # names the degree it reads, and perfbench reads GeometrySpec.degree
+    builders = [
+        unstruct.AlmostHermitianStructure, unstruct.random_structure, unstruct.random_curved_structure,
+        catalog.GeometrySpec, catalog.flat_kahler, catalog.conformal, catalog.hopf_chart, catalog.s6_nearly_kahler,
+    ]
+    assert [b.__name__ for b in builders if "degree" in inspect.signature(b).parameters] == []
+    assert spec_from_config({"type": "hopf", "n": 2}).degree == MIN_JET_DEGREE
 
 
 def test_benchmark_harness_reads_per_point_views():

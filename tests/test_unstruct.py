@@ -16,24 +16,26 @@ from torsionflow.unstruct import (
 )
 
 
-def flat_kahler(n, degree=4):
+def flat_kahler(n):
+    """Its evaluator, like conformal_structure's, returns degree-4 jets
+    whatever degree is asked for."""
     m = 2 * n
 
-    def evaluate(p):
-        space = jet_space(m, degree)
+    def evaluate(p, _):
+        space = jet_space(m, 4)
         return JetField.constants(space, np.eye(m)), JetField.constants(space, standard_j(n))
 
-    return AlmostHermitianStructure(m, evaluate, degree)
+    return AlmostHermitianStructure(m, evaluate)
 
 
-def conformal_structure(n, f_of_x, degree=4):
+def conformal_structure(n, f_of_x):
     m = 2 * n
-    metric = conformal_metric_field(m, f_of_x, degree=degree)
+    metric = conformal_metric_field(m, f_of_x)
 
-    def evaluate(p):
-        return metric(p), JetField.constants(jet_space(m, degree), standard_j(n))
+    def evaluate(p, _):
+        return metric(p), JetField.constants(jet_space(m, 4), standard_j(n))
 
-    return AlmostHermitianStructure(m, evaluate, degree)
+    return AlmostHermitianStructure(m, evaluate)
 
 
 def f_example(space, p):
@@ -283,7 +285,7 @@ def test_extended_norm_matches_coordinate_contraction():
 
 
 def test_odd_dimension_rejected():
-    def evaluate(p):
+    def evaluate(p, _):
         return JetField.constants(jet_space(3, 4), np.eye(3)), None
 
     with pytest.raises(GeometryError):
@@ -291,7 +293,7 @@ def test_odd_dimension_rejected():
 
 
 def test_bad_j_rejected():
-    def evaluate(p):
+    def evaluate(p, _):
         space = jet_space(4, 4)
         return JetField.constants(space, np.eye(4)), JetField.constants(space, np.diag([1.0, -1.0, 1.0, -1.0]))
 
