@@ -7,8 +7,8 @@ should find.  The test suite asserts the metadata, so the catalog is
 self-verifying.
 
 Charts:
-  * ``flat`` and ``conformal`` live on R^{2n}; with ``periodic=True``
-    the chart is read as a 2 pi torus in every coordinate.
+  * ``flat`` and ``conformal`` live on R^{2n}; ``conformal`` with
+    ``periodic=True`` refuses a factor that is not 2 pi periodic.
   * ``hopf`` is the cylinder metric |z|^{-2} delta on an annulus chart
     of C^n minus the origin; its compact quotient is S^1 x S^{2n-1}.
   * ``s6`` is the round six-sphere inside the imaginary octonions with
@@ -115,7 +115,6 @@ class GeometrySpec:
     inside: Callable[[np.ndarray], bool] | None = None
     conformal_factor: Expr | None = None
     domain: tuple[tuple[float, float], ...] = ()
-    periodic: bool = False
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -205,7 +204,6 @@ def flat_kahler(n: int) -> GeometrySpec:
         n=n,
         jets=lambda p, degree: (_constant(np.eye(2 * n), p, degree), _constant(standard_j(n), p, degree)),
         domain=((-np.pi, np.pi),) * (2 * n),
-        periodic=True,
         metadata=_KAHLER_META,
     )
 
@@ -222,22 +220,22 @@ def _eval_factor(expr: Expr, p, dim: int, degree: int = 1):
 
 def conformal(
     n: int,
-    f,
+    f: str,
     periodic: bool = False,
     name: str = "conformal",
     domain: tuple[tuple[float, float], ...] | None = None,
 ) -> GeometrySpec:
     """Conformally flat metric e^f delta with the standard J.
 
-    ``f`` is an expression tree or source text in x1..x_{2n}.  The factor
-    is probed on the domain for finiteness, and with ``periodic=True``
-    also for 2 pi periodicity in every coordinate; either failure raises
-    before a spec is issued.  A factor with vanishing gradient leaves the
-    structure Kahler; otherwise it is locally conformal Kahler (pure W4).
+    ``f`` is source text in x1..x_{2n}.  The factor is probed on the
+    domain for finiteness, and with ``periodic=True`` also for 2 pi
+    periodicity in every coordinate; either failure raises before a spec
+    is issued.  A factor with vanishing gradient leaves the structure
+    Kahler; otherwise it is locally conformal Kahler (pure W4).
     """
     if n < 2:
         raise GeometryError("conformal needs n >= 2")
-    expr = parse(f) if isinstance(f, str) else f
+    expr = parse(f)
     dim = 2 * n
     box = domain if domain is not None else ((-np.pi, np.pi),) * dim
     probes = _halton_box(box, 8, 1)
@@ -269,7 +267,6 @@ def conformal(
         jets=jets,
         conformal_factor=expr,
         domain=box,
-        periodic=periodic,
         metadata=meta,
     )
 

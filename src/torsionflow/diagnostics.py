@@ -39,9 +39,15 @@ from functools import cached_property
 import numpy as np
 
 from .exprlang import eval_expr, parse
-from .geometry import MIN_JET_DEGREE, GeometryError, cov_derivative_jets, point_max, rough_laplacian_jets
+from .geometry import (
+    MIN_JET_DEGREE,
+    GeometryError,
+    cov_derivative_jets,
+    permute,
+    point_max,
+    rough_laplacian_jets,
+)
 from .jets import JetField, jet_einsum, jet_space
-from .tensor import permute, wedge2
 from .unstruct import (
     AlmostHermitianStructure,
     InternalConventionError,
@@ -675,7 +681,7 @@ def w1w4_laplacian_residual(structure: AlmostHermitianStructure, p) -> dict:
     term1 = 4.0 * np.einsum("xbc,ay,abc->xy", psi, jf, psi)
     dstar_om = pd.dstar_omega[0]
     j_dstar = -jf.T @ dstar_om
-    term2 = wedge2(dstar_om, j_dstar) / (4.0 * (n - 1.0) ** 2)
+    term2 = (np.outer(dstar_om, j_dstar) - np.outer(j_dstar, dstar_om)) / (4.0 * (n - 1.0) ** 2)
     lo = pd.laplacian_omega[0]
     record["applicable"] = True
     record["residual"] = float(_fro(lo - term1 - term2, 0))

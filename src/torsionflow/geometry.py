@@ -8,6 +8,8 @@ which is the negative of the more common sign, covariant derivatives of
 arbitrary tensor fields, and the connection (rough) Laplacian
 ``nabla*nabla Psi = -(nabla^2 Psi)_{e_i, e_i}``, from jets of g that
 ``checked_metric`` has found finite, symmetric and positive definite.
+A variance string names tensor axes, ``'u'`` upper and ``'d'`` lower;
+``FramePack`` turns them into components in the g-orthonormal frame.
 
 Index conventions, used everywhere downstream:
   * ``gamma[k, i, j]`` is Gamma^k_{ij}.
@@ -34,6 +36,8 @@ __all__ = [
     "fail_first",
     "point_max",
     "checked_metric",
+    "FramePack",
+    "permute",
     "christoffel_jets",
     "cov_derivative_jets",
     "curvature_jets",
@@ -96,6 +100,56 @@ def checked_metric(g, points) -> JetField:
             except np.linalg.LinAlgError as err:
                 raise GeometryError(f"metric is not positive definite at point {_where(q)}") from err
     return g
+
+
+def permute(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``np.transpose`` of the trailing ``len(axes)`` axes; leading
+    (point) axes stay in front."""
+    lead = a.ndim - len(axes)
+    return np.transpose(a, (*range(lead), *(lead + x for x in axes)))
+
+
+class FramePack:
+    """Metrics at one point or a block of points, with g-orthonormal frames.
+
+    ``g`` holds metric values that :func:`checked_metric` has passed, of
+    shape ``(..., m, m)``; the leading axes are point axes and every
+    array here carries them.  The columns of ``frame`` are the frame
+    vectors in coordinates, so ``frame.T @ g @ frame`` is the identity.
+    ``coframe`` is the inverse; its rows are the dual one-forms.  The
+    frame is read off the Cholesky factor of g, so it turns with the
+    chart; nothing geometric may depend on it.  In the frame, metric
+    contractions and frame traces are plain component sums.
+    """
+
+    def __init__(self, g: np.ndarray):
+        self.g = g
+        self.frame = np.swapaxes(np.linalg.inv(np.linalg.cholesky(g)), -1, -2)
+        self.coframe = np.linalg.inv(self.frame)
+
+    def _apply(self, data, variance: str, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        """Contract each slot's axis with ``upper`` or ``lower`` on the right."""
+        data = np.asarray(data, dtype=float)
+        rank = data.ndim - (self.g.ndim - 2)
+        if len(variance) != rank or any(c not in "ud" for c in variance):
+            raise GeometryError(f"variance {variance!r} does not match a rank-{rank} tensor")
+        slots = "abcdefgh"[: len(variance)]
+        for k, c in enumerate(variance):
+            out = slots[:k] + "z" + slots[k + 1 :]
+            data = np.einsum(f"...{slots},...{slots[k]}z->...{out}", data, upper if c == "u" else lower)
+        return data
+
+    def to_frame(self, data, variance: str) -> np.ndarray:
+        """Components in the orthonormal frame.
+
+        Upper slots contract with the coframe, lower slots with the
+        frame; afterwards index position no longer matters.
+        """
+        return self._apply(data, variance, np.swapaxes(self.coframe, -1, -2), self.frame)
+
+    def from_frame(self, data, variance: str) -> np.ndarray:
+        """Back from frame components to coordinate components."""
+        return self._apply(data, variance, np.swapaxes(self.frame, -1, -2), self.coframe)
 
 
 def christoffel_jets(g: JetField, ginv: JetField | None = None) -> JetField:

@@ -42,16 +42,17 @@ import numpy as np
 from .geometry import (
     MIN_JET_DEGREE,
     CurvatureJets,
+    FramePack,
     GeometryError,
     checked_metric,
     christoffel_jets,
     cov_derivative_jets,
     curvature_jets,
     fail_first,
+    permute,
     point_max,
 )
 from .jets import JetField, jet_einsum, jet_matrix_inverse, jet_space
-from .tensor import FramePack, permute
 
 __all__ = [
     "InternalConventionError",

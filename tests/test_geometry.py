@@ -10,6 +10,7 @@ from helpers import (
 )
 
 from torsionflow.geometry import (
+    FramePack,
     GeometryError,
     checked_metric,
     christoffel_jets,
@@ -18,6 +19,7 @@ from torsionflow.geometry import (
     rough_laplacian_jets,
 )
 from torsionflow.jets import JetField, jet_matrix_inverse, jet_space
+from torsionflow.unstruct import AlmostHermitianStructure, standard_j
 
 
 def curvature_at(m, p):
@@ -261,3 +263,94 @@ def test_metric_checks_compare_each_point_against_its_own_scale():
     block = np.array([[0.0, 0.0], [0.5, 0.25]])
     with pytest.raises(GeometryError, match=r"metric jets are not symmetric at point \(0.5, 0.25\)"):
         checked_metric(evaluator(block), block)
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "metric jets are not symmetric"),
+        (-np.eye(2), "metric is not positive definite"),
+    ],
+)
+def test_frame_is_built_only_from_a_checked_metric(g, message):
+    # FramePack itself checks nothing: the structure's frame reads g through checked_metric
+    def evaluate(p, degree):
+        space = jet_space(2, degree)
+        lead = p.shape[:-1]
+        return (JetField.constants(space, np.broadcast_to(g, lead + (2, 2))),
+                JetField.constants(space, np.broadcast_to(standard_j(1), lead + (2, 2))))
+
+    structure = AlmostHermitianStructure(2, evaluate)
+    with pytest.raises(GeometryError, match=message + r" at point \(0.5, 0.25\)"):
+        structure.structure_jets(np.array([[0.5, 0.25]])).framepack
+
+
+# -- orthonormal frames --------------------------------------------------------
+
+
+def random_spd(rng, n):
+    a = rng.standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def inner(fp, a, b, variance):
+    """Extended inner product: all slots paired through the metric, as the
+    plain sum of products of frame components."""
+    return np.sum(fp.to_frame(a, variance) * fp.to_frame(b, variance))
+
+
+def test_frame_is_orthonormal():
+    rng = np.random.default_rng(0)
+    for n in (2, 3, 6):
+        g = random_spd(rng, n)
+        fp = FramePack(g)
+        assert np.abs(fp.frame.T @ g @ fp.frame - np.eye(n)).max() < 1e-12
+        assert np.abs(fp.frame @ fp.frame.T - np.linalg.inv(g)).max() < 1e-10
+        assert np.abs(fp.coframe @ fp.frame - np.eye(n)).max() < 1e-12
+
+
+def test_to_frame_round_trip():
+    rng = np.random.default_rng(1)
+    g = random_spd(rng, 4)
+    fp = FramePack(g)
+    t = rng.standard_normal((4, 4, 4))
+    for variance in ("uuu", "udd", "ddd", "dud"):
+        back = fp.from_frame(fp.to_frame(t, variance), variance)
+        assert np.abs(back - t).max() < 1e-10
+
+
+def test_to_frame_validates_variance():
+    fp = FramePack(np.eye(2))
+    with pytest.raises(GeometryError):
+        fp.to_frame(np.zeros((2, 2)), "u")
+    with pytest.raises(GeometryError):
+        fp.from_frame(np.zeros(2), "x")
+
+
+def test_inner_product_matches_metric_contraction():
+    rng = np.random.default_rng(2)
+    g = random_spd(rng, 3)
+    ginv = np.linalg.inv(g)
+    fp = FramePack(g)
+    u, v = rng.standard_normal(3), rng.standard_normal(3)
+    assert inner(fp, u, v, "u") == pytest.approx(u @ g @ v, rel=1e-12)
+    assert inner(fp, u, v, "d") == pytest.approx(u @ ginv @ v, rel=1e-12)
+    a = rng.standard_normal((3, 3))
+    b = rng.standard_normal((3, 3))
+    expect = np.einsum("ij,kl,ik,jl->", a, b, g, ginv)
+    assert inner(fp, a, b, "ud") == pytest.approx(expect, rel=1e-11)
+
+
+def test_inner_product_frame_invariant():
+    """The chart change x = A x' takes t to A^{-1} t A and g to A^T g A,
+    and with them the Cholesky frame; the inner product stays."""
+    rng = np.random.default_rng(3)
+    g = random_spd(rng, 5)
+    t = rng.standard_normal((5, 5))
+    s = rng.standard_normal((5, 5))
+    base = inner(FramePack(g), t, s, "ud")
+    for _ in range(3):
+        a = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
+        ainv = np.linalg.inv(a)
+        moved = inner(FramePack(a.T @ g @ a), ainv @ t @ a, ainv @ s @ a, "ud")
+        assert moved == pytest.approx(base, rel=1e-11)

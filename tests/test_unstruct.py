@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from helpers import chart_change, conformal_metric_field, gh_norms, trig_scalar
 
-from torsionflow.geometry import GeometryError, curvature_jets
+from torsionflow.geometry import GeometryError, curvature_jets, permute
 from torsionflow.jets import JetField, jet_space
-from torsionflow.tensor import permute
 from torsionflow.unstruct import (
     AlmostHermitianStructure,
     InternalConventionError,
