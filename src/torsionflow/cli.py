@@ -224,11 +224,16 @@ def render_json(value) -> str:
         return "{" + ", ".join(items) + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
         if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.size:
-            # one pass over the floats, then bracket the last axis outwards
+            # one "%.17g" template per matrix (the last two axes), then
+            # bracket the axes before them outwards
             if not np.isfinite(value).all():
                 raise ValueError("non-finite number in report")
-            items = [format(v, ".17g") for v in value.ravel().tolist()]
-            for size in reversed(value.shape):
+            template = "%.17g"
+            for size in reversed(value.shape[-2:]):
+                template = "[" + ", ".join([template] * size) + "]"
+            cells = value.reshape(-1, math.prod(value.shape[-2:]))
+            items = [template % tuple(cell.tolist()) for cell in cells]
+            for size in reversed(value.shape[:-2]):
                 items = [
                     "[" + ", ".join(items[i : i + size]) + "]"
                     for i in range(0, len(items), size)

@@ -211,7 +211,8 @@ class _PointData(StructureJets):
         """u(n)-perp part of the curvature endomorphisms R(e_x, e_y)."""
         # endo matrix of R(e_x, e_y): entries [k, m] = <R e_m, e_k>
         rend = permute(self.RF, (0, 1, 3, 2))
-        return 0.5 * (rend + np.einsum("...ka,...xyab,...bm->...xykm", self.j_frame, rend, self.j_frame))
+        jf = self.j_frame[..., None, None, :, :]
+        return 0.5 * (rend + jf @ rend @ jf)
 
     @cached_property
     def star_ricci_frame(self) -> np.ndarray:
@@ -231,12 +232,13 @@ class _PointData(StructureJets):
 
     @cached_property
     def laplacian_j(self) -> np.ndarray:
-        lap_j = rough_laplacian_jets(self.nabla_J, "ud", self.gamma, self.ginv)
+        # only the value is read, so nabla J to first order suffices
+        lap_j = rough_laplacian_jets(self.nabla_J.truncate(1), "ud", self.gamma, self.ginv)
         return self.framepack.to_frame(lap_j.value, "ud")
 
     @cached_property
     def laplacian_omega(self) -> np.ndarray:
-        lap_om = rough_laplacian_jets(self.nabla_omega, "dd", self.gamma, self.ginv)
+        lap_om = rough_laplacian_jets(self.nabla_omega.truncate(1), "dd", self.gamma, self.ginv)
         lo = self.framepack.to_frame(lap_om.value, "dd")
         # (nabla*nabla omega)(X, Y) = <X, (nabla*nabla J) Y>
         self.check_route(point_max(lo - self.laplacian_j, 1), "rough Laplacians of omega and J disagree")

@@ -492,7 +492,8 @@ def jet_einsum(subscripts: str, a: JetField, b: JetField) -> JetField:
     Leading axes are equal in both operands or absent from one, and the
     coefficient axes are handled internally.  The pairs of ``table`` are
     taken rank by rank (``JetSpace.ranks``): each rank is one gather of
-    each operand and one batched product, an elementwise multiply when
+    each operand (a slice at degree 0, whose table is the one pair
+    (0, 0)) and one batched product, an elementwise multiply when
     the left, contracted and right groups are single entries (as in the
     entrywise product ``",->"``) and a matmul otherwise.  Ranks 1 and up
     add, in order, into a tail that is added to rank 0 last, which is the
@@ -504,7 +505,8 @@ def jet_einsum(subscripts: str, a: JetField, b: JetField) -> JetField:
     space = a.space
     if b.space is not space:
         raise JetError("jet fields from different spaces")
-    ranks, tail_outs = space.ranks[min(a.deg, b.deg)]
+    deg = min(a.deg, b.deg)
+    ranks, tail_outs = space.ranks[deg]
     la, lb, nb, nbl, nbk, perm_a, perm_b, perm_out = _einsum_plan(subscripts, a.data.ndim - 1, b.data.ndim - 1)
     xa, yb = a.data.transpose(perm_a), b.data.transpose(perm_b)
     sx, sy = xa.shape[1 + la :], yb.shape[1 + lb :]  # (batch, left, contracted), (batch, contracted, right)
@@ -515,7 +517,8 @@ def jet_einsum(subscripts: str, a: JetField, b: JetField) -> JetField:
 
     def rank(k: int) -> np.ndarray:
         ia, ib = ranks[k]
-        return mul(xa[ia].reshape(len(ia), *xshape), yb[ib].reshape(len(ib), *yshape))
+        sa, sb = (slice(1), slice(1)) if deg == 0 else (ia, ib)
+        return mul(xa[sa].reshape(len(ia), *xshape), yb[sb].reshape(len(ib), *yshape))
 
     prod = rank(0)
     if len(ranks) > 1:
@@ -532,6 +535,9 @@ def jet_matrix_inverse(a: JetField) -> JetField:
 
     Writes A = A0 (I - N) with N carrying no constant term, so the Neumann
     series (sum of N^k) A0^{-1} terminates exactly at the field degree.
+    N's constant term, the residual of ``np.linalg.inv``, is set to zero:
+    N is then exactly nilpotent, and the inverse of ``a.truncate(d)`` is
+    the inverse of ``a`` truncated to d, bit for bit.
     """
     m = a.shape[-1]
     if a.shape[-2:] != (m, m):
@@ -541,6 +547,7 @@ def jet_matrix_inverse(a: JetField) -> JetField:
     b = JetField.constants(a.space, a0inv, a.deg)
     eye = JetField.constants(a.space, np.eye(m), a.deg)
     n = eye - jet_einsum("ij,jk->ik", b, a)
+    n.data[..., 0] = 0.0
     total = eye
     acc = eye
     for _ in range(a.deg):

@@ -153,10 +153,8 @@ class StructureJets:
 
     @cached_property
     def ginv(self) -> JetField:
-        """g^{-1} to degree g.deg - 1, the most any reader uses.  It is
-        inverted at full degree, so the kept coefficients are those of the
-        full-degree inverse."""
-        return jet_matrix_inverse(self.g).truncate(self.g.deg - 1)
+        """g^{-1} to degree g.deg - 1, the most any reader uses."""
+        return jet_matrix_inverse(self.g.truncate(self.g.deg - 1))
 
     @cached_property
     def gamma(self) -> JetField:

@@ -733,6 +733,15 @@ def test_grid_artifact_renders_like_nested_lists():
         render_json(np.array([[1.0, np.nan]]))
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (5,), (3, 4), (2, 3, 4), (2, 2, 3, 4)])
+def test_float_arrays_render_like_each_float(shape):
+    # the array branch formats a matrix at a time; the reference formats
+    # each Python float on its own
+    values = [-0.0, 5e-324, 1.7976931348623157e308, 2.0, 1 / 3]
+    array = np.resize(np.array(values), shape)
+    assert render_json(array) == render_json(array.tolist())
+
+
 def test_reports_are_byte_identical(tmp_path, capsys):
     geo = {"type": "conformal", "n": 2, "f": "sin(x1)", "periodic": True}
     path = write_config(tmp_path, "conf.json", geometry_config(geo, count=2))

@@ -484,6 +484,19 @@ def test_default_jet_degree_matches_degree_four():
             assert np.all(np.abs(a - b) <= 1e-14 * ref.scale[:, None]), low.name
 
 
+def test_rough_laplacians_read_first_order():
+    """The rough Laplacians of J and omega from first-order nabla J and
+    nabla omega equal those from full degree, value bits included: the
+    diagnostics read only their values."""
+    for spec in [s6_nearly_kahler(), hopf_chart(2), conformal(3, "sin(x1)*cos(x2)", periodic=True)]:
+        sj = build_structure(spec).structure_jets(sample_points(spec, 2, seed=3))
+        for nabla, variance in [(sj.nabla_J, "ud"), (sj.nabla_omega, "dd")]:
+            low = rough_laplacian_jets(nabla.truncate(1), variance, sj.gamma, sj.ginv)
+            full = rough_laplacian_jets(nabla, variance, sj.gamma, sj.ginv)
+            assert (low.deg, full.deg) == (0, 1)
+            assert low.value.tobytes() == full.value.tobytes(), (spec.name, variance)
+
+
 def _report_table(report) -> np.ndarray:
     """Per point: the scale, every column, every route and the four
     component norms."""

@@ -281,6 +281,22 @@ def test_matrix_inverse_exact():
     assert np.allclose(prod.data, JetField.constants(sp, np.eye(2)).data, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_matrix_inverse_truncates_bit_for_bit(dim):
+    # N = I - A0^{-1} A has its constant term zeroed, so the Neumann sum
+    # stops at the field degree and a low-degree inverse is the full one
+    # truncated, bits included: g^{-1} is inverted at the degree it is read
+    sp = jet_space(dim, 3)
+    rng = np.random.default_rng(dim)
+    data = rng.normal(size=(3, dim, dim, sp.ncoeff))
+    data += np.swapaxes(data, 1, 2)
+    data[..., 0] = data[..., 0] @ data[..., 0] + np.eye(dim)
+    g = JetField(sp, data)
+    full = jet_matrix_inverse(g)
+    for d in range(sp.degree):
+        assert jet_matrix_inverse(g.truncate(d)).data.tobytes() == full.truncate(d).data.tobytes(), d
+
+
 def test_field_grad_stacks_derivatives():
     sp = jet_space(3, 3)
     x = JetField.variables(sp, np.array([0.1, 0.2, 0.3]))
